@@ -2,47 +2,36 @@
 
 #include <algorithm>
 #include <limits>
-#include <set>
-
-#include "core/similarity.hpp"
 
 namespace streak {
 
-namespace {
-
-struct MatchView {
-    std::vector<geom::Point> points;
-    std::vector<SimilarityVector> svs;
-    steiner::TopoStructure st;
-};
-
-MatchView makeView(const steiner::Topology& t) {
-    MatchView mv;
-    mv.st = t.structure();
-    mv.points.reserve(mv.st.nodes.size());
+RegularityView regularityView(const steiner::Topology& t) {
+    const steiner::TopoStructure st = t.structure();
+    RegularityView view;
+    view.points.reserve(st.nodes.size());
     int driverNode = -1;
-    for (size_t i = 0; i < mv.st.nodes.size(); ++i) {
-        mv.points.push_back(mv.st.nodes[i].pt);
-        if (mv.st.nodes[i].pinIndex == t.driverIndex()) {
+    for (size_t i = 0; i < st.nodes.size(); ++i) {
+        view.points.push_back(st.nodes[i].pt);
+        if (st.nodes[i].pinIndex == t.driverIndex()) {
             driverNode = static_cast<int>(i);
         }
     }
-    const int weight = static_cast<int>(mv.points.size()) + 1;
-    mv.svs.reserve(mv.points.size());
-    for (size_t i = 0; i < mv.points.size(); ++i) {
-        mv.svs.push_back(weightedSimilarity(mv.points, static_cast<int>(i),
-                                            driverNode, weight));
+    const int weight = static_cast<int>(view.points.size()) + 1;
+    view.svs.reserve(view.points.size());
+    for (size_t i = 0; i < view.points.size(); ++i) {
+        view.svs.push_back(weightedSimilarity(
+            view.points, static_cast<int>(i), driverNode, weight));
     }
-    return mv;
+    view.rcs.reserve(st.rcs.size());
+    for (const auto& [u, v] : st.rcs) {
+        view.rcs.emplace_back(std::min(u, v), std::max(u, v));
+    }
+    std::sort(view.rcs.begin(), view.rcs.end());
+    return view;
 }
 
-}  // namespace
-
-double regularityRatio(const steiner::Topology& t1,
-                       const steiner::Topology& t2) {
-    const MatchView a = makeView(t1);
-    const MatchView b = makeView(t2);
-    const int nrc = std::min(a.st.numRCs(), b.st.numRCs());
+double regularityRatio(const RegularityView& a, const RegularityView& b) {
+    const int nrc = static_cast<int>(std::min(a.rcs.size(), b.rcs.size()));
     if (nrc == 0) return 1.0;  // trivially shared (no connections to differ)
 
     // Closest-SV matching of every node of t1 to a node of t2 (many-to-one
@@ -64,18 +53,23 @@ double regularityRatio(const steiner::Topology& t1,
         match[i] = best;
     }
 
-    std::set<std::pair<int, int>> rcSet;
-    for (const auto& [u, v] : b.st.rcs) {
-        rcSet.insert({std::min(u, v), std::max(u, v)});
-    }
     int matched = 0;
-    for (const auto& [u, v] : a.st.rcs) {
+    for (const auto& [u, v] : a.rcs) {
         const int mu = match[static_cast<size_t>(u)];
         const int mv = match[static_cast<size_t>(v)];
         if (mu == mv) continue;
-        if (rcSet.contains({std::min(mu, mv), std::max(mu, mv)})) ++matched;
+        if (std::binary_search(b.rcs.begin(), b.rcs.end(),
+                               std::make_pair(std::min(mu, mv),
+                                              std::max(mu, mv)))) {
+            ++matched;
+        }
     }
     return std::min(1.0, static_cast<double>(matched) / nrc);
+}
+
+double regularityRatio(const steiner::Topology& t1,
+                       const steiner::Topology& t2) {
+    return regularityRatio(regularityView(t1), regularityView(t2));
 }
 
 double groupRegularity(

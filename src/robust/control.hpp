@@ -5,9 +5,9 @@
 // caller's optional CancelToken, and carries both as a cheap copyable
 // Ticket inside the options struct every stage already receives. Hot
 // loops poll the ticket at their natural tick points (maze pops, LP
-// pivots, B&B nodes, refine waves, PD iterations) through a strided
-// TickGate, so a cancelled or over-budget run unwinds cleanly at the
-// next tick via a structured StreakException.
+// pivots, B&B nodes, refine waves, PD iterations, clustering rounds)
+// through a strided TickGate, so a cancelled or over-budget run unwinds
+// cleanly at the next tick via a structured StreakException.
 //
 // Determinism contract: the ticket never feeds timing back into any
 // algorithmic decision — a run that is neither cancelled nor past its

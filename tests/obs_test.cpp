@@ -20,6 +20,7 @@
 #include "obs/session.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
+#include "test_util.hpp"
 
 namespace streak {
 namespace {
@@ -198,6 +199,26 @@ TEST(FlowObservability, CountersAreThreadCountInvariant) {
             EXPECT_EQ(got.total, hv.total) << name;
             EXPECT_EQ(got.sum, hv.sum) << name;
         }
+    }
+}
+
+TEST(FlowObservability, ClusteringCountersAreThreadCountInvariant) {
+    const Design d = gen::generate(testutil::congestedMultipinSpec());
+    const auto clusterCounters = [](const StreakResult& r) {
+        std::map<std::string, long long> out;
+        for (const auto& [name, value] : r.counters.counters) {
+            if (name.starts_with("post/cluster.")) out.emplace(name, value);
+        }
+        return out;
+    };
+    const std::map<std::string, long long> base =
+        clusterCounters(observedRun(d, 1));
+    ASSERT_TRUE(base.contains("post/cluster.rounds"));
+    EXPECT_GT(base.at("post/cluster.rounds"), 0);
+    EXPECT_GT(base.at("post/cluster.bits_routed"), 0);
+    for (const int threads : {2, 8}) {
+        EXPECT_EQ(clusterCounters(observedRun(d, threads)), base)
+            << threads << " threads changed a clustering counter";
     }
 }
 

@@ -9,12 +9,15 @@
 #include <string>
 #include <vector>
 
+#include "core/pd_solver.hpp"
 #include "flow/streak.hpp"
 #include "gen/generator.hpp"
 #include "io/design_io.hpp"
+#include "post/clustering.hpp"
 #include "robust/control.hpp"
 #include "robust/error.hpp"
 #include "robust/fault.hpp"
+#include "test_util.hpp"
 
 namespace streak::robust {
 namespace {
@@ -319,6 +322,24 @@ TEST(FlowRobustness, UncancelledTicketedRunMatchesPlainRun) {
     EXPECT_EQ(a.metrics.totalOverflow, b.metrics.totalOverflow);
     EXPECT_EQ(a.distanceViolationsAfter, b.distanceViolationsAfter);
     EXPECT_FALSE(b.degraded());
+}
+
+TEST(FlowRobustness, ClusteringPollsTheTicketEveryRound) {
+    const Design d = gen::generate(testutil::congestedMultipinSpec());
+    RoutingProblem prob = buildProblem(d, StreakOptions{});
+    RoutedDesign routed = materialize(prob, solvePrimalDual(prob).solution);
+    ASSERT_GE(routed.unroutedMembers.size(), 2u);
+
+    auto cancel = std::make_shared<CancelToken>();
+    cancel->requestCancel();
+    prob.opts.control = Ticket(nullptr, cancel);
+    try {
+        (void)post::clusterAndRoute(prob, &routed);
+        FAIL() << "clustering ignored a cancelled ticket";
+    } catch (const StreakException& e) {
+        EXPECT_EQ(e.error().kind, ErrorKind::Cancelled);
+        EXPECT_EQ(e.error().site, "cluster/round");
+    }
 }
 
 TEST(FlowRobustness, FlowResultContractIsEnforced) {

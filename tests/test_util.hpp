@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/signal.hpp"
+#include "gen/generator.hpp"
 
 namespace streak::testutil {
 
@@ -39,6 +40,20 @@ inline Design makeDesign(std::vector<SignalGroup> groups, int w = 32, int h = 32
                          int layers = 4, int cap = 10) {
     return Design{"test", grid::RoutingGrid(w, h, layers, cap),
                   std::move(groups)};
+}
+
+/// synth6's wide multipin groups packed onto a small grid, as in the
+/// congested-multipin benchmark: most groups leave many bits to bottom-up
+/// clustering.
+inline gen::SuiteSpec congestedMultipinSpec() {
+    gen::SuiteSpec spec = gen::synthSpec(6);
+    spec.gridWidth = spec.gridHeight = 28;
+    spec.numGroups = 5;
+    spec.minGroupWidth = spec.maxGroupWidth = 14;
+    spec.maxPins = 5;
+    spec.capacity = 5;
+    spec.numBlockages = 2;
+    return spec;
 }
 
 }  // namespace streak::testutil

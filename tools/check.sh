@@ -4,7 +4,8 @@
 #   1. project lint pass            (tools/streak_lint over src/)
 #   2. clang-tidy curated ruleset   (skipped when clang-tidy is absent)
 #   3. -Werror build                (CMake preset `werror`)
-#   4. sanitizer smoke test         (preset `asan-ubsan`, flow_test)
+#   4. sanitizer smoke test         (preset `asan-ubsan`, flow_test +
+#                                    clustering_equivalence_test)
 #   5. ThreadSanitizer              (preset `tsan`, thread pool +
 #                                    determinism tests)
 #   6. observability exports        (route a generated design with
@@ -76,6 +77,9 @@ else
     # Smoke: the end-to-end flow exercises every stage (and, with
     # STREAK_CHECKS=deep baked into the preset, every stage auditor).
     ./build-asan/tests/flow_test
+    # Bottom-up clustering's flat n x n pair-cost caches, indexed across
+    # hundreds of congested designs against the literal Alg. 3 oracle.
+    ./build-asan/tests/clustering_equivalence_test
 fi
 
 echo "== [5/11] ThreadSanitizer =="
