@@ -64,6 +64,11 @@ AuditResult auditProblem(const RoutingProblem& prob) {
                numObjects);
         return r;
     }
+    if (static_cast<int>(prob.shapes.size()) != numObjects) {
+        r.addf("shape sets ({}) != objects ({})", prob.shapes.size(),
+               numObjects);
+        return r;
+    }
 
     for (int i = 0; i < numObjects && !r.full(); ++i) {
         const RoutingObject& obj = prob.objects[static_cast<size_t>(i)];
@@ -80,6 +85,15 @@ AuditResult auditProblem(const RoutingProblem& prob) {
                        i, bit, group.name, group.width());
             }
         }
+        const auto& shapes = prob.shapes[static_cast<size_t>(i)];
+        for (size_t b = 0; b < shapes.size(); ++b) {
+            if (static_cast<int>(shapes[b].bitTopologies.size()) !=
+                obj.width()) {
+                r.addf("object {} backbone {}: {} bit topologies for a "
+                       "{}-bit object",
+                       i, b, shapes[b].bitTopologies.size(), obj.width());
+            }
+        }
         const auto& cands = prob.candidates[static_cast<size_t>(i)];
         for (size_t j = 0; j < cands.size() && !r.full(); ++j) {
             const RouteCandidate& c = cands[j];
@@ -87,10 +101,11 @@ AuditResult auditProblem(const RoutingProblem& prob) {
                 r.addf("object {} candidate {}: cost {} not finite and >= 0",
                        i, j, c.cost);
             }
-            if (static_cast<int>(c.bitTopologies.size()) != obj.width()) {
-                r.addf("object {} candidate {}: {} bit topologies for a "
-                       "{}-bit object",
-                       i, j, c.bitTopologies.size(), obj.width());
+            if (c.backboneId < 0 ||
+                c.backboneId >= static_cast<int>(shapes.size())) {
+                r.addf("object {} candidate {}: backbone {} out of range "
+                       "[0,{})",
+                       i, j, c.backboneId, shapes.size());
             }
             if (!validLayerPair(grid, c.hLayer, c.vLayer)) {
                 r.addf("object {} candidate {}: layer pair (h={}, v={}) "

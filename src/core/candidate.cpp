@@ -1,7 +1,7 @@
 #include "core/candidate.hpp"
 
 #include <algorithm>
-#include <map>
+#include <cstdlib>
 
 #include "core/backbone.hpp"
 #include "core/equiv.hpp"
@@ -10,85 +10,101 @@ namespace streak {
 
 namespace {
 
-void accumulateEdgeUse(const grid::RoutingGrid& grid,
-                       const steiner::Topology& topo, int hLayer, int vLayer,
-                       std::map<int, int>* use) {
-    for (const steiner::UnitEdge& e : topo.wire()) {  // analyze-ok: unordered-iteration (counting into an ordered map)
-        const int layer = e.horizontal ? hLayer : vLayer;
-        if (grid.validEdge(layer, e.at.x, e.at.y)) {
-            ++(*use)[grid.edgeId(layer, e.at.x, e.at.y)];
+/// Sort `keys` and count equal neighbours: sorted (key, count) pairs.
+std::vector<std::pair<int, int>> countKeys(std::vector<int>* keys) {
+    std::sort(keys->begin(), keys->end());
+    std::vector<std::pair<int, int>> out;
+    for (size_t i = 0; i < keys->size();) {
+        size_t end = i + 1;
+        while (end < keys->size() && (*keys)[end] == (*keys)[i]) ++end;
+        out.emplace_back((*keys)[i], static_cast<int>(end - i));
+        i = end;
+    }
+    return out;
+}
+
+void appendCellKeys(const grid::RoutingGrid& grid,
+                    const std::vector<geom::Point>& points,
+                    std::vector<int>* keys) {
+    for (const geom::Point p : points) {
+        if (grid.contains(p)) keys->push_back(grid.cellIndex(p));
+    }
+}
+
+/// The shape of one backbone. Edge runs are keyed y * width + x, which
+/// sorts by (y, x) because x < width.
+BackboneShape makeShape(const grid::RoutingGrid& grid,
+                        steiner::Topology backbone, const SignalGroup& group,
+                        const RoutingObject& object) {
+    BackboneShape shape;
+    shape.bitTopologies = equivalentTopologies(backbone, group, object);
+    shape.backbone = std::move(backbone);
+    const int width = grid.width();
+    std::vector<int> viaKeys;
+    std::vector<int> hKeys;
+    std::vector<int> vKeys;
+    int bends = 0;
+    int pins = 0;
+    for (const steiner::Topology& t : shape.bitTopologies) {
+        shape.wirelength2d += t.wirelength();
+        const std::vector<geom::Point> vias = t.viaPoints();
+        bends += static_cast<int>(vias.size());
+        pins += static_cast<int>(t.pins().size());
+        appendCellKeys(grid, t.pins(), &viaKeys);
+        appendCellKeys(grid, vias, &viaKeys);
+        for (const steiner::UnitEdge& e : t.wire()) {  // analyze-ok: unordered-iteration (keys are sorted before use)
+            if (grid.contains(e.at) && grid.contains(e.other())) {
+                (e.horizontal ? hKeys : vKeys).push_back(e.at.y * width +
+                                                         e.at.x);
+            }
         }
     }
+    shape.viaCount = bends + pins;
+    shape.viaUse = countKeys(&viaKeys);
+    const auto runs = [width](std::vector<int>* keys) {
+        std::vector<EdgeRun> out;
+        for (const auto& [key, count] : countKeys(keys)) {
+            out.push_back({key % width, key / width, count});
+        }
+        return out;
+    };
+    shape.hRuns = runs(&hKeys);
+    shape.vRuns = runs(&vKeys);
+    return shape;
 }
 
-std::vector<std::pair<int, int>> toSorted(const std::map<int, int>& use) {
-    return {use.begin(), use.end()};  // std::map iterates in key order
-}
-
-}  // namespace
-
-std::vector<std::pair<int, int>> computeEdgeUse(
-    const grid::RoutingGrid& grid, const std::vector<steiner::Topology>& bits,
-    int hLayer, int vLayer) {
-    std::map<int, int> use;
-    for (const steiner::Topology& t : bits) {
-        accumulateEdgeUse(grid, t, hLayer, vLayer, &use);
+/// The shape's edge demand on one layer pair. Edge ids grow with the
+/// layer and, within a layer, with (y, x), so the runs of the lower layer
+/// followed by those of the upper one are already sorted.
+std::vector<std::pair<int, int>> layerEdgeUse(const grid::RoutingGrid& grid,
+                                              const BackboneShape& shape,
+                                              int hLayer, int vLayer) {
+    std::vector<std::pair<int, int>> use;
+    use.reserve(shape.hRuns.size() + shape.vRuns.size());
+    const auto append = [&](const std::vector<EdgeRun>& runs, int layer) {
+        for (const EdgeRun& r : runs) {
+            use.emplace_back(grid.edgeId(layer, r.x, r.y), r.count);
+        }
+    };
+    if (hLayer < vLayer) {
+        append(shape.hRuns, hLayer);
+        append(shape.vRuns, vLayer);
+    } else {
+        append(shape.vRuns, vLayer);
+        append(shape.hRuns, hLayer);
     }
-    return toSorted(use);
+    return use;
 }
 
-std::vector<std::pair<int, int>> computeEdgeUse(const grid::RoutingGrid& grid,
-                                                const steiner::Topology& topo,
-                                                int hLayer, int vLayer) {
-    std::map<int, int> use;
-    accumulateEdgeUse(grid, topo, hLayer, vLayer, &use);
-    return toSorted(use);
-}
-
-namespace {
-
-void accumulateViaUse(const grid::RoutingGrid& grid,
-                      const steiner::Topology& topo, std::map<int, int>* use) {
-    for (const geom::Point p : topo.pins()) {
-        if (grid.contains(p)) ++(*use)[grid.cellIndex(p)];
-    }
-    for (const geom::Point p : topo.viaPoints()) {
-        if (grid.contains(p)) ++(*use)[grid.cellIndex(p)];
-    }
-}
-
-}  // namespace
-
-std::vector<std::pair<int, int>> computeViaUse(
-    const grid::RoutingGrid& grid,
-    const std::vector<steiner::Topology>& bits) {
-    std::map<int, int> use;
-    for (const steiner::Topology& t : bits) accumulateViaUse(grid, t, &use);
-    return toSorted(use);
-}
-
-std::vector<std::pair<int, int>> computeViaUse(const grid::RoutingGrid& grid,
-                                               const steiner::Topology& topo) {
-    std::map<int, int> use;
-    accumulateViaUse(grid, topo, &use);
-    return toSorted(use);
-}
-
-std::vector<RouteCandidate> generateCandidates(const Design& design,
-                                               const RoutingObject& object,
-                                               const StreakOptions& opts) {
-    const SignalGroup& group =
-        design.groups[static_cast<size_t>(object.groupIndex)];
-    const std::vector<steiner::Topology> backbones =
-        generateBackbones(group, object, opts.backbone);
-
-    // Layer pairs ordered by adjacency (|h - v|), then bottom-up: the
-    // paper prefers neighbouring uni-directional layers to save vias.
-    const std::vector<int> hLayers = design.grid.layersOf(grid::Dir::Horizontal);
-    const std::vector<int> vLayers = design.grid.layersOf(grid::Dir::Vertical);
+/// Layer pairs ordered by adjacency (|h - v|), then bottom-up: the paper
+/// prefers neighbouring uni-directional layers to save vias.
+std::vector<std::pair<int, int>> layerPairs(const grid::RoutingGrid& grid,
+                                            int maxLayerPairs) {
     std::vector<std::pair<int, int>> pairs;
-    for (const int h : hLayers) {
-        for (const int v : vLayers) pairs.emplace_back(h, v);
+    for (const int h : grid.layersOf(grid::Dir::Horizontal)) {
+        for (const int v : grid.layersOf(grid::Dir::Vertical)) {
+            pairs.emplace_back(h, v);
+        }
     }
     std::stable_sort(pairs.begin(), pairs.end(),
                      [](const auto& a, const auto& b) {
@@ -97,69 +113,89 @@ std::vector<RouteCandidate> generateCandidates(const Design& design,
                          if (ga != gb) return ga < gb;
                          return a < b;
                      });
-    if (static_cast<int>(pairs.size()) > opts.maxLayerPairs) {
-        pairs.resize(static_cast<size_t>(opts.maxLayerPairs));
+    if (static_cast<int>(pairs.size()) > maxLayerPairs) {
+        pairs.resize(static_cast<size_t>(maxLayerPairs));
+    }
+    return pairs;
+}
+
+}  // namespace
+
+std::vector<std::pair<int, int>> computeEdgeUse(const grid::RoutingGrid& grid,
+                                                const steiner::Topology& topo,
+                                                int hLayer, int vLayer) {
+    std::vector<int> keys;
+    for (const steiner::UnitEdge& e : topo.wire()) {  // analyze-ok: unordered-iteration (keys are sorted before use)
+        const int layer = e.horizontal ? hLayer : vLayer;
+        if (grid.validEdge(layer, e.at.x, e.at.y)) {
+            keys.push_back(grid.edgeId(layer, e.at.x, e.at.y));
+        }
+    }
+    return countKeys(&keys);
+}
+
+std::vector<std::pair<int, int>> computeViaUse(const grid::RoutingGrid& grid,
+                                               const steiner::Topology& topo) {
+    std::vector<int> keys;
+    appendCellKeys(grid, topo.pins(), &keys);
+    appendCellKeys(grid, topo.viaPoints(), &keys);
+    return countKeys(&keys);
+}
+
+ObjectCandidates generateCandidates(const Design& design,
+                                    const RoutingObject& object,
+                                    const StreakOptions& opts) {
+    const grid::RoutingGrid& grid = design.grid;
+    const SignalGroup& group =
+        design.groups[static_cast<size_t>(object.groupIndex)];
+    const std::vector<std::pair<int, int>> pairs =
+        layerPairs(grid, opts.maxLayerPairs);
+
+    ObjectCandidates out;
+    for (steiner::Topology& backbone :
+         generateBackbones(group, object, opts.backbone)) {
+        out.shapes.push_back(
+            makeShape(grid, std::move(backbone), group, object));
     }
 
-    std::vector<RouteCandidate> out;
-    for (size_t bb = 0; bb < backbones.size(); ++bb) {
-        std::vector<steiner::Topology> bitTopos =
-            equivalentTopologies(backbones[bb], group, object);
-        long wl = 0;
-        int vias2d = 0;  // bends; pin access stacks are per layer pair
-        for (const steiner::Topology& t : bitTopos) {
-            wl += t.wirelength();
-            vias2d += t.bendCount();
-        }
-        const int pinAccess = [&] {
-            int pins = 0;
-            for (const steiner::Topology& t : bitTopos) {
-                pins += static_cast<int>(t.pins().size());
-            }
-            return pins;
-        }();
+    for (size_t bb = 0; bb < out.shapes.size(); ++bb) {
+        const BackboneShape& shape = out.shapes[bb];
+        // Feasibility in an empty grid: a candidate that alone exceeds
+        // some edge or via capacity can never be selected. Via demand is
+        // the same on every layer pair.
+        const bool viasFit = !grid.viaLimited() ||
+            std::none_of(shape.viaUse.begin(), shape.viaUse.end(),
+                         [&](const std::pair<int, int>& use) {
+                             const int cap = grid.viaCapacity(use.first);
+                             return cap >= 0 && use.second > cap;
+                         });
+        if (!viasFit) continue;
 
         for (const auto& [h, v] : pairs) {
             RouteCandidate cand;
+            cand.edgeUse = layerEdgeUse(grid, shape, h, v);
+            const bool edgesFit = std::none_of(
+                cand.edgeUse.begin(), cand.edgeUse.end(),
+                [&](const std::pair<int, int>& use) {
+                    return use.second > grid.capacity(use.first);
+                });
+            if (!edgesFit) continue;
+
             cand.backboneId = static_cast<int>(bb);
-            cand.backbone = backbones[bb];
-            cand.bitTopologies = bitTopos;
             cand.hLayer = h;
             cand.vLayer = v;
-            cand.wirelength2d = wl;
-            cand.viaCount = vias2d + pinAccess;
-            cand.edgeUse = computeEdgeUse(design.grid, bitTopos, h, v);
-            cand.viaUse = computeViaUse(design.grid, bitTopos);
-
-            // Feasibility in an empty grid: a candidate that alone exceeds
-            // some edge or via capacity can never be selected.
-            bool fits = true;
-            for (const auto& [edge, amount] : cand.edgeUse) {
-                if (amount > design.grid.capacity(edge)) {
-                    fits = false;
-                    break;
-                }
-            }
-            if (fits && design.grid.viaLimited()) {
-                for (const auto& [cell, amount] : cand.viaUse) {
-                    const int cap = design.grid.viaCapacity(cell);
-                    if (cap >= 0 && amount > cap) {
-                        fits = false;
-                        break;
-                    }
-                }
-            }
-            if (!fits) continue;
-
+            cand.wirelength2d = shape.wirelength2d;
+            cand.viaCount = shape.viaCount;
+            cand.viaUse = shape.viaUse;
             const int gap = std::abs(h - v) - 1;
-            cand.cost = static_cast<double>(wl) +
+            cand.cost = static_cast<double>(shape.wirelength2d) +
                         opts.viaWeight * cand.viaCount +
                         opts.layerAdjacencyWeight * gap *
                             static_cast<double>(object.width());
-            out.push_back(std::move(cand));
+            out.candidates.push_back(std::move(cand));
         }
     }
-    std::stable_sort(out.begin(), out.end(),
+    std::stable_sort(out.candidates.begin(), out.candidates.end(),
                      [](const RouteCandidate& a, const RouteCandidate& b) {
                          return a.cost < b.cost;
                      });

@@ -3,21 +3,55 @@
 #include <cstdlib>
 #include <limits>
 #include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 namespace streak {
 
 namespace {
 
-/// Map one coordinate axis: for each distinct backbone coordinate, find
-/// the nearest representative pin on that axis and carry the (usually
-/// zero, by the Hanan property) offset over to the mapped member pin.
-std::unordered_map<int, int> buildAxisMap(
-    const std::vector<int>& coords, const std::vector<int>& repCoords,
-    const std::vector<int>& memberCoords) {
-    std::unordered_map<int, int> map;
+/// What equivalent-topology generation reads of a backbone, the same for
+/// every bit of the object: its structure, the pools of distinct feature
+/// node and pin coordinates per axis, and where each node and pin sits in
+/// those pools.
+struct BackboneFrame {
+    steiner::TopoStructure st;
+    std::vector<int> xs;  // distinct, in first-seen order
+    std::vector<int> ys;
+    /// Index into xs / ys of every structure node, then of every
+    /// backbone pin.
+    std::vector<int> nodeX, nodeY, pinX, pinY;
+};
+
+BackboneFrame frameOf(const steiner::Topology& backbone) {
+    BackboneFrame f;
+    f.st = backbone.structure();
+    std::unordered_map<int, int> xAt, yAt;
+    const auto note = [&](geom::Point p, std::vector<int>* xi,
+                          std::vector<int>* yi) {
+        const auto [x, xNew] =
+            xAt.emplace(p.x, static_cast<int>(f.xs.size()));
+        if (xNew) f.xs.push_back(p.x);
+        const auto [y, yNew] =
+            yAt.emplace(p.y, static_cast<int>(f.ys.size()));
+        if (yNew) f.ys.push_back(p.y);
+        xi->push_back(x->second);
+        yi->push_back(y->second);
+    };
+    for (const auto& n : f.st.nodes) note(n.pt, &f.nodeX, &f.nodeY);
+    for (const geom::Point p : backbone.pins()) note(p, &f.pinX, &f.pinY);
+    return f;
+}
+
+/// Map one coordinate axis: for each backbone coordinate, find the
+/// nearest representative pin on that axis and carry the (usually zero,
+/// by the Hanan property) offset over to the mapped member pin. The
+/// result is index-aligned with `coords`.
+std::vector<int> mapAxis(const std::vector<int>& coords,
+                         const std::vector<int>& repCoords,
+                         const std::vector<int>& memberCoords) {
+    std::vector<int> mapped;
+    mapped.reserve(coords.size());
     for (const int c : coords) {
-        if (map.contains(c)) continue;
         int bestPin = 0;
         int bestDist = std::numeric_limits<int>::max();
         for (size_t i = 0; i < repCoords.size(); ++i) {
@@ -28,17 +62,15 @@ std::unordered_map<int, int> buildAxisMap(
             }
         }
         const int offset = c - repCoords[static_cast<size_t>(bestPin)];
-        map.emplace(c, memberCoords[static_cast<size_t>(bestPin)] + offset);
+        mapped.push_back(memberCoords[static_cast<size_t>(bestPin)] + offset);
     }
-    return map;
+    return mapped;
 }
 
-}  // namespace
-
-steiner::Topology equivalentTopology(const steiner::Topology& backbone,
-                                     const SignalGroup& group,
-                                     const RoutingObject& object,
-                                     int memberIndex) {
+steiner::Topology remapOnto(const BackboneFrame& frame,
+                            const steiner::Topology& backbone,
+                            const SignalGroup& group,
+                            const RoutingObject& object, int memberIndex) {
     const Bit& member = group.bits[static_cast<size_t>(
         object.bitIndices[static_cast<size_t>(memberIndex)])];
     const std::vector<int>& pinMap =
@@ -69,34 +101,23 @@ steiner::Topology equivalentTopology(const steiner::Topology& backbone,
     // representative pins, so the axis maps are exact there; remapping
     // interior wire coordinates instead would create overhangs whenever
     // bits of one object are stretched differently.
-    const steiner::TopoStructure st = backbone.structure();
-    std::vector<int> xs, ys;
-    {
-        std::unordered_set<int> xSeen, ySeen;
-        const auto note = [&](geom::Point p) {
-            if (xSeen.insert(p.x).second) xs.push_back(p.x);
-            if (ySeen.insert(p.y).second) ys.push_back(p.y);
-        };
-        for (const auto& n : st.nodes) note(n.pt);
-        for (const geom::Point p : repPins) note(p);
-    }
-    const auto xMap = buildAxisMap(xs, repXs, memXs);
-    const auto yMap = buildAxisMap(ys, repYs, memYs);
-    const auto mapPt = [&](geom::Point p) -> geom::Point {
-        return {xMap.at(p.x), yMap.at(p.y)};
+    const std::vector<int> xMap = mapAxis(frame.xs, repXs, memXs);
+    const std::vector<int> yMap = mapAxis(frame.ys, repYs, memYs);
+    const auto node = [&](int n) -> geom::Point {
+        return {xMap[static_cast<size_t>(frame.nodeX[static_cast<size_t>(n)])],
+                yMap[static_cast<size_t>(frame.nodeY[static_cast<size_t>(n)])]};
     };
 
     steiner::Topology out(member.pins, member.driver);
-    for (const auto& [u, v] : st.rcs) {
-        out.addSegment({mapPt(st.nodes[static_cast<size_t>(u)].pt),
-                        mapPt(st.nodes[static_cast<size_t>(v)].pt)});
-    }
+    for (const auto& [u, v] : frame.st.rcs) out.addSegment({node(u), node(v)});
     // If a mapped pin landed away from the member's actual pin (possible
     // when two representative pins share a coordinate but their member
     // counterparts do not), stitch it in with a short L-shape.
     for (size_t i = 0; i < member.pins.size(); ++i) {
-        const int r = pinMap[i];
-        const geom::Point mapped = mapPt(repPins[static_cast<size_t>(r)]);
+        const auto r = static_cast<size_t>(pinMap[i]);
+        const geom::Point mapped{
+            xMap[static_cast<size_t>(frame.pinX[r])],
+            yMap[static_cast<size_t>(frame.pinY[r])]};
         const geom::Point actual = member.pins[i];
         if (mapped != actual) {
             out.addLShape(actual, mapped, {mapped.x, actual.y});
@@ -105,13 +126,23 @@ steiner::Topology equivalentTopology(const steiner::Topology& backbone,
     return out;
 }
 
+}  // namespace
+
+steiner::Topology equivalentTopology(const steiner::Topology& backbone,
+                                     const SignalGroup& group,
+                                     const RoutingObject& object,
+                                     int memberIndex) {
+    return remapOnto(frameOf(backbone), backbone, group, object, memberIndex);
+}
+
 std::vector<steiner::Topology> equivalentTopologies(
     const steiner::Topology& backbone, const SignalGroup& group,
     const RoutingObject& object) {
+    const BackboneFrame frame = frameOf(backbone);
     std::vector<steiner::Topology> out;
     out.reserve(object.bitIndices.size());
     for (int k = 0; k < object.width(); ++k) {
-        out.push_back(equivalentTopology(backbone, group, object, k));
+        out.push_back(remapOnto(frame, backbone, group, object, k));
     }
     return out;
 }

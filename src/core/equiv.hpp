@@ -28,7 +28,8 @@ namespace streak {
     const RoutingObject& object, int memberIndex);
 
 /// Equivalent topologies for every bit of the object (aligned with
-/// object.bitIndices).
+/// object.bitIndices). The backbone's structure and coordinate pools are
+/// computed once for all bits.
 [[nodiscard]] std::vector<steiner::Topology> equivalentTopologies(
     const steiner::Topology& backbone, const SignalGroup& group,
     const RoutingObject& object);

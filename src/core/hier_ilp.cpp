@@ -11,6 +11,7 @@ FilteredProblem filterProblem(const RoutingProblem& src,
     out.prob.design = src.design;
     out.prob.opts = src.opts;
     out.prob.objects = src.objects;
+    out.prob.shapes = src.shapes;
     out.prob.groupObjects = src.groupObjects;
     out.toOriginal = keep;
 

@@ -7,8 +7,8 @@
 
 namespace streak {
 
-Metrics evaluate(const RoutingProblem& prob, const RoutedDesign& routed) {
-    const Design& design = *prob.design;
+Metrics evaluate(const Design& design, const RoutedDesign& routed,
+                 const std::vector<std::pair<int, int>>& unroutedBits) {
     Metrics m;
     m.totalBits = design.numNets();
     m.routedBits = routed.routedBits();
@@ -19,12 +19,9 @@ Metrics evaluate(const RoutingProblem& prob, const RoutedDesign& routed) {
     for (const RoutedBit& b : routed.bits) m.wirelength += b.topo.wirelength();
     // The paper reports whole-design wire-length: unrouted bits are
     // estimated with a rectilinear Steiner minimum tree.
-    for (const auto& [objIdx, member] : routed.unroutedMembers) {
-        const RoutingObject& obj = prob.objects[static_cast<size_t>(objIdx)];
-        const SignalGroup& g =
-            design.groups[static_cast<size_t>(obj.groupIndex)];
-        const Bit& bit = g.bits[static_cast<size_t>(
-            obj.bitIndices[static_cast<size_t>(member)])];
+    for (const auto& [g, bIdx] : unroutedBits) {
+        const Bit& bit = design.groups[static_cast<size_t>(g)]
+                             .bits[static_cast<size_t>(bIdx)];
         steiner::EnumerateOptions eopts;
         eopts.maxCandidates = 1;
         const auto topos =
@@ -54,6 +51,17 @@ Metrics evaluate(const RoutingProblem& prob, const RoutedDesign& routed) {
     m.overflowedEdges = routed.usage.overflowedEdges();
     m.totalViaOverflow = routed.usage.totalViaOverflow();
     return m;
+}
+
+Metrics evaluate(const RoutingProblem& prob, const RoutedDesign& routed) {
+    std::vector<std::pair<int, int>> unroutedBits;
+    unroutedBits.reserve(routed.unroutedMembers.size());
+    for (const auto& [objIdx, member] : routed.unroutedMembers) {
+        const RoutingObject& obj = prob.objects[static_cast<size_t>(objIdx)];
+        unroutedBits.emplace_back(obj.groupIndex,
+                                  obj.bitIndices[static_cast<size_t>(member)]);
+    }
+    return evaluate(*prob.design, routed, unroutedBits);
 }
 
 }  // namespace streak

@@ -3,6 +3,9 @@
 // average group regularity (Eq. 9) and overflow.
 #pragma once
 
+#include <utility>
+#include <vector>
+
 #include "core/problem.hpp"
 #include "core/solution.hpp"
 
@@ -25,6 +28,14 @@ struct Metrics {
     long totalViaOverflow = 0;
 };
 
+/// Metrics of a routed design whose unrouted bits are the (group, bit)
+/// pairs `unroutedBits`.
+[[nodiscard]] Metrics evaluate(
+    const Design& design, const RoutedDesign& routed,
+    const std::vector<std::pair<int, int>>& unroutedBits);
+
+/// Metrics of a routed design built from `prob` (its unrouted members
+/// name their bits through the problem's objects).
 [[nodiscard]] Metrics evaluate(const RoutingProblem& prob,
                                const RoutedDesign& routed);
 

@@ -24,6 +24,9 @@ struct RoutingProblem {
     const Design* design = nullptr;
     StreakOptions opts;
     std::vector<RoutingObject> objects;
+    /// shapes[i][b] = shape of backbone b of object i, for every backbone
+    /// generated, whether or not any of its layer pairs fit.
+    std::vector<std::vector<BackboneShape>> shapes;
     /// candidates[i] = candidate set of object i (may be empty).
     std::vector<std::vector<RouteCandidate>> candidates;
     /// groupObjects[g] = object ids belonging to group g.
@@ -63,6 +66,9 @@ struct RoutingProblem {
 /// generation and pair-cost blocks parallelize over objects / groups
 /// (`opts.threads`); the result is identical for every thread count.
 /// `parallelStats`, when given, accumulates the stage's region stats.
+/// With detail instrumentation on, records the spans build/candidates and
+/// build/pairs and the counters build/candidates.{objects, backbones,
+/// candidates} and build/pairs.{blocks, ratio_evals}.
 [[nodiscard]] RoutingProblem buildProblem(
     const Design& design, const StreakOptions& opts,
     parallel::RegionStats* parallelStats = nullptr);

@@ -76,11 +76,16 @@ double groupRegularity(
     const std::vector<const steiner::Topology*>& objectTopologies) {
     const int n = static_cast<int>(objectTopologies.size());
     if (n < 2) return 1.0;
+    std::vector<RegularityView> views;
+    views.reserve(objectTopologies.size());
+    for (const steiner::Topology* t : objectTopologies) {
+        views.push_back(regularityView(*t));
+    }
     double sum = 0.0;
     for (int i = 0; i < n; ++i) {
         for (int p = i + 1; p < n; ++p) {
-            sum += regularityRatio(*objectTopologies[static_cast<size_t>(i)],
-                                   *objectTopologies[static_cast<size_t>(p)]);
+            sum += regularityRatio(views[static_cast<size_t>(i)],
+                                   views[static_cast<size_t>(p)]);
         }
     }
     return 2.0 * sum / (static_cast<double>(n) * (n - 1));

@@ -38,8 +38,8 @@ struct RegularityView {
                                      const steiner::Topology& t2);
 
 /// Reg of Eq. (9): mean pairwise ratio over the given object solutions of
-/// one group. Groups with fewer than two objects are trivially regular
-/// (returns 1).
+/// one group, from one view per topology. Groups with fewer than two
+/// objects are trivially regular (returns 1).
 [[nodiscard]] double groupRegularity(
     const std::vector<const steiner::Topology*>& objectTopologies);
 

@@ -121,6 +121,9 @@ RoutedDesign materialize(const RoutingProblem& prob,
         }
         const RouteCandidate& cand =
             prob.candidates[static_cast<size_t>(i)][static_cast<size_t>(j)];
+        const BackboneShape& shape = prob.shapes[static_cast<size_t>(i)]
+                                                [static_cast<size_t>(
+                                                    cand.backboneId)];
         for (int k = 0; k < obj.width(); ++k) {
             RoutedBit bit;
             bit.groupIndex = obj.groupIndex;
@@ -128,7 +131,7 @@ RoutedDesign materialize(const RoutingProblem& prob,
             bit.objectIndex = i;
             bit.memberIndex = k;
             bit.clusterKey = i;
-            bit.topo = cand.bitTopologies[static_cast<size_t>(k)];
+            bit.topo = shape.bitTopologies[static_cast<size_t>(k)];
             bit.hLayer = cand.hLayer;
             bit.vLayer = cand.vLayer;
             rd.bits.push_back(std::move(bit));

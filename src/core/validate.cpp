@@ -1,7 +1,9 @@
 #include "core/validate.hpp"
 
+#include <cmath>
 #include <set>
 #include <unordered_map>
+#include <utility>
 
 namespace streak {
 
@@ -91,6 +93,40 @@ bool isRoutable(const std::vector<ValidationIssue>& issues) {
         if (i.severity == ValidationIssue::Severity::Error) return false;
     }
     return true;
+}
+
+std::string validateOptions(const StreakOptions& opts) {
+    struct Minimum {
+        const char* name;
+        int value;
+        int min;
+    };
+    const Minimum counts[] = {
+        {"maxBackbones", opts.backbone.maxBackbones, 1},
+        {"maxLayerPairs", opts.maxLayerPairs, 1},
+        {"threads", opts.threads, 0},
+        {"maxDetourShift", opts.maxDetourShift, 0},
+    };
+    for (const Minimum& c : counts) {
+        if (c.value < c.min) {
+            return std::string(c.name) + " = " + std::to_string(c.value) +
+                   " is below its minimum " + std::to_string(c.min);
+        }
+    }
+    const std::pair<const char*, double> reals[] = {
+        {"viaWeight", opts.viaWeight},
+        {"layerAdjacencyWeight", opts.layerAdjacencyWeight},
+        {"nonRoutePenaltyM", opts.nonRoutePenaltyM},
+        {"irregularityWeight", opts.irregularityWeight},
+        {"noSharePenalty", opts.noSharePenalty},
+        {"pairLayerWeight", opts.pairLayerWeight},
+        {"ilpTimeLimitSeconds", opts.ilpTimeLimitSeconds},
+        {"distanceThresholdFraction", opts.distanceThresholdFraction},
+    };
+    for (const auto& [name, value] : reals) {
+        if (!std::isfinite(value)) return std::string(name) + " is not finite";
+    }
+    return {};
 }
 
 }  // namespace streak

@@ -1,11 +1,12 @@
-// Design lint: structural checks a routing run assumes. Returns
-// human-readable findings instead of throwing so front ends (CLI, file
-// loader) can report everything at once.
+// Design and option lint: structural checks a routing run assumes.
+// Returns human-readable findings instead of throwing so front ends (CLI,
+// file loader, checkpoint reader, runStreak) can report them.
 #pragma once
 
 #include <string>
 #include <vector>
 
+#include "core/options.hpp"
 #include "core/signal.hpp"
 
 namespace streak {
@@ -24,5 +25,11 @@ struct ValidationIssue {
 
 /// True if no Error-severity issue is present.
 [[nodiscard]] bool isRoutable(const std::vector<ValidationIssue>& issues);
+
+/// Range check of the options a run reads: at least one backbone and one
+/// layer pair, no negative thread count or detour shift, and finite
+/// weights and limits. Empty when every option is in range; otherwise
+/// names the first offending option.
+[[nodiscard]] std::string validateOptions(const StreakOptions& opts);
 
 }  // namespace streak

@@ -12,6 +12,7 @@
 #include <string_view>
 
 #include "core/candidate.hpp"
+#include "core/validate.hpp"
 #include "obs/json.hpp"
 #include "robust/error.hpp"
 #include "robust/fault.hpp"
@@ -329,16 +330,8 @@ void readOptions(Reader* r, StreakOptions* opts) {
     opts->refinementEnabled = r->u8() != 0;
     opts->distanceThresholdFraction = r->f64();
     opts->maxDetourShift = r->i32();
-    if (opts->backbone.maxBackbones < 1 || opts->maxLayerPairs < 1 ||
-        opts->threads < 0 || opts->maxDetourShift < 0) {
-        r->fail("option value out of range");
-    }
-    for (const double v :
-         {opts->viaWeight, opts->layerAdjacencyWeight, opts->nonRoutePenaltyM,
-          opts->irregularityWeight, opts->noSharePenalty,
-          opts->pairLayerWeight, opts->ilpTimeLimitSeconds,
-          opts->distanceThresholdFraction}) {
-        if (!std::isfinite(v)) r->fail("non-finite option value");
+    if (const std::string why = validateOptions(*opts); !why.empty()) {
+        r->fail(why);
     }
 }
 

@@ -7,10 +7,8 @@
 #include <set>
 
 #include "core/candidate.hpp"
-#include "core/regularity.hpp"
 #include "flow/report.hpp"
 #include "robust/error.hpp"
-#include "steiner/rsmt.hpp"
 
 namespace streak::eco {
 
@@ -34,55 +32,6 @@ constexpr geom::Rect kEmptyWindow{{0, 0}, {-1, -1}};
 
 [[nodiscard]] bool bitsEqual(double a, double b) {
     return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-/// Mirror of core evaluate() for a stitched design, where unrouted bits
-/// are known as (group, bit) pairs instead of (object, member) pairs.
-/// Every term is computed by the same code paths in the same per-group
-/// order, so a stitched result that matches a cold run structurally also
-/// matches it on every metric bit.
-[[nodiscard]] Metrics evaluateStitched(
-    const Design& design, const RoutedDesign& routed,
-    const std::vector<std::pair<int, int>>& unroutedBits) {
-    Metrics m;
-    m.totalBits = design.numNets();
-    m.routedBits = routed.routedBits();
-    m.routability = m.totalBits == 0
-                        ? 1.0
-                        : static_cast<double>(m.routedBits) / m.totalBits;
-
-    for (const RoutedBit& b : routed.bits) m.wirelength += b.topo.wirelength();
-    for (const auto& [g, bIdx] : unroutedBits) {
-        const Bit& bit = design.groups[static_cast<size_t>(g)]
-                             .bits[static_cast<size_t>(bIdx)];
-        steiner::EnumerateOptions eopts;
-        eopts.maxCandidates = 1;
-        const auto topos =
-            steiner::enumerateTopologies(bit.pins, bit.driver, eopts);
-        if (!topos.empty()) m.wirelength += topos.front().wirelength();
-    }
-
-    std::map<int, std::map<int, const steiner::Topology*>> groupClusters;
-    for (const RoutedBit& b : routed.bits) {
-        auto& clusters = groupClusters[b.groupIndex];
-        clusters.emplace(b.clusterKey, &b.topo);  // keeps the first bit
-    }
-    double regSum = 0.0;
-    int regGroups = 0;
-    for (const auto& [group, clusters] : groupClusters) {
-        if (clusters.size() < 2) continue;
-        std::vector<const steiner::Topology*> reps;
-        reps.reserve(clusters.size());
-        for (const auto& [key, topo] : clusters) reps.push_back(topo);
-        regSum += groupRegularity(reps);
-        ++regGroups;
-    }
-    m.avgRegularity = regGroups == 0 ? 1.0 : regSum / regGroups;
-
-    m.totalOverflow = routed.usage.totalOverflow();
-    m.overflowedEdges = routed.usage.overflowedEdges();
-    m.totalViaOverflow = routed.usage.totalViaOverflow();
-    return m;
 }
 
 /// Per-group cluster partition: each cluster as its sorted bit indices,
@@ -331,7 +280,7 @@ EcoResult runEco(const Checkpoint& ckpt, const std::vector<Delta>& deltas,
             r.groupDistanceAfter[static_cast<size_t>(g)] != 0 ? 1 : 0;
     }
 
-    r.metrics = evaluateStitched(*r.design, *r.routed, r.unroutedBits);
+    r.metrics = evaluate(*r.design, *r.routed, r.unroutedBits);
     return r;
 }
 

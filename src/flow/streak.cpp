@@ -8,6 +8,7 @@
 #include "core/hier_ilp.hpp"
 #include "core/ilp_router.hpp"
 #include "core/pd_solver.hpp"
+#include "core/validate.hpp"
 #include "obs/counters.hpp"
 #include "obs/session.hpp"
 #include "obs/trace.hpp"
@@ -375,6 +376,13 @@ StreakResult runStreakGuarded(const Design& design,
 }  // namespace
 
 FlowResult runStreak(const Design& design, const StreakOptions& callerOpts) {
+    if (std::string why = validateOptions(callerOpts); !why.empty()) {
+        robust::StreakError err;
+        err.kind = robust::ErrorKind::InvalidInput;
+        err.stage = stage::kRun;
+        err.message = std::move(why);
+        return FlowResult(std::move(err));
+    }
     StreakOptions opts = callerOpts;
     // Arm the run-wide ticket; every stage below sees it through the
     // options copies it already receives (Problem::opts et al.).

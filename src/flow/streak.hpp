@@ -184,7 +184,8 @@ private:
 
 /// Run the whole flow. Never throws: every failure — invalid input,
 /// deadline expiry, cancellation, injected fault, internal error — is
-/// returned as FlowResult's error arm with a distinct ErrorKind.
+/// returned as FlowResult's error arm with a distinct ErrorKind. Options
+/// out of range (validateOptions) are InvalidInput before any stage runs.
 [[nodiscard]] FlowResult runStreak(const Design& design,
                                    const StreakOptions& opts);
 

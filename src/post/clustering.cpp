@@ -6,8 +6,6 @@
 #include <optional>
 #include <utility>
 
-#include "core/backbone.hpp"
-#include "core/equiv.hpp"
 #include "core/regularity.hpp"
 #include "obs/session.hpp"
 #include "obs/trace.hpp"
@@ -23,8 +21,9 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 struct Cluster {
     /// (objectIndex, memberIndex) of every bit in the cluster.
     std::vector<std::pair<int, int>> members;
-    /// Candidate topologies of the *founding* member (cluster style).
-    std::vector<steiner::Topology> candidates;
+    /// Candidate topologies of the *founding* member (cluster style), one
+    /// per backbone of its object, pointing into RoutingProblem::shapes.
+    std::vector<const steiner::Topology*> candidates;
     /// Committed topology per member once routed (member-aligned).
     std::vector<steiner::Topology> routedTopos;
     /// Index into `candidates` of the committed style; -1 until routed.
@@ -115,9 +114,9 @@ public:
         offset_.push_back(0);
         for (const Cluster& c : clusters_) {
             offset_.push_back(offset_.back() + c.candidates.size());
-            for (const steiner::Topology& t : c.candidates) {
-                base_.push_back(baseCost(t, opts_));
-                feasible_.push_back(fits(usage_, t, layers_, work_) ? 1 : 0);
+            for (const steiner::Topology* t : c.candidates) {
+                base_.push_back(baseCost(*t, opts_));
+                feasible_.push_back(fits(usage_, *t, layers_, work_) ? 1 : 0);
             }
         }
         numCands_ = offset_.back();
@@ -172,7 +171,7 @@ public:
             for (size_t k = 0; k < cl.candidates.size(); ++k) {
                 char& bit = feasible_[offset_[c] + k];
                 if (bit != 0 &&
-                    !fits(usage_, cl.candidates[k], layers_, work_)) {
+                    !fits(usage_, *cl.candidates[k], layers_, work_)) {
                     bit = 0;
                 }
             }
@@ -197,7 +196,7 @@ private:
             views_[offset_[c] + static_cast<size_t>(cand)];
         if (!v) {
             v = regularityView(
-                clusters_[c].candidates[static_cast<size_t>(cand)]);
+                *clusters_[c].candidates[static_cast<size_t>(cand)]);
         }
         return *v;
     }
@@ -280,7 +279,6 @@ ClusteringResult clusterAndRoute(const RoutingProblem& prob,
                                  RoutedDesign* routed) {
     STREAK_SPAN("post/cluster");
     STREAK_FAULT_POINT("post/cluster");
-    const Design& design = *prob.design;
     const StreakOptions& opts = prob.opts;
     ClusteringResult result;
     ClusterWork work;
@@ -295,32 +293,25 @@ ClusteringResult clusterAndRoute(const RoutingProblem& prob,
     std::vector<std::pair<int, int>> stillUnrouted;
 
     for (const auto& [groupIdx, members] : leftovers) {
-        const SignalGroup& group = design.groups[static_cast<size_t>(groupIdx)];
         result.bitsAttempted += static_cast<int>(members.size());
 
-        // Line 1 (Alg. 3): candidate topologies per bit, derived from the
-        // object's backbones via equivalent-topology generation.
-        std::map<int, std::vector<steiner::Topology>> backbonesOf;
+        // Line 1 (Alg. 3): candidate topologies per bit: the bit's
+        // equivalent topology of every backbone of its object, including
+        // backbones none of whose layer pairs fit as a whole object.
         std::vector<Cluster> clusters;
         std::vector<std::vector<steiner::Topology>> allCandidates;
         for (const auto& [objIdx, member] : members) {
-            const RoutingObject& obj = prob.objects[static_cast<size_t>(objIdx)];
-            auto it = backbonesOf.find(objIdx);
-            if (it == backbonesOf.end()) {
-                it = backbonesOf
-                         .emplace(objIdx,
-                                  generateBackbones(group, obj, opts.backbone))
-                         .first;
-            }
-            std::vector<steiner::Topology> cands;
-            cands.reserve(it->second.size());
-            for (const steiner::Topology& bb : it->second) {
-                cands.push_back(equivalentTopology(bb, group, obj, member));
-            }
-            allCandidates.push_back(cands);
             Cluster c;
             c.members.push_back({objIdx, member});
-            c.candidates = std::move(cands);
+            std::vector<steiner::Topology>& cands =
+                allCandidates.emplace_back();
+            for (const BackboneShape& shape :
+                 prob.shapes[static_cast<size_t>(objIdx)]) {
+                const steiner::Topology& t =
+                    shape.bitTopologies[static_cast<size_t>(member)];
+                c.candidates.push_back(&t);
+                cands.push_back(t);
+            }
             clusters.push_back(std::move(c));
         }
 
@@ -334,7 +325,7 @@ ClusteringResult clusterAndRoute(const RoutingProblem& prob,
             // The pair-cost feasibility check predates the partner's
             // commit; re-validate before committing.
             const steiner::Topology& cand =
-                c->candidates[static_cast<size_t>(candIdx)];
+                *c->candidates[static_cast<size_t>(candIdx)];
             if (!fits(routed->usage, cand, layers, &work)) return false;
             c->styleIdx = candIdx;
             c->routedTopos = {cand};
@@ -348,10 +339,10 @@ ClusteringResult clusterAndRoute(const RoutingProblem& prob,
             double best = kInf;
             int bestIdx = -1;
             for (size_t j = 0; j < c.candidates.size(); ++j) {
-                if (!fits(routed->usage, c.candidates[j], layers, &work)) {
+                if (!fits(routed->usage, *c.candidates[j], layers, &work)) {
                     continue;
                 }
-                const double cost = baseCost(c.candidates[j], opts);
+                const double cost = baseCost(*c.candidates[j], opts);
                 if (cost < best) {
                     best = cost;
                     bestIdx = static_cast<int>(j);

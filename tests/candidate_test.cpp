@@ -21,14 +21,15 @@ TEST(GenerateCandidates, NonEmptyForRoutableObject) {
     const auto objects = identifyObjects(d);
     ASSERT_EQ(objects.size(), 1u);
     StreakOptions opts;
-    const auto cands = generateCandidates(d, objects[0], opts);
+    const auto cands = generateCandidates(d, objects[0], opts).candidates;
     ASSERT_FALSE(cands.empty());
 }
 
 TEST(GenerateCandidates, SortedByCost) {
     const Design d = busDesign();
     const auto objects = identifyObjects(d);
-    const auto cands = generateCandidates(d, objects[0], StreakOptions{});
+    const auto cands =
+        generateCandidates(d, objects[0], StreakOptions{}).candidates;
     for (size_t i = 1; i < cands.size(); ++i) {
         EXPECT_LE(cands[i - 1].cost, cands[i].cost);
     }
@@ -37,8 +38,9 @@ TEST(GenerateCandidates, SortedByCost) {
 TEST(GenerateCandidates, LayerDirectionsMatchGrid) {
     const Design d = busDesign();
     const auto objects = identifyObjects(d);
-    for (const RouteCandidate& c :
-         generateCandidates(d, objects[0], StreakOptions{})) {
+    const auto cands =
+        generateCandidates(d, objects[0], StreakOptions{}).candidates;
+    for (const RouteCandidate& c : cands) {
         EXPECT_EQ(d.grid.layerDir(c.hLayer), grid::Dir::Horizontal);
         EXPECT_EQ(d.grid.layerDir(c.vLayer), grid::Dir::Vertical);
     }
@@ -47,7 +49,8 @@ TEST(GenerateCandidates, LayerDirectionsMatchGrid) {
 TEST(GenerateCandidates, EdgeUseMatchesBitTopologies) {
     const Design d = busDesign();
     const auto objects = identifyObjects(d);
-    const auto cands = generateCandidates(d, objects[0], StreakOptions{});
+    const auto cands =
+        generateCandidates(d, objects[0], StreakOptions{}).candidates;
     ASSERT_FALSE(cands.empty());
     const RouteCandidate& c = cands.front();
     // Total demand equals total wirelength over bits (each unit edge of a
@@ -65,7 +68,8 @@ TEST(GenerateCandidates, ParallelBitsStackDemand) {
     // A 4-bit bus whose bits share no edges: per-edge demand stays 1.
     const Design d = busDesign();
     const auto objects = identifyObjects(d);
-    const auto cands = generateCandidates(d, objects[0], StreakOptions{});
+    const auto cands =
+        generateCandidates(d, objects[0], StreakOptions{}).candidates;
     for (const auto& [edge, amount] : cands.front().edgeUse) {
         EXPECT_LE(amount, 4);
         EXPECT_GE(amount, 1);
@@ -77,7 +81,8 @@ TEST(GenerateCandidates, InfeasibleWhenCapacityTiny) {
     Design d = busDesign(4, 10);
     for (int e = 0; e < d.grid.numEdges(); ++e) d.grid.setCapacity(e, 0);
     const auto objects = identifyObjects(d);
-    const auto cands = generateCandidates(d, objects[0], StreakOptions{});
+    const auto cands =
+        generateCandidates(d, objects[0], StreakOptions{}).candidates;
     EXPECT_TRUE(cands.empty());
 }
 
@@ -87,7 +92,7 @@ TEST(GenerateCandidates, MaxLayerPairsRespected) {
     StreakOptions opts;
     opts.maxLayerPairs = 1;
     opts.backbone.maxBackbones = 2;
-    const auto cands = generateCandidates(d, objects[0], opts);
+    const auto cands = generateCandidates(d, objects[0], opts).candidates;
     EXPECT_LE(cands.size(), 2u);
     std::set<std::pair<int, int>> pairs;
     for (const RouteCandidate& c : cands) pairs.insert({c.hLayer, c.vLayer});
@@ -100,7 +105,7 @@ TEST(GenerateCandidates, AdjacentLayersPreferredInCost) {
     StreakOptions opts;
     opts.maxLayerPairs = 4;
     opts.layerAdjacencyWeight = 100.0;  // make the gap dominate
-    const auto cands = generateCandidates(d, objects[0], opts);
+    const auto cands = generateCandidates(d, objects[0], opts).candidates;
     ASSERT_FALSE(cands.empty());
     EXPECT_EQ(std::abs(cands.front().hLayer - cands.front().vLayer), 1);
 }

@@ -222,6 +222,41 @@ TEST(FlowObservability, ClusteringCountersAreThreadCountInvariant) {
     }
 }
 
+TEST(FlowObservability, BuildCountersAreThreadCountInvariant) {
+    // Groups split into two routing styles give pair blocks.
+    const Design d = gen::generate(gen::shrunkSynthSpec(1));
+    const auto buildCounters = [](const StreakResult& r) {
+        std::map<std::string, long long> out;
+        for (const auto& [name, value] : r.counters.counters) {
+            if (name.starts_with("build/")) out.emplace(name, value);
+        }
+        return out;
+    };
+    const StreakResult first = observedRun(d, 1);
+    const std::map<std::string, long long> base = buildCounters(first);
+    for (const char* name :
+         {"build/candidates.objects", "build/candidates.backbones",
+          "build/candidates.candidates", "build/pairs.blocks",
+          "build/pairs.ratio_evals"}) {
+        ASSERT_TRUE(base.contains(name)) << name;
+    }
+    EXPECT_EQ(base.at("build/candidates.objects"), first.problem.numObjects());
+    EXPECT_GT(base.at("build/pairs.ratio_evals"), 0);
+    // Both parallel regions of the build stage have their own span.
+    const obs::Span* buildSpan = obs::findSpan(first.trace, stage::kBuild);
+    ASSERT_NE(buildSpan, nullptr);
+    for (const char* name : {"build/candidates", "build/pairs"}) {
+        const obs::Span* span = obs::findSpan(first.trace, name);
+        ASSERT_NE(span, nullptr) << name;
+        EXPECT_EQ(first.trace[static_cast<size_t>(span->parent)].name,
+                  stage::kBuild);
+    }
+    for (const int threads : {2, 8}) {
+        EXPECT_EQ(buildCounters(observedRun(d, threads)), base)
+            << threads << " threads changed a build counter";
+    }
+}
+
 TEST(FlowObservability, ObserverSeesTraceAndStageSpansBackAccessors) {
     const Design d = smallDesign();
     bool called = false;

@@ -80,7 +80,8 @@ TEST(ViaModel, CandidatesFilteredByViaCapacity) {
     d.grid.setViaCapacity(4);
     d.grid.addViaBlockage({{4, 4}, {4, 4}}, 0);
     const auto objects = identifyObjects(d);
-    const auto cands = generateCandidates(d, objects[0], StreakOptions{});
+    const auto cands =
+        generateCandidates(d, objects[0], StreakOptions{}).candidates;
     EXPECT_TRUE(cands.empty());
 }
 

@@ -210,6 +210,29 @@ TEST(RegularityView, MatchesTopologyRatioOnRandomPairs) {
     EXPECT_GT(withoutRc, 0);  // the sweep covers the trivial branch
 }
 
+TEST(GroupRegularity, EqualsPairwiseTopologyMeanExactly) {
+    // One view per topology, summed in the same (i, p) order, gives the
+    // same double as the mean of fresh topology ratios.
+    std::mt19937 rng(99);
+    for (int n = 2; n <= 7; ++n) {
+        for (int round = 0; round < 20; ++round) {
+            std::vector<Topology> topos;
+            for (int k = 0; k < n; ++k) topos.push_back(randomTopology(&rng));
+            std::vector<const Topology*> reps;
+            for (const Topology& t : topos) reps.push_back(&t);
+            double sum = 0.0;
+            for (int i = 0; i < n; ++i) {
+                for (int p = i + 1; p < n; ++p) {
+                    sum += regularityRatio(topos[static_cast<size_t>(i)],
+                                           topos[static_cast<size_t>(p)]);
+                }
+            }
+            EXPECT_EQ(groupRegularity(reps),
+                      2.0 * sum / (static_cast<double>(n) * (n - 1)));
+        }
+    }
+}
+
 TEST(RegularityView, ViewIsReusable) {
     // One view compared against many others gives the same ratios as
     // fresh views each time.

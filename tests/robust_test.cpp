@@ -3,6 +3,7 @@
 // deterministic fault-injection registry.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "core/pd_solver.hpp"
+#include "core/validate.hpp"
 #include "flow/streak.hpp"
 #include "gen/generator.hpp"
 #include "io/design_io.hpp"
@@ -340,6 +342,33 @@ TEST(FlowRobustness, ClusteringPollsTheTicketEveryRound) {
         EXPECT_EQ(e.error().kind, ErrorKind::Cancelled);
         EXPECT_EQ(e.error().site, "cluster/round");
     }
+}
+
+TEST(FlowRobustness, OutOfRangeOptionsAreInvalidInput) {
+    const Design d = gen::generate(gen::shrunkSynthSpec(1));
+    const auto expectInvalid = [&](const StreakOptions& opts,
+                                   const std::string& option) {
+        ASSERT_NE(validateOptions(opts).find(option), std::string::npos);
+        const FlowResult res = runStreak(d, opts);
+        ASSERT_FALSE(res.ok()) << option;
+        EXPECT_EQ(res.error().kind, ErrorKind::InvalidInput) << option;
+        EXPECT_NE(res.error().message.find(option), std::string::npos);
+        EXPECT_EQ(exitCodeFor(res.error().kind), 3);
+    };
+    for (const int backbones : {0, -1}) {
+        StreakOptions opts;
+        opts.backbone.maxBackbones = backbones;
+        expectInvalid(opts, "maxBackbones");
+    }
+    StreakOptions noPairs;
+    noPairs.maxLayerPairs = 0;
+    expectInvalid(noPairs, "maxLayerPairs");
+    StreakOptions nanWeight;
+    nanWeight.viaWeight = std::numeric_limits<double>::quiet_NaN();
+    expectInvalid(nanWeight, "viaWeight");
+
+    EXPECT_EQ(validateOptions(StreakOptions{}), "");
+    EXPECT_TRUE(runStreak(d, StreakOptions{}).ok());
 }
 
 TEST(FlowRobustness, FlowResultContractIsEnforced) {

@@ -5,7 +5,8 @@
 #   2. clang-tidy curated ruleset   (skipped when clang-tidy is absent)
 #   3. -Werror build                (CMake preset `werror`)
 #   4. sanitizer smoke test         (preset `asan-ubsan`, flow_test +
-#                                    clustering_equivalence_test)
+#                                    clustering_equivalence_test +
+#                                    problem_build_equivalence_test)
 #   5. ThreadSanitizer              (preset `tsan`, thread pool +
 #                                    determinism tests)
 #   6. observability exports        (route a generated design with
@@ -80,6 +81,9 @@ else
     # Bottom-up clustering's flat n x n pair-cost caches, indexed across
     # hundreds of congested designs against the literal Alg. 3 oracle.
     ./build-asan/tests/clustering_equivalence_test
+    # Problem build's shared backbone shapes and flat ratio memos against
+    # the per-layer-pair expansion oracle, over 72 designs.
+    ./build-asan/tests/problem_build_equivalence_test
 fi
 
 echo "== [5/11] ThreadSanitizer =="

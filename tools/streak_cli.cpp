@@ -77,10 +77,11 @@
 // run used more than one thread.
 //
 // Exit codes: 0 success (possibly degraded), 1 unexpected error, 2 bad
-// usage, 3 invalid input, 4 deadline expired, 5 cancelled, 6 injected
-// fault, 7 internal error, 8 campaign regression. Fault-injection builds
-// honor the STREAK_FAULT environment variable ("site" or "site:hit", see
-// robust/fault.hpp).
+// usage (including a malformed numeric value), 3 invalid input (including
+// an option out of range, e.g. --backbones=0), 4 deadline expired, 5
+// cancelled, 6 injected fault, 7 internal error, 8 campaign regression.
+// Fault-injection builds honor the STREAK_FAULT environment variable
+// ("site" or "site:hit", see robust/fault.hpp).
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -109,6 +110,42 @@
 namespace {
 
 using namespace streak;
+
+/// A malformed command line: main() prints it and exits 2.
+class UsageError : public std::runtime_error {
+public:
+    using std::runtime_error::runtime_error;
+};
+
+/// Strict numeric values: the whole text must be one number, or the flag
+/// is a usage error. Range checks are runStreak's (exit 3).
+int intValue(const std::string& text, const std::string& what) {
+    size_t used = 0;
+    int v = 0;
+    try {
+        v = std::stoi(text, &used);
+    } catch (const std::logic_error&) {
+        used = 0;
+    }
+    if (used == 0 || used != text.size()) {
+        throw UsageError("bad " + what + " '" + text + "'");
+    }
+    return v;
+}
+
+double doubleValue(const std::string& text, const std::string& what) {
+    size_t used = 0;
+    double v = 0.0;
+    try {
+        v = std::stod(text, &used);
+    } catch (const std::logic_error&) {
+        used = 0;
+    }
+    if (used == 0 || used != text.size()) {
+        throw UsageError("bad " + what + " '" + text + "'");
+    }
+    return v;
+}
 
 int usage() {
     std::cerr << "usage:\n"
@@ -141,7 +178,7 @@ int usage() {
 
 int cmdGenerate(int argc, char** argv) {
     if (argc != 4) return usage();
-    const int suite = std::atoi(argv[2]);
+    const int suite = intValue(argv[2], "suite index");
     if (suite < 1 || suite > 7) {
         std::cerr << "streak: suite index must be 1..7\n";
         return 2;
@@ -201,9 +238,10 @@ int cmdRoute(int argc, char** argv) {
         } else if (arg == "--solver=hilp") {
             opts.solver = SolverKind::IlpHierarchical;
         } else if (arg.rfind("--ilp-limit=", 0) == 0) {
-            opts.ilpTimeLimitSeconds = std::atof(value("--ilp-limit=").c_str());
+            opts.ilpTimeLimitSeconds =
+                doubleValue(value("--ilp-limit="), "--ilp-limit");
         } else if (arg.rfind("--threads=", 0) == 0) {
-            opts.threads = std::atoi(value("--threads=").c_str());
+            opts.threads = intValue(value("--threads="), "--threads");
         } else if (arg == "--no-post") {
             opts.postOptimize = false;
         } else if (arg == "--no-clustering") {
@@ -212,7 +250,7 @@ int cmdRoute(int argc, char** argv) {
             opts.refinementEnabled = false;
         } else if (arg.rfind("--backbones=", 0) == 0) {
             opts.backbone.maxBackbones =
-                std::atoi(value("--backbones=").c_str());
+                intValue(value("--backbones="), "--backbones");
         } else if (arg.rfind("--heatmap=", 0) == 0) {
             heatmapPath = value("--heatmap=");
         } else if (arg.rfind("--svg=", 0) == 0) {
@@ -222,7 +260,8 @@ int cmdRoute(int argc, char** argv) {
         } else if (arg.rfind("--trace=", 0) == 0) {
             tracePath = value("--trace=");
         } else if (arg.rfind("--deadline=", 0) == 0) {
-            opts.deadlineSeconds = std::atof(value("--deadline=").c_str());
+            opts.deadlineSeconds =
+                doubleValue(value("--deadline="), "--deadline");
         } else if (arg.rfind("--checkpoint=", 0) == 0) {
             checkpointPath = value("--checkpoint=");
         } else if (arg == "--quiet") {
@@ -358,7 +397,7 @@ int cmdEco(int argc, char** argv) {
         if (arg.rfind("--deltas=", 0) == 0) {
             deltasPath = value("--deltas=");
         } else if (arg.rfind("--threads=", 0) == 0) {
-            threads = std::atoi(value("--threads=").c_str());
+            threads = intValue(value("--threads="), "--threads");
         } else if (arg == "--cold") {
             cold = true;
         } else if (arg == "--cold-check") {
@@ -461,23 +500,15 @@ int cmdEco(int argc, char** argv) {
     return 0;
 }
 
-/// "1,3,7" -> {1, 3, 7}; throws std::invalid_argument on junk.
+/// "1,3,7" -> {1, 3, 7}; throws UsageError on junk.
 std::vector<int> parseIntList(const std::string& text, const char* what) {
     std::vector<int> out;
     std::stringstream ss(text);
     std::string item;
     while (std::getline(ss, item, ',')) {
-        size_t used = 0;
-        const int v = std::stoi(item, &used);
-        if (used != item.size()) {
-            throw std::invalid_argument(std::string("bad ") + what +
-                                        " entry '" + item + "'");
-        }
-        out.push_back(v);
+        out.push_back(intValue(item, std::string(what) + " entry"));
     }
-    if (out.empty()) {
-        throw std::invalid_argument(std::string("empty ") + what + " list");
-    }
+    if (out.empty()) throw UsageError(std::string("empty ") + what + " list");
     return out;
 }
 
@@ -510,8 +541,8 @@ int cmdCampaignRun(int argc, char** argv) {
                 std::cerr << "streak: --scale-counter wants NAME:FACTOR\n";
                 return 2;
             }
-            spec.scaleCounters[knob.substr(0, colon)] =
-                std::atof(knob.substr(colon + 1).c_str());
+            spec.scaleCounters[knob.substr(0, colon)] = doubleValue(
+                knob.substr(colon + 1), "--scale-counter factor");
         } else if (arg == "--quiet") {
             quiet = true;
         } else {
@@ -559,13 +590,13 @@ int cmdCampaignDiff(int argc, char** argv) {
             verdictPath = value("--verdict=");
         } else if (arg.rfind("--counter-pct=", 0) == 0) {
             thresholds.counterGrowth =
-                std::atof(value("--counter-pct=").c_str()) / 100.0;
+                doubleValue(value("--counter-pct="), "--counter-pct") / 100.0;
         } else if (arg.rfind("--wall-pct=", 0) == 0) {
             thresholds.wallGrowth =
-                std::atof(value("--wall-pct=").c_str()) / 100.0;
+                doubleValue(value("--wall-pct="), "--wall-pct") / 100.0;
         } else if (arg.rfind("--min-wall=", 0) == 0) {
             thresholds.minWallSeconds =
-                std::atof(value("--min-wall=").c_str());
+                doubleValue(value("--min-wall="), "--min-wall");
         } else if (arg == "--quiet") {
             quiet = true;
         } else {
@@ -678,6 +709,9 @@ int main(int argc, char** argv) {
         if (cmd == "route") return cmdRoute(argc, argv);
         if (cmd == "eco") return cmdEco(argc, argv);
         if (cmd == "campaign") return cmdCampaign(argc, argv);
+    } catch (const UsageError& e) {
+        std::cerr << "streak: " << e.what() << '\n';
+        return 2;
     } catch (const streak::robust::StreakException& e) {
         // Structured failures outside runStreak (e.g. reading the design
         // file) still map to their distinct exit codes.
