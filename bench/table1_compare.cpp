@@ -21,7 +21,7 @@ int main() {
                      "ILP:Route", "ILP:WL", "ILP:Reg", "ILP:CPU(s)",
                      "PD:Route", "PD:WL", "PD:Reg", "PD:CPU(s)"});
 
-    bench::JsonLog log("streak");
+    bench::JsonLog log("table1_compare");
     double manR = 0, ilpR = 0, pdR = 0, ilpReg = 0, pdReg = 0;
     long manWl = 0, ilpWl = 0, pdWl = 0;
     for (int i = 1; i <= 7; ++i) {

@@ -317,8 +317,6 @@ IlpRouteResult solveIlpRouting(const RoutingProblem& prob,
 
         ilp::BnbOptions bopts;
         bopts.timeLimitSeconds = budget[static_cast<size_t>(comp)];
-        bopts.lpEngine = prob.opts.lpEngine;
-        bopts.lpWarmStart = prob.opts.lpWarmStart;
         bopts.control = prob.opts.control;
         if (warmStart != nullptr) {
             bopts.initialUpperBound =

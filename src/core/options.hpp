@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "core/backbone.hpp"
-#include "ilp/lp.hpp"
 #include "obs/counters.hpp"
 #include "obs/session.hpp"
 #include "obs/trace.hpp"
@@ -58,12 +57,6 @@ struct StreakOptions {
     // --- solver selection ---
     SolverKind solver = SolverKind::PrimalDual;
     double ilpTimeLimitSeconds = 60.0;
-    /// Simplex engine for the ILP's LP relaxations (Legacy is the
-    /// explicit-bound-row oracle kept for cross-checks and benches).
-    ilp::LpEngine lpEngine = ilp::LpEngine::Bounded;
-    /// Warm-start child branch-and-bound nodes from the parent's final
-    /// simplex basis (Bounded engine only).
-    bool lpWarmStart = true;
 
     // --- parallel execution (DESIGN.md "Parallel execution") ---
     /// Worker threads for the parallel stages (candidate build, per-

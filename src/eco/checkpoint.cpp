@@ -191,8 +191,6 @@ StreakOptions semanticOptions(const StreakOptions& opts) {
     s.pairLayerWeight = opts.pairLayerWeight;
     s.solver = opts.solver;
     s.ilpTimeLimitSeconds = opts.ilpTimeLimitSeconds;
-    s.lpEngine = opts.lpEngine;
-    s.lpWarmStart = opts.lpWarmStart;
     s.threads = opts.threads;
     s.postOptimize = opts.postOptimize;
     s.clusteringEnabled = opts.clusteringEnabled;
@@ -233,8 +231,6 @@ void writeOptions(std::string* b, const StreakOptions& opts) {
     putF64(b, opts.pairLayerWeight);
     putI32(b, static_cast<int>(opts.solver));
     putF64(b, opts.ilpTimeLimitSeconds);
-    putI32(b, static_cast<int>(opts.lpEngine));
-    putU8(b, opts.lpWarmStart ? 1 : 0);
     putI32(b, opts.threads);
     putU8(b, opts.postOptimize ? 1 : 0);
     putU8(b, opts.clusteringEnabled ? 1 : 0);
@@ -320,10 +316,6 @@ void readOptions(Reader* r, StreakOptions* opts) {
     if (solver < 0 || solver > 2) r->fail("unknown solver kind");
     opts->solver = static_cast<SolverKind>(solver);
     opts->ilpTimeLimitSeconds = r->f64();
-    const int engine = r->i32();
-    if (engine < 0 || engine > 1) r->fail("unknown LP engine");
-    opts->lpEngine = static_cast<ilp::LpEngine>(engine);
-    opts->lpWarmStart = r->u8() != 0;
     opts->threads = r->i32();
     opts->postOptimize = r->u8() != 0;
     opts->clusteringEnabled = r->u8() != 0;

@@ -36,7 +36,7 @@
 
 namespace streak::eco {
 
-inline constexpr int kCheckpointVersion = 1;
+inline constexpr int kCheckpointVersion = 2;
 inline constexpr const char* kCheckpointSchema = "streak-eco-checkpoint";
 
 /// In-memory image of a routed-state checkpoint. Owns its Design (the

@@ -56,12 +56,11 @@ struct SuiteSpec {
 /// Convenience: generate synth<index>.
 [[nodiscard]] Design makeSynth(int index);
 
-/// synthSpec(index) scaled down ("synthN-shrunk") so full before/after
-/// ILP sweeps finish in seconds — the shared recipe behind the kernel
-/// bench (BENCH_streak.json), the campaign runner's default instance
-/// family, and check.sh's drills. Counter trajectories are only
-/// comparable across those consumers because they all route the *same*
-/// shrunk designs.
+/// synthSpec(index) scaled down ("synthN-shrunk") so full ILP sweeps
+/// finish in seconds — the campaign runner's default instance family,
+/// behind the committed BENCH_campaign.jsonl store and check.sh's
+/// drills. Counter trajectories are only comparable across those
+/// consumers because they all route the *same* shrunk designs.
 [[nodiscard]] SuiteSpec shrunkSynthSpec(int index);
 
 /// Size series for the Fig. 13 scalability study: the base suite scaled

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -22,10 +21,6 @@ constexpr double kIntTol = 1e-6;
 struct Node {
     double bound;                    // parent LP bound (lower bound)
     std::vector<std::int8_t> fixed;  // -1 free, 0 / 1 fixed
-    /// Parent's final simplex basis: both children re-solve phase-2-only
-    /// from it (same rows, one variable's bounds tightened). Null at the
-    /// root and when warm starts are off.
-    std::shared_ptr<const LpBasis> warm;
 
     bool operator<(const Node& o) const { return bound > o.bound; }  // min-heap
 };
@@ -92,20 +87,7 @@ Solution solveIlp(const Model& model, const BnbOptions& opts, BnbStats* stats) {
         ++nodes;
 
         const Model sub = applyFixings(model, node.fixed);
-        const bool useBounded = opts.lpEngine == LpEngine::Bounded;
-        auto finalBasis = std::make_shared<LpBasis>();
-        Solution lp;
-        if (useBounded) {
-            LpOptions lpOpts;
-            lpOpts.control = opts.control;
-            if (opts.lpWarmStart) {
-                lpOpts.warmBasis = node.warm.get();
-                lpOpts.basisOut = finalBasis.get();
-            }
-            lp = solveLp(sub, lpOpts);
-        } else {
-            lp = solveLpLegacy(sub);
-        }
+        const Solution lp = solveLp(sub, opts.control);
         // Basis sanity / primal feasibility of every relaxation the tree
         // trusts for pruning decisions.
         STREAK_DEEP_AUDIT(check::auditLp(sub, lp));
@@ -147,16 +129,11 @@ Solution solveIlp(const Model& model, const BnbOptions& opts, BnbStats* stats) {
             }
             continue;
         }
-        const std::shared_ptr<const LpBasis> childWarm =
-            (useBounded && opts.lpWarmStart && !finalBasis->empty())
-                ? std::shared_ptr<const LpBasis>(std::move(finalBasis))
-                : nullptr;
         for (const std::int8_t val : {std::int8_t{1}, std::int8_t{0}}) {
             Node child;
             child.bound = lp.objective;
             child.fixed = node.fixed;
             child.fixed[static_cast<size_t>(branchVar)] = val;
-            child.warm = childWarm;
             open.push(std::move(child));
         }
     }

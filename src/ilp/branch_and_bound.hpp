@@ -4,8 +4,8 @@
 // node limits (used to reproduce the paper's ">3600 s" ILP timeout rows).
 #pragma once
 
-#include "ilp/lp.hpp"
 #include "ilp/model.hpp"
+#include "robust/control.hpp"
 
 namespace streak::ilp {
 
@@ -18,12 +18,6 @@ struct BnbOptions {
     /// result): nodes at or above it are pruned, so the search only looks
     /// for strictly better solutions. +inf disables.
     double initialUpperBound = kInfinity;
-    /// Simplex engine for the LP relaxations (Legacy is the slower
-    /// explicit-bound-row oracle, kept for cross-checks and benches).
-    LpEngine lpEngine = LpEngine::Bounded;
-    /// Re-solve child nodes phase-2-only from the parent's final simplex
-    /// basis (Bounded engine only); stale bases cold-solve automatically.
-    bool lpWarmStart = true;
     /// Deadline/cancellation ticket polled once per node (and threaded
     /// into every LP relaxation solve). Unlike timeLimitSeconds — which
     /// ends the search with the incumbent — a trip unwinds the solve

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -24,8 +25,6 @@ struct LpTally {
     long long solves = 0;
     long long pivots = 0;
     long long boundFlips = 0;
-    long long warmStarts = 0;
-    long long warmFallbacks = 0;
 
     ~LpTally() {
         if (!obs::detailEnabled()) return;
@@ -33,22 +32,15 @@ struct LpTally {
         sess.counter("ilp/lp.solves").add(solves);
         sess.counter("ilp/lp.pivots").add(pivots);
         sess.counter("ilp/lp.bound_flips").add(boundFlips);
-        sess.counter("ilp/lp.warm_starts").add(warmStarts);
-        sess.counter("ilp/lp.warm_fallbacks").add(warmFallbacks);
     }
 };
-
-// ---------------------------------------------------------------------------
-// Bounded-variable simplex (the default engine)
-// ---------------------------------------------------------------------------
 
 /// Dense bounded-variable primal simplex on the flat row-major tableau
 ///   min c^T x   s.t.  A x = b,  0 <= x_j <= u_j
 /// with u_j possibly infinite. Nonbasic variables sit at one of their
 /// bounds; a variable whose cheapest move runs into its opposite bound is
 /// *flipped* there in O(m) without a pivot. Column layout:
-/// [0, nStruct) structural + slack columns, then one artificial per row
-/// (the layout every warm-started child shares with its parent).
+/// [0, nStruct) structural + slack columns, then one artificial per row.
 class BoundedSimplex {
 public:
     BoundedSimplex(int nStruct, int numRows)
@@ -69,7 +61,7 @@ public:
     void setRhs(int r, double v) { b_[static_cast<size_t>(r)] = v; }
     void setUpper(int col, double u) { upper_[static_cast<size_t>(col)] = u; }
     /// Initial basic column for a row (the slack for `<=` rows, else the
-    /// row's artificial); only meaningful before a cold solve().
+    /// row's artificial).
     void setInitialBasis(int r, int col) {
         basis_[static_cast<size_t>(r)] = col;
         inBasis_[static_cast<size_t>(col)] = 1;
@@ -79,13 +71,12 @@ public:
     [[nodiscard]] long boundFlips() const { return boundFlips_; }
 
     /// Deadline/cancellation ticket polled every few pivots; a trip
-    /// throws out of the pivot loop (LpOptions::control).
+    /// throws out of the pivot loop.
     void setControl(const robust::Ticket& control) { control_ = control; }
 
-    /// Cold solve: phase 1 (minimize the artificial sum, pricing *all*
-    /// columns — restricting phase-1 pricing could misreport
-    /// infeasibility) then phase 2 (structural pricing only, artificials
-    /// pinned to zero).
+    /// Phase 1 (minimize the artificial sum, pricing *all* columns —
+    /// restricting phase-1 pricing could misreport infeasibility) then
+    /// phase 2 (structural pricing only, artificials pinned to zero).
     SolveStatus solve(const std::vector<double>& cost, std::vector<double>* x,
                       double* obj) {
         xB_ = b_;  // nonbasics all start at their lower bound 0
@@ -101,73 +92,6 @@ public:
         if (infeas > 1e-6) return SolveStatus::Infeasible;
         driveOutArtificials();
         return phase2(cost, x, obj);
-    }
-
-    /// Warm solve: adopt `basis`, refactorize, and go straight to phase
-    /// 2. Returns false — caller must rebuild a fresh tableau and
-    /// cold-solve — when the basis is singular for the current matrix or
-    /// infeasible for the current bounds.
-    bool warmSolve(const LpBasis& basis, const std::vector<double>& cost,
-                   std::vector<double>* x, double* obj, SolveStatus* status) {
-        if (static_cast<int>(basis.basic.size()) != m_) return false;
-        if (static_cast<int>(basis.atUpper.size()) > n_) return false;
-        std::fill(inBasis_.begin(), inBasis_.end(), 0);
-        for (const int col : basis.basic) {
-            if (col < 0 || col >= total_) return false;
-            if (inBasis_[static_cast<size_t>(col)]) return false;  // duplicate
-            inBasis_[static_cast<size_t>(col)] = 1;
-        }
-        // Adopt nonbasic statuses (they shape xB below). A parent
-        // at-upper variable whose bound the child fixed to zero collapses
-        // to at-lower; both bounds are zero so the value is unchanged.
-        std::fill(atUpper_.begin(), atUpper_.end(), 0);
-        for (int j = 0; j < static_cast<int>(basis.atUpper.size()); ++j) {
-            if (!basis.atUpper[static_cast<size_t>(j)]) continue;
-            if (inBasis_[static_cast<size_t>(j)]) return false;
-            const double u = upper_[static_cast<size_t>(j)];
-            if (!std::isfinite(u)) return false;
-            if (u > 0.0) atUpper_[static_cast<size_t>(j)] = 1;
-        }
-        // Refactorize: Gauss-Jordan canonicalization over the warm basis
-        // columns (honest pivot work, counted in `pivots`).
-        for (int r = 0; r < m_; ++r) {
-            const int col = basis.basic[static_cast<size_t>(r)];
-            if (std::abs(valueAt(r, col)) <= kPivotTol) return false;  // singular
-            basis_[static_cast<size_t>(r)] = col;
-            pivot(r, col);
-        }
-        // Basic values under the adopted nonbasic statuses.
-        xB_ = b_;
-        for (int j = 0; j < n_; ++j) {
-            if (!atUpper_[static_cast<size_t>(j)]) continue;
-            const double u = upper_[static_cast<size_t>(j)];
-            for (int r = 0; r < m_; ++r) {
-                xB_[static_cast<size_t>(r)] -= valueAt(r, j) * u;
-            }
-        }
-        // Primal feasibility under the *current* bounds. Artificials are
-        // capped at zero from here on: a basic artificial that must be
-        // positive means the warmed basis cannot represent a feasible
-        // point, and the cold two-phase path should decide feasibility.
-        for (int c = n_; c < total_; ++c) upper_[static_cast<size_t>(c)] = 0.0;
-        for (int r = 0; r < m_; ++r) {
-            const double v = xB_[static_cast<size_t>(r)];
-            const double u =
-                upper_[static_cast<size_t>(basis_[static_cast<size_t>(r)])];
-            if (v < -kFeasTol || v > u + kFeasTol) return false;
-            xB_[static_cast<size_t>(r)] = std::clamp(v, 0.0, std::max(0.0, u));
-        }
-        *status = phase2(cost, x, obj);
-        return true;
-    }
-
-    void exportBasis(LpBasis* out) const {
-        out->basic = basis_;
-        out->atUpper.assign(static_cast<size_t>(n_), 0);
-        for (int j = 0; j < n_; ++j) {
-            out->atUpper[static_cast<size_t>(j)] =
-                atUpper_[static_cast<size_t>(j)];
-        }
     }
 
 private:
@@ -403,16 +327,13 @@ private:
     std::vector<std::uint8_t> inBasis_;
     long pivots_ = 0;
     long boundFlips_ = 0;
-    robust::Ticket control_;  // idle unless LpOptions carried one
+    robust::Ticket control_;  // idle unless the caller passed one
 };
 
-/// Shared shift-to-zero-lower-bound preprocessing for the bounded
-/// engine. Rows keep their original order; rhs-negative rows are scaled
-/// by -1 (sense flipped) so every artificial starts nonnegative. The
-/// column layout — structural, then one slack per inequality row in row
-/// order, then one artificial per row — depends only on the senses and
-/// the row order, so a parent and a child model (same rows, different
-/// bounds) always agree on it even when the scaling differs.
+/// Shift-to-zero-lower-bound preprocessing. Rows keep their original
+/// order; rhs-negative rows are scaled by -1 (sense flipped) so every
+/// artificial starts nonnegative. Column layout: structural, then one
+/// slack per inequality row in row order, then one artificial per row.
 struct PreparedLp {
     int n = 0;         // model variables
     int numSlack = 0;  // inequality rows
@@ -470,9 +391,8 @@ PreparedLp prepare(const Model& model) {
     return p;
 }
 
-/// Build the bounded tableau from a prepared model. The initial basis is
-/// only meaningful for cold solves (the slack for `<=` rows, else the
-/// row's artificial); warm solves overwrite it.
+/// Build the bounded tableau from a prepared model, with the initial
+/// basis (the slack for `<=` rows, else the row's artificial).
 void buildBounded(const PreparedLp& p, BoundedSimplex* s) {
     const int nStruct = p.n + p.numSlack;
     int slackCol = p.n;
@@ -500,189 +420,9 @@ void buildBounded(const PreparedLp& p, BoundedSimplex* s) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Legacy engine (explicit upper-bound rows) — the equivalence oracle
-// ---------------------------------------------------------------------------
-
-/// Dense two-phase primal simplex on the tableau
-///   min c^T x  s.t.  A x = b,  x >= 0,  b >= 0.
-/// Columns [0, n) are structural; one artificial per row is appended.
-/// The reduced-cost row is kept in canonical form and updated on pivots.
-class SimplexTableau {
-public:
-    SimplexTableau(int numStructural, int numRows)
-        : n_(numStructural), m_(numRows),
-          a_(static_cast<size_t>(numRows),
-             std::vector<double>(static_cast<size_t>(numStructural + numRows),
-                                 0.0)),
-          b_(static_cast<size_t>(numRows), 0.0),
-          basis_(static_cast<size_t>(numRows), -1) {}
-
-    void setCoeff(int row, int col, double v) {
-        a_[static_cast<size_t>(row)][static_cast<size_t>(col)] = v;
-    }
-    void setRhs(int row, double v) { b_[static_cast<size_t>(row)] = v; }
-
-    /// Phase 1 + Phase 2. On Optimal, `x` receives the structural solution
-    /// and `obj` the objective value.
-    SolveStatus solve(const std::vector<double>& cost, std::vector<double>* x,
-                      double* obj) {
-        const int total = n_ + m_;
-        for (int r = 0; r < m_; ++r) {
-            a_[static_cast<size_t>(r)][static_cast<size_t>(n_ + r)] = 1.0;
-            basis_[static_cast<size_t>(r)] = n_ + r;
-        }
-        // Phase 1: minimize the sum of artificials (pricing all columns).
-        std::vector<double> phase1(static_cast<size_t>(total), 0.0);
-        for (int c = n_; c < total; ++c) phase1[static_cast<size_t>(c)] = 1.0;
-        if (!runSimplex(phase1, total)) return SolveStatus::Unbounded;
-        if (objectiveOf(phase1) > 1e-6) return SolveStatus::Infeasible;
-
-        // Drive remaining artificials out of the basis where possible;
-        // rows where no structural pivot exists are redundant.
-        for (int r = 0; r < m_; ++r) {
-            if (basis_[static_cast<size_t>(r)] < n_) continue;
-            for (int c = 0; c < n_; ++c) {
-                if (std::abs(a_[static_cast<size_t>(r)][static_cast<size_t>(c)]) >
-                    1e-7) {
-                    pivot(r, c);
-                    break;
-                }
-            }
-        }
-
-        // Phase 2: real costs. Artificial columns are excluded from
-        // entering selection (they can never profitably re-enter), which
-        // also retires the old 1e12 big-M cost hack: any artificial still
-        // basic sits at ~0 on a redundant row and carries zero cost.
-        std::vector<double> phase2(static_cast<size_t>(total), 0.0);
-        for (int c = 0; c < n_; ++c) {
-            phase2[static_cast<size_t>(c)] = cost[static_cast<size_t>(c)];
-        }
-        if (!runSimplex(phase2, n_)) return SolveStatus::Unbounded;
-
-        x->assign(static_cast<size_t>(n_), 0.0);
-        for (int r = 0; r < m_; ++r) {
-            const int bc = basis_[static_cast<size_t>(r)];
-            if (bc < n_) (*x)[static_cast<size_t>(bc)] = b_[static_cast<size_t>(r)];
-        }
-        *obj = 0.0;
-        for (int c = 0; c < n_; ++c) {
-            *obj += cost[static_cast<size_t>(c)] * (*x)[static_cast<size_t>(c)];
-        }
-        return SolveStatus::Optimal;
-    }
-
-    /// Pivots performed across both phases (flushed to the counter
-    /// registry by solveLpLegacy, keeping the pivot loop registry-free).
-    [[nodiscard]] long pivots() const { return pivots_; }
-
-private:
-    [[nodiscard]] double objectiveOf(const std::vector<double>& cost) const {
-        double v = 0.0;
-        for (int r = 0; r < m_; ++r) {
-            v += cost[static_cast<size_t>(basis_[static_cast<size_t>(r)])] *
-                 b_[static_cast<size_t>(r)];
-        }
-        return v;
-    }
-
-    /// Primal simplex with the given cost vector, pricing columns
-    /// [0, pricingLimit). Maintains the reduced cost row incrementally.
-    /// Returns false on unboundedness.
-    bool runSimplex(const std::vector<double>& cost, int pricingLimit) {
-        const size_t total = cost.size();
-        // Canonicalize the reduced-cost row against the current basis.
-        red_ = cost;
-        for (int r = 0; r < m_; ++r) {
-            const double cb =
-                cost[static_cast<size_t>(basis_[static_cast<size_t>(r)])];
-            if (cb == 0.0) continue;  // lint-ok: float-equality
-            const auto& row = a_[static_cast<size_t>(r)];
-            for (size_t c = 0; c < total; ++c) red_[c] -= cb * row[c];
-        }
-
-        const long maxIter = 20L * (m_ + static_cast<long>(total)) + 2000;
-        for (long iterations = 0;; ++iterations) {
-            if (iterations > maxIter) break;  // stall guard
-            const bool useBland = iterations > maxIter / 2;
-
-            int entering = -1;
-            double best = -1e-7;
-            for (int c = 0; c < pricingLimit; ++c) {
-                if (red_[static_cast<size_t>(c)] < best) {
-                    entering = c;
-                    if (useBland) break;
-                    best = red_[static_cast<size_t>(c)];
-                }
-            }
-            if (entering < 0) return true;  // optimal
-
-            int leaving = -1;
-            double bestRatio = 0.0;
-            for (int r = 0; r < m_; ++r) {
-                const double arc =
-                    a_[static_cast<size_t>(r)][static_cast<size_t>(entering)];
-                if (arc > kEps) {
-                    const double ratio = b_[static_cast<size_t>(r)] / arc;
-                    if (leaving < 0 || ratio < bestRatio - kEps ||
-                        (ratio < bestRatio + kEps &&
-                         basis_[static_cast<size_t>(r)] <
-                             basis_[static_cast<size_t>(leaving)])) {
-                        leaving = r;
-                        bestRatio = ratio;
-                    }
-                }
-            }
-            if (leaving < 0) return false;  // unbounded
-            pivot(leaving, entering);
-        }
-        return true;
-    }
-
-    void pivot(int row, int col) {
-        ++pivots_;
-        auto& prow = a_[static_cast<size_t>(row)];
-        const double pv = prow[static_cast<size_t>(col)];
-        STREAK_ASSERT(std::abs(pv) > kEps,
-                      "pivot on near-zero element {} at row {}, column {}",
-                      pv, row, col);
-        const size_t width = prow.size();
-        for (double& v : prow) v /= pv;
-        b_[static_cast<size_t>(row)] /= pv;
-        for (int r = 0; r < m_; ++r) {
-            if (r == row) continue;
-            auto& rr = a_[static_cast<size_t>(r)];
-            const double factor = rr[static_cast<size_t>(col)];
-            if (factor == 0.0) continue;  // lint-ok: float-equality
-            for (size_t c = 0; c < width; ++c) rr[c] -= factor * prow[c];
-            rr[static_cast<size_t>(col)] = 0.0;  // fight round-off drift
-            b_[static_cast<size_t>(r)] -= factor * b_[static_cast<size_t>(row)];
-        }
-        if (!red_.empty()) {
-            const double factor = red_[static_cast<size_t>(col)];
-            if (factor != 0.0) {  // lint-ok: float-equality
-                for (size_t c = 0; c < width; ++c) red_[c] -= factor * prow[c];
-                red_[static_cast<size_t>(col)] = 0.0;
-            }
-        }
-        basis_[static_cast<size_t>(row)] = col;
-    }
-
-    int n_;
-    int m_;
-    std::vector<std::vector<double>> a_;
-    std::vector<double> b_;
-    std::vector<double> red_;
-    std::vector<int> basis_;
-    long pivots_ = 0;
-};
-
 }  // namespace
 
-Solution solveLp(const Model& model) { return solveLp(model, LpOptions{}); }
-
-Solution solveLp(const Model& model, const LpOptions& opts) {
+Solution solveLp(const Model& model, const robust::Ticket& control) {
     STREAK_FAULT_POINT("lp/solve");
     LpTally tally;
     tally.solves = 1;
@@ -699,41 +439,14 @@ Solution solveLp(const Model& model, const LpOptions& opts) {
         cost[static_cast<size_t>(v)] = model.objectiveCoeff(v);
     }
 
+    BoundedSimplex simplex(nStruct, p.m);
+    simplex.setControl(control);
+    buildBounded(p, &simplex);
     std::vector<double> x;
     double obj = 0.0;
-    bool solved = false;
-
-    if (opts.warmBasis != nullptr && !opts.warmBasis->empty()) {
-        BoundedSimplex warm(nStruct, p.m);
-        warm.setControl(opts.control);
-        buildBounded(p, &warm);
-        SolveStatus st{};
-        if (warm.warmSolve(*opts.warmBasis, cost, &x, &obj, &st)) {
-            tally.warmStarts = 1;
-            tally.pivots = warm.pivots();
-            tally.boundFlips = warm.boundFlips();
-            sol.status = st;
-            if (st == SolveStatus::Optimal && opts.basisOut != nullptr) {
-                warm.exportBasis(opts.basisOut);
-            }
-            solved = true;
-        } else {
-            tally.warmFallbacks = 1;
-            tally.pivots = warm.pivots();
-        }
-    }
-
-    if (!solved) {
-        BoundedSimplex cold(nStruct, p.m);
-        cold.setControl(opts.control);
-        buildBounded(p, &cold);
-        sol.status = cold.solve(cost, &x, &obj);
-        tally.pivots += cold.pivots();
-        tally.boundFlips += cold.boundFlips();
-        if (sol.status == SolveStatus::Optimal && opts.basisOut != nullptr) {
-            cold.exportBasis(opts.basisOut);
-        }
-    }
+    sol.status = simplex.solve(cost, &x, &obj);
+    tally.pivots = simplex.pivots();
+    tally.boundFlips = simplex.boundFlips();
 
     if (sol.status != SolveStatus::Optimal) return sol;
     sol.values.assign(static_cast<size_t>(p.n), 0.0);
@@ -742,89 +455,6 @@ Solution solveLp(const Model& model, const LpOptions& opts) {
             x[static_cast<size_t>(v)] + p.shift[static_cast<size_t>(v)];
     }
     sol.objective = obj + p.constant;
-    return sol;
-}
-
-Solution solveLpLegacy(const Model& model) {
-    // Shift variables so every lower bound becomes 0, emit bound rows for
-    // finite upper bounds, add slack/surplus columns to reach Ax = b with
-    // b >= 0.
-    LpTally tally;
-    tally.solves = 1;
-    const int n = model.numVariables();
-    std::vector<double> shift(static_cast<size_t>(n), 0.0);
-    double constant = model.objectiveConstant;
-    for (int v = 0; v < n; ++v) {
-        shift[static_cast<size_t>(v)] = model.lower(v);
-        constant += model.objectiveCoeff(v) * model.lower(v);
-    }
-
-    struct NormRow {
-        std::vector<std::pair<int, double>> coeffs;
-        Sense sense;
-        double rhs;
-    };
-    std::vector<NormRow> rows;
-    rows.reserve(model.rows().size());
-    for (const Row& r : model.rows()) {
-        NormRow nr{r.coeffs, r.sense, r.rhs};
-        for (const auto& [v, coef] : r.coeffs) {
-            nr.rhs -= coef * shift[static_cast<size_t>(v)];
-        }
-        rows.push_back(std::move(nr));
-    }
-    for (int v = 0; v < n; ++v) {
-        const double ub = model.upper(v);
-        if (ub < kInfinity) {
-            rows.push_back({{{v, 1.0}},
-                            Sense::LessEqual,
-                            ub - shift[static_cast<size_t>(v)]});
-        }
-    }
-
-    const int m = static_cast<int>(rows.size());
-    int numSlack = 0;
-    for (const NormRow& r : rows) {
-        if (r.sense != Sense::Equal) ++numSlack;
-    }
-    const int structural = n + numSlack;
-    SimplexTableau tableau(structural, m);
-    std::vector<double> cost(static_cast<size_t>(structural), 0.0);
-    for (int v = 0; v < n; ++v) {
-        cost[static_cast<size_t>(v)] = model.objectiveCoeff(v);
-    }
-
-    int slackCol = n;
-    for (int i = 0; i < m; ++i) {
-        NormRow& r = rows[static_cast<size_t>(i)];
-        double sign = 1.0;
-        if (r.rhs < 0.0) {
-            sign = -1.0;
-            r.rhs = -r.rhs;
-            if (r.sense == Sense::LessEqual) r.sense = Sense::GreaterEqual;
-            else if (r.sense == Sense::GreaterEqual) r.sense = Sense::LessEqual;
-        }
-        for (const auto& [v, coef] : r.coeffs) tableau.setCoeff(i, v, sign * coef);
-        tableau.setRhs(i, r.rhs);
-        if (r.sense == Sense::LessEqual) {
-            tableau.setCoeff(i, slackCol++, 1.0);
-        } else if (r.sense == Sense::GreaterEqual) {
-            tableau.setCoeff(i, slackCol++, -1.0);
-        }
-    }
-
-    Solution sol;
-    std::vector<double> x;
-    double obj = 0.0;
-    sol.status = tableau.solve(cost, &x, &obj);
-    tally.pivots = tableau.pivots();
-    if (sol.status != SolveStatus::Optimal) return sol;
-    sol.values.assign(static_cast<size_t>(n), 0.0);
-    for (int v = 0; v < n; ++v) {
-        sol.values[static_cast<size_t>(v)] =
-            x[static_cast<size_t>(v)] + shift[static_cast<size_t>(v)];
-    }
-    sol.objective = obj + constant;
     return sol;
 }
 

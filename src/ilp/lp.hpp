@@ -2,73 +2,26 @@
 // branch-and-bound ILP solver. Small and deterministic; adequate for the
 // per-component subproblems Streak produces.
 //
-// Two engines (DESIGN.md "Performance"):
-//
-//   Bounded   the default: bounded-variable simplex on a flat row-major
-//             tableau. Finite upper bounds are handled by nonbasic-at-
-//             upper statuses and bound flips instead of one explicit
-//             `<=` row + artificial per bounded variable, which roughly
-//             halves the row count on Streak's 0/1 selection models and
-//             shrinks every pivot's row sweep. Supports basis warm
-//             starts: branch-and-bound re-solves a child node phase-2
-//             only from the parent's final basis, falling back to a cold
-//             two-phase solve when the warmed basis is stale.
-//   Legacy    the original formulation (upper bounds as rows), kept
-//             compiled as the cross-check oracle for tests and
-//             before/after benches.
+// One engine (DESIGN.md "Performance"): a bounded-variable simplex on a
+// flat row-major tableau. Finite upper bounds are handled by nonbasic-at-
+// upper statuses and bound flips instead of one explicit `<=` row +
+// artificial per bounded variable, which roughly halves the row count on
+// Streak's 0/1 selection models and shrinks every pivot's row sweep.
+// Every solve is cold: phase 1 decides feasibility, phase 2 optimizes.
 #pragma once
-
-#include <cstdint>
-#include <vector>
 
 #include "ilp/model.hpp"
 #include "robust/control.hpp"
 
 namespace streak::ilp {
 
-/// Which simplex formulation solves the LP relaxations.
-enum class LpEngine {
-    Bounded,  ///< bounded-variable simplex, warm-startable (default)
-    Legacy,   ///< explicit upper-bound rows (oracle / "before" mode)
-};
-
-/// A simplex basis snapshot, valid for any model with the same rows (in
-/// the same order, with the same senses) and the same variable count —
-/// exactly what branch-and-bound produces, where children differ from
-/// the parent only in variable bounds.
-struct LpBasis {
-    /// Basic column per row, in the bounded engine's column layout:
-    /// [0, n) structural, [n, n+numSlack) slacks in row order, then one
-    /// artificial per row.
-    std::vector<int> basic;
-    /// Per *structural* variable: nonbasic at its upper bound (rather
-    /// than at its lower bound). Slacks and artificials are never at an
-    /// upper bound (theirs is infinite / zero).
-    std::vector<std::uint8_t> atUpper;
-
-    [[nodiscard]] bool empty() const { return basic.empty(); }
-};
-
-struct LpOptions {
-    /// When set, try a phase-2-only solve from this basis; cold-solves
-    /// if the basis is singular or infeasible for the current bounds.
-    const LpBasis* warmBasis = nullptr;
-    /// When set, receives the final basis of an Optimal solve (left
-    /// untouched otherwise) for warm-starting the next solve.
-    LpBasis* basisOut = nullptr;
-    /// Deadline/cancellation ticket polled every few hundred pivots
-    /// (idle by default; never influences pivot choices).
-    robust::Ticket control;
-};
-
-/// Solve the model as a *continuous* LP (integrality flags ignored) with
-/// the bounded-variable engine. Finite bounds are handled by shifting
-/// lower bounds to zero and keeping upper bounds implicit in the simplex.
-/// Status is Optimal, Infeasible, or Unbounded.
-[[nodiscard]] Solution solveLp(const Model& model);
-[[nodiscard]] Solution solveLp(const Model& model, const LpOptions& opts);
-
-/// The original explicit-row formulation, kept as the equivalence oracle.
-[[nodiscard]] Solution solveLpLegacy(const Model& model);
+/// Solve the model as a *continuous* LP (integrality flags ignored).
+/// Finite bounds are handled by shifting lower bounds to zero and keeping
+/// upper bounds implicit in the simplex. Status is Optimal, Infeasible,
+/// or Unbounded. `control` is the deadline/cancellation ticket polled
+/// every few dozen pivots (idle by default; never influences pivot
+/// choices).
+[[nodiscard]] Solution solveLp(const Model& model,
+                               const robust::Ticket& control = {});
 
 }  // namespace streak::ilp

@@ -34,8 +34,9 @@
 // differ.
 //
 // This module is also the project's one sanctioned home (with
-// src/parallel) for raw std::chrono timing — tools/streak_lint rejects
-// steady_clock use anywhere else; time code through obs::Stopwatch.
+// src/parallel) for raw std::chrono timing — streak_analyze's raw-timing
+// rule rejects steady_clock use anywhere else; time code through
+// obs::Stopwatch.
 #pragma once
 
 #include <atomic>

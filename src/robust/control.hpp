@@ -60,9 +60,10 @@ private:
 enum class Trip { None, Cancelled, DeadlineExpired };
 
 /// Copyable handle over (deadline, cancel) that rides inside
-/// StreakOptions — and therefore inside Problem::opts, BnbOptions,
-/// LpOptions and MazeOptions — down to every hot loop. Default-
-/// constructed tickets are idle and cost one branch per checkpoint.
+/// StreakOptions — and therefore inside Problem::opts, BnbOptions and
+/// MazeOptions, and into every ilp::solveLp call — down to every hot
+/// loop. Default-constructed tickets are idle and cost one branch per
+/// checkpoint.
 class Ticket {
 public:
     Ticket() = default;

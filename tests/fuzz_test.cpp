@@ -206,20 +206,24 @@ TEST(CheckpointFuzz, EveryBitFlipIsRejectedStructurally) {
 TEST(CheckpointFuzz, VersionSkewIsRejectedEvenWithAValidChecksum) {
     // Patch the u32 format version (offset 8, little-endian) and repair
     // the trailing FNV-1a so the rejection is the version check itself,
-    // not a checksum side effect.
-    std::string buf = tinyCheckpointBuffer();
-    ASSERT_GT(buf.size(), 16u);
-    buf[8] = static_cast<char>(eco::kCheckpointVersion + 1);
-    std::uint64_t h = 14695981039346656037ull;
-    for (size_t i = 0; i + 8 < buf.size(); ++i) {
-        h ^= static_cast<unsigned char>(buf[i]);
-        h *= 1099511628211ull;
+    // not a checksum side effect. Both directions: a file from a newer
+    // writer, and an older one (v1 still carried the LP engine options).
+    for (const int version :
+         {eco::kCheckpointVersion + 1, eco::kCheckpointVersion - 1}) {
+        std::string buf = tinyCheckpointBuffer();
+        ASSERT_GT(buf.size(), 16u);
+        buf[8] = static_cast<char>(version);
+        std::uint64_t h = 14695981039346656037ull;
+        for (size_t i = 0; i + 8 < buf.size(); ++i) {
+            h ^= static_cast<unsigned char>(buf[i]);
+            h *= 1099511628211ull;
+        }
+        for (int i = 0; i < 8; ++i) {
+            buf[buf.size() - 8 + static_cast<size_t>(i)] =
+                static_cast<char>((h >> (8 * i)) & 0xffu);
+        }
+        EXPECT_TRUE(rejectsStructurally(buf)) << "version " << version;
     }
-    for (int i = 0; i < 8; ++i) {
-        buf[buf.size() - 8 + static_cast<size_t>(i)] =
-            static_cast<char>((h >> (8 * i)) & 0xffu);
-    }
-    EXPECT_TRUE(rejectsStructurally(buf));
 }
 
 TEST(CheckpointFuzz, GarbageBuffersAreRejectedStructurally) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "ilp/lp.hpp"
 
 namespace streak::ilp {
@@ -113,38 +117,55 @@ TEST(SolveIlp, NodeLimitReportsFeasibleOrLimit) {
     EXPECT_LE(stats.nodesExplored, 3);
 }
 
+/// Brute-force oracle for a mixed 0/1 model: enumerate every assignment
+/// of the integer variables, fix them through their bounds, and solve
+/// the continuous rest as an LP. Returns the best objective, or +inf when
+/// no assignment is feasible.
+double exhaustiveOptimum(const Model& model) {
+    std::vector<int> binaries;
+    for (int v = 0; v < model.numVariables(); ++v) {
+        if (model.isInteger(v)) binaries.push_back(v);
+    }
+    EXPECT_LE(binaries.size(), 20u) << "too many binaries to enumerate";
+    double best = kInfinity;
+    for (long mask = 0; mask < (1L << binaries.size()); ++mask) {
+        Model fixed;
+        size_t next = 0;
+        for (int v = 0; v < model.numVariables(); ++v) {
+            double lo = model.lower(v);
+            double hi = model.upper(v);
+            if (model.isInteger(v)) {
+                lo = hi = static_cast<double>((mask >> next++) & 1);
+            }
+            fixed.addVariable(model.objectiveCoeff(v), false, lo, hi);
+        }
+        for (const Row& r : model.rows()) fixed.addRow(r);
+        fixed.objectiveConstant = model.objectiveConstant;
+        const Solution s = solveLp(fixed);
+        if (s.status == SolveStatus::Optimal) {
+            best = std::min(best, s.objective);
+        }
+    }
+    return best;
+}
+
 TEST(SolveIlp, OptimalMatchesExhaustiveOnSmallInstance) {
-    // 4 binaries, random-ish costs, one knapsack row: compare against
-    // brute force.
+    // 4 binaries, random-ish costs, one knapsack row.
     const double cost[4] = {3.0, -5.0, 2.0, -4.0};
     const double weight[4] = {2.0, 3.0, 1.0, 2.0};
     Model m;
-    std::vector<int> v;
     std::vector<std::pair<int, double>> knap;
     for (int i = 0; i < 4; ++i) {
-        v.push_back(m.addVariable(cost[i], true));
-        knap.emplace_back(v.back(), weight[i]);
+        knap.emplace_back(m.addVariable(cost[i], true), weight[i]);
     }
     m.addRow(std::move(knap), Sense::LessEqual, 4.0);
-
-    double best = 0.0;
-    for (int mask = 0; mask < 16; ++mask) {
-        double c = 0.0, w = 0.0;
-        for (int i = 0; i < 4; ++i) {
-            if (mask & (1 << i)) {
-                c += cost[i];
-                w += weight[i];
-            }
-        }
-        if (w <= 4.0) best = std::min(best, c);
-    }
     const Solution s = solveIlp(m);
     ASSERT_EQ(s.status, SolveStatus::Optimal);
-    EXPECT_NEAR(s.objective, best, kTol);
+    EXPECT_NEAR(s.objective, exhaustiveOptimum(m), kTol);
 }
 
 // ---------------------------------------------------------------------------
-// Engine / warm-start equivalence at the branch-and-bound level
+// Branch and bound against brute force on Streak-shaped models
 // ---------------------------------------------------------------------------
 
 /// Streak-shaped selection model: groups of binary candidates, shared
@@ -180,39 +201,14 @@ Model selectionModel(int groups, int seedOffset) {
     return m;
 }
 
-TEST(SolveIlp, WarmStartAndEngineChoicesAgreeOnObjective) {
+TEST(SolveIlp, SelectionModelsMatchExhaustive) {
     for (int trial = 0; trial < 6; ++trial) {
         const Model m = selectionModel(2 + trial % 4, trial);
-
-        BnbOptions warm;  // defaults: Bounded engine, warm starts on
-        BnbOptions cold = warm;
-        cold.lpWarmStart = false;
-        BnbOptions legacy = warm;
-        legacy.lpEngine = LpEngine::Legacy;
-
-        const Solution a = solveIlp(m, warm);
-        const Solution b = solveIlp(m, cold);
-        const Solution c = solveIlp(m, legacy);
-        ASSERT_EQ(a.status, SolveStatus::Optimal) << "trial " << trial;
-        ASSERT_EQ(b.status, SolveStatus::Optimal) << "trial " << trial;
-        ASSERT_EQ(c.status, SolveStatus::Optimal) << "trial " << trial;
-        EXPECT_NEAR(a.objective, b.objective, kTol) << "trial " << trial;
-        EXPECT_NEAR(a.objective, c.objective, kTol) << "trial " << trial;
+        const Solution s = solveIlp(m);
+        ASSERT_EQ(s.status, SolveStatus::Optimal) << "trial " << trial;
+        EXPECT_NEAR(s.objective, exhaustiveOptimum(m), kTol)
+            << "trial " << trial;
     }
-}
-
-TEST(SolveIlp, WarmStartPreservesInfeasibilityProof) {
-    Model m;
-    const int x = m.addVariable(1.0, true);
-    const int y = m.addVariable(1.0, true);
-    m.addRow({{x, 1.0}, {y, 1.0}}, Sense::Equal, 1.0);
-    m.addRow({{x, 1.0}, {y, -1.0}}, Sense::GreaterEqual, 0.5);
-    m.addRow({{y, 1.0}, {x, -1.0}}, Sense::GreaterEqual, 0.5);
-    BnbOptions warm;
-    BnbOptions legacy;
-    legacy.lpEngine = LpEngine::Legacy;
-    EXPECT_EQ(solveIlp(m, warm).status, SolveStatus::Infeasible);
-    EXPECT_EQ(solveIlp(m, legacy).status, SolveStatus::Infeasible);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <random>
 
+#include "lp_legacy.hpp"
+
 namespace streak::ilp {
 namespace {
 
@@ -220,108 +222,6 @@ TEST(LpEquivalence, SelectionModelsMatchLegacyFormulation) {
         EXPECT_NEAR(bounded.objective, legacy.objective, kTol)
             << "trial " << trial;
     }
-}
-
-// ---------------------------------------------------------------------------
-// Basis warm starts
-// ---------------------------------------------------------------------------
-
-TEST(LpWarmStart, ChildBoundFixingsResolveToColdObjective) {
-    // Parent: a selection LP. Children: each variable fixed to 0 / 1 in
-    // turn (exactly what branch-and-bound does), re-solved from the
-    // parent basis; objective and status must match the cold solve.
-    Model parent;
-    const int a = parent.addVariable(5.0, true, 0.0, 1.0);
-    const int b = parent.addVariable(3.0, true, 0.0, 1.0);
-    const int c = parent.addVariable(9.0, true, 0.0, 1.0);
-    parent.addRow({{a, 1.0}, {b, 1.0}, {c, 1.0}}, Sense::Equal, 1.0);
-    parent.addRow({{a, 1.0}, {c, 1.0}}, Sense::LessEqual, 1.0);
-
-    LpBasis basis;
-    LpOptions opts;
-    opts.basisOut = &basis;
-    const Solution root = solveLp(parent, opts);
-    ASSERT_EQ(root.status, SolveStatus::Optimal);
-    ASSERT_FALSE(basis.empty());
-
-    for (const int var : {a, b, c}) {
-        for (const double fix : {0.0, 1.0}) {
-            Model child;
-            for (int v = 0; v < parent.numVariables(); ++v) {
-                const bool fixed = v == var;
-                child.addVariable(parent.objectiveCoeff(v), true,
-                                  fixed ? fix : parent.lower(v),
-                                  fixed ? fix : parent.upper(v));
-            }
-            for (const Row& r : parent.rows()) child.addRow(r);
-
-            LpOptions warmOpts;
-            warmOpts.warmBasis = &basis;
-            const Solution warm = solveLp(child, warmOpts);
-            const Solution cold = solveLp(child);
-            ASSERT_EQ(warm.status, cold.status)
-                << "var " << var << " fixed to " << fix;
-            if (cold.status == SolveStatus::Optimal) {
-                EXPECT_NEAR(warm.objective, cold.objective, kTol)
-                    << "var " << var << " fixed to " << fix;
-            }
-        }
-    }
-}
-
-TEST(LpWarmStart, RandomChildrenMatchColdSolves) {
-    std::mt19937 rng(4242);
-    std::uniform_real_distribution<double> unit(0.0, 1.0);
-    for (int trial = 0; trial < 25; ++trial) {
-        const Model parent = randomModel(&rng);
-        LpBasis basis;
-        LpOptions opts;
-        opts.basisOut = &basis;
-        const Solution root = solveLp(parent, opts);
-        if (root.status != SolveStatus::Optimal) continue;
-
-        // Child: tighten one finite-bounded variable to one of its ends.
-        Model child;
-        int target = -1;
-        for (int v = 0; v < parent.numVariables(); ++v) {
-            if (parent.upper(v) < kInfinity) target = v;
-        }
-        for (int v = 0; v < parent.numVariables(); ++v) {
-            double lo = parent.lower(v);
-            double hi = parent.upper(v);
-            if (v == target) {
-                if (unit(rng) < 0.5) hi = lo;
-                else lo = hi;
-            }
-            child.addVariable(parent.objectiveCoeff(v), false, lo, hi);
-        }
-        for (const Row& r : parent.rows()) child.addRow(r);
-
-        LpOptions warmOpts;
-        warmOpts.warmBasis = &basis;
-        const Solution warm = solveLp(child, warmOpts);
-        const Solution cold = solveLp(child);
-        ASSERT_EQ(warm.status, cold.status) << "trial " << trial;
-        if (cold.status == SolveStatus::Optimal) {
-            EXPECT_NEAR(warm.objective, cold.objective, kTol)
-                << "trial " << trial;
-        }
-    }
-}
-
-TEST(LpWarmStart, GarbageBasisFallsBackToColdSolve) {
-    Model m;
-    const int x = m.addVariable(-1.0, false, 0.0, 3.0);
-    const int y = m.addVariable(-2.0, false, 0.0, 2.0);
-    m.addRow({{x, 1.0}, {y, 1.0}}, Sense::LessEqual, 4.0);
-
-    LpBasis junk;
-    junk.basic = {999};  // out-of-range column
-    LpOptions opts;
-    opts.warmBasis = &junk;
-    const Solution s = solveLp(m, opts);
-    ASSERT_EQ(s.status, SolveStatus::Optimal);
-    EXPECT_NEAR(s.objective, -6.0, kTol);
 }
 
 }  // namespace

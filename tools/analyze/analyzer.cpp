@@ -187,37 +187,34 @@ UnorderedDecls collectUnorderedDecls(const LexedSource& lexed) {
 
 class TokenRulePass {
 public:
-    TokenRulePass(const FileContext& ctx, const AnalyzerOptions& opts,
-                  std::vector<Finding>* out)
-        : ctx_(ctx), opts_(opts), out_(out) {}
+    TokenRulePass(const FileContext& ctx, std::vector<Finding>* out)
+        : ctx_(ctx), out_(out) {}
 
     void run() {
         const LexedSource& lexed = ctx_.file->lexed;
-        if (opts_.legacyRules) {
-            if (ctx_.isHeader && !lexed.pragmaOnce) {
-                add(1, "pragma-once", "header is missing #pragma once");
+        if (ctx_.isHeader && !lexed.pragmaOnce) {
+            add(1, "pragma-once", "header is missing #pragma once");
+        }
+        for (const IncludeDirective& inc : lexed.includes) {
+            if (!inc.angled && (startsWith(inc.path, "../") ||
+                                startsWith(inc.path, "./"))) {
+                add(inc.line, "relative-include",
+                    "relative include bypasses module boundaries; use "
+                    "the module-qualified path");
             }
-            for (const IncludeDirective& inc : lexed.includes) {
-                if (!inc.angled && (startsWith(inc.path, "../") ||
-                                    startsWith(inc.path, "./"))) {
-                    add(inc.line, "relative-include",
-                        "relative include bypasses module boundaries; use "
-                        "the module-qualified path");
-                }
-                if (inc.angled &&
-                    (inc.path == "cassert" || inc.path == "assert.h")) {
-                    add(inc.line, "bare-assert",
-                        "bare assert() reports no context; use STREAK_ASSERT "
-                        "/ STREAK_REQUIRE / STREAK_INVARIANT");
-                }
+            if (inc.angled &&
+                (inc.path == "cassert" || inc.path == "assert.h")) {
+                add(inc.line, "bare-assert",
+                    "bare assert() reports no context; use STREAK_ASSERT "
+                    "/ STREAK_REQUIRE / STREAK_INVARIANT");
             }
         }
         const std::vector<Token>& toks = lexed.tokens;
         for (size_t i = 0; i < toks.size(); ++i) {
-            if (opts_.legacyRules) runLegacyAt(toks, i);
-            if (opts_.determinismRules) runDeterminismAt(toks, i);
-            if (opts_.robustnessRules) runRobustnessAt(toks, i);
-            if (opts_.observabilityRules) runObservabilityAt(toks, i);
+            runLegacyAt(toks, i);
+            runDeterminismAt(toks, i);
+            runRobustnessAt(toks, i);
+            runObservabilityAt(toks, i);
         }
     }
 
@@ -466,7 +463,6 @@ private:
     }
 
     const FileContext& ctx_;
-    const AnalyzerOptions& opts_;
     std::vector<Finding>* out_;
 };
 
@@ -659,12 +655,10 @@ std::vector<Finding> analyze(const std::vector<SourceFile>& files,
     // companion header (wire_ declared in topology.hpp, used in .cpp).
     std::set<std::string> globalFns;
     std::map<std::string, UnorderedDecls> declsOf;  // path -> decls
-    if (opts.determinismRules) {
-        for (const SourceFile& f : files) {
-            UnorderedDecls d = collectUnorderedDecls(f.lexed);
-            globalFns.insert(d.fns.begin(), d.fns.end());
-            declsOf.emplace(f.path, std::move(d));
-        }
+    for (const SourceFile& f : files) {
+        UnorderedDecls d = collectUnorderedDecls(f.lexed);
+        globalFns.insert(d.fns.begin(), d.fns.end());
+        declsOf.emplace(f.path, std::move(d));
     }
     const auto companionOf = [](const std::string& path) -> std::string {
         const auto swap = [&](std::string_view from, std::string_view to) {
@@ -695,20 +689,17 @@ std::vector<Finding> analyze(const std::vector<SourceFile>& files,
         ctx.inFlow = startsWith(ctx.srcRel, "flow/");
         ctx.obsExempt = startsWith(ctx.srcRel, "obs/");
 
-        std::set<std::string> vars;
-        if (opts.determinismRules) {
-            vars = declsOf[f.path].vars;
-            const std::string companion = companionOf(f.path);
-            const auto it = declsOf.find(companion);
-            if (it != declsOf.end()) {
-                vars.insert(it->second.vars.begin(), it->second.vars.end());
-            }
-            ctx.unorderedVars = &vars;
-            ctx.unorderedFns = &globalFns;
+        std::set<std::string> vars = declsOf[f.path].vars;
+        const auto companion = declsOf.find(companionOf(f.path));
+        if (companion != declsOf.end()) {
+            vars.insert(companion->second.vars.begin(),
+                        companion->second.vars.end());
         }
+        ctx.unorderedVars = &vars;
+        ctx.unorderedFns = &globalFns;
 
         std::vector<Finding> raw;
-        TokenRulePass(ctx, opts, &raw).run();
+        TokenRulePass(ctx, &raw).run();
 
         std::vector<Marker> markers = collectMarkers(f.lexed, opts.markers);
         for (Finding& fd : raw) {
@@ -721,18 +712,16 @@ std::vector<Finding> analyze(const std::vector<SourceFile>& files,
             }
             if (!suppressed) findings.push_back(std::move(fd));
         }
-        if (opts.unusedSuppressions) {
-            for (const Marker& m : markers) {
-                if (!m.known) {
-                    findings.push_back(
-                        {f.path, m.line, "unused-suppression",
-                         "suppression names unknown rule '" + m.rule + "'"});
-                } else if (!m.used) {
-                    findings.push_back(
-                        {f.path, m.line, "unused-suppression",
-                         "suppression of '" + m.rule +
-                             "' suppresses nothing; remove the marker"});
-                }
+        for (const Marker& m : markers) {
+            if (!m.known) {
+                findings.push_back(
+                    {f.path, m.line, "unused-suppression",
+                     "suppression names unknown rule '" + m.rule + "'"});
+            } else if (!m.used) {
+                findings.push_back(
+                    {f.path, m.line, "unused-suppression",
+                     "suppression of '" + m.rule +
+                         "' suppresses nothing; remove the marker"});
             }
         }
     }

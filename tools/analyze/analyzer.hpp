@@ -1,11 +1,13 @@
 // Rule engine of the static-analysis subsystem (DESIGN.md "Static
 // analysis"). Runs two kinds of passes over lexed sources:
 //
-//  - token rules: the seven project lint rules carried over from
-//    streak_lint, the determinism rule pack (unordered-container
+//  - token rules: the seven project lint rules (banned functions, raw
+//    new/delete, pragma once, relative includes, float equality, bare
+//    assert, raw timing), the determinism rule pack (unordered-container
 //    iteration, pointer-keyed containers, thread-identity state, raw
-//    randomness), and the robustness pack (catch-all handlers outside
-//    the infrastructure modules, ad-hoc throws in flow code),
+//    randomness), the robustness pack (catch-all handlers outside the
+//    infrastructure modules, ad-hoc throws in flow code), and the
+//    observability pack (global obs-registry access outside src/obs),
 //  - the include-graph pass: module layering against the DAG declared in
 //    tools/analyze/layers.txt.
 //
@@ -64,13 +66,10 @@ struct LayerSpec {
 [[nodiscard]] bool parseLayerSpec(std::string_view text, std::string file,
                                   LayerSpec* spec, std::string* error);
 
+/// Every token rule always runs, and waivers that suppress nothing are
+/// always reported; only the layering pass is optional.
 struct AnalyzerOptions {
-    bool legacyRules = true;        // the seven streak_lint rules
-    bool determinismRules = true;   // the determinism rule pack
-    bool robustnessRules = true;    // catch-all / flow-throw pack
-    bool observabilityRules = true; // global obs-registry access pack
-    bool layering = true;           // requires `layers`
-    bool unusedSuppressions = true; // report waivers that suppress nothing
+    bool layering = true;  // requires `layers`
     /// Marker words that introduce a suppression in a comment.
     std::vector<std::string> markers = {"analyze-ok", "lint-ok"};
 };

@@ -1,5 +1,5 @@
-// Token-level C++ lexer shared by the static-analysis tools
-// (streak_analyze, streak_lint; DESIGN.md "Static analysis").
+// Token-level C++ lexer of the static analyzer (streak_analyze; DESIGN.md
+// "Static analysis").
 //
 // This is not a compiler front end: it produces a flat token stream with
 // line numbers, which is exactly the altitude the project rules need.

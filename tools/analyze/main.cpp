@@ -4,7 +4,7 @@
 //
 // Usage:
 //   streak_analyze [--layers <layers.txt>] [--sarif <out.json>]
-//                  [--no-layering] [--legacy-only] <dir-or-file>...
+//                  [--no-layering] <dir-or-file>...
 //
 // Exits 1 on any finding (unused suppression markers included), 2 on
 // usage or configuration errors. Findings print in the classic
@@ -38,8 +38,7 @@ bool readFile(const fs::path& p, std::string* out) {
 
 int usage() {
     std::cerr << "usage: streak_analyze [--layers <layers.txt>] "
-                 "[--sarif <out.json>] [--no-layering] [--legacy-only] "
-                 "<dir-or-file>...\n";
+                 "[--sarif <out.json>] [--no-layering] <dir-or-file>...\n";
     return 2;
 }
 
@@ -57,11 +56,6 @@ int main(int argc, char** argv) {
         } else if (arg == "--sarif" && a + 1 < argc) {
             sarifPath = argv[++a];
         } else if (arg == "--no-layering") {
-            opts.layering = false;
-        } else if (arg == "--legacy-only") {
-            opts.determinismRules = false;
-            opts.robustnessRules = false;
-            opts.observabilityRules = false;
             opts.layering = false;
         } else if (!arg.empty() && arg[0] == '-') {
             return usage();
