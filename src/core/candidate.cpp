@@ -52,7 +52,7 @@ BackboneShape makeShape(const grid::RoutingGrid& grid,
         pins += static_cast<int>(t.pins().size());
         appendCellKeys(grid, t.pins(), &viaKeys);
         appendCellKeys(grid, vias, &viaKeys);
-        for (const steiner::UnitEdge& e : t.wire()) {  // analyze-ok: unordered-iteration (keys are sorted before use)
+        for (const steiner::UnitEdge& e : t.wire()) {
             if (grid.contains(e.at) && grid.contains(e.other())) {
                 (e.horizontal ? hKeys : vKeys).push_back(e.at.y * width +
                                                          e.at.x);
@@ -125,7 +125,7 @@ std::vector<std::pair<int, int>> computeEdgeUse(const grid::RoutingGrid& grid,
                                                 const steiner::Topology& topo,
                                                 int hLayer, int vLayer) {
     std::vector<int> keys;
-    for (const steiner::UnitEdge& e : topo.wire()) {  // analyze-ok: unordered-iteration (keys are sorted before use)
+    for (const steiner::UnitEdge& e : topo.wire()) {
         const int layer = e.horizontal ? hLayer : vLayer;
         if (grid.validEdge(layer, e.at.x, e.at.y)) {
             keys.push_back(grid.edgeId(layer, e.at.x, e.at.y));

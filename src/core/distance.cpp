@@ -5,6 +5,8 @@
 #include <map>
 
 #include "core/similarity.hpp"
+#include "obs/session.hpp"
+#include "obs/trace.hpp"
 #include "robust/fault.hpp"
 
 namespace streak {
@@ -130,12 +132,17 @@ std::vector<GroupDistanceReport> analyzeDistances(
     const RoutingProblem& prob, const RoutedDesign& routed,
     double thresholdFraction, const std::vector<int>* fixedThresholds,
     parallel::RegionStats* parallelStats) {
+    STREAK_SPAN("distance/analyze");
     STREAK_FAULT_POINT("distance/analyze");
     parallel::ThreadPool pool(parallel::resolveThreads(prob.opts.threads));
     pool.setControl(prob.opts.control);
 
     const std::vector<std::vector<FamilyMember>> allFamilies =
         buildSinkFamiliesWith(prob, routed, pool);
+    // Routed bits whose distances each group computed (one slot per
+    // group, so the tasks never share one).
+    std::vector<long long> bitsAnalyzed(
+        static_cast<size_t>(prob.design->numGroups()), 0);
 
     // Groups analyze independently: a routed bit belongs to exactly one
     // group, so the per-bit BFS distance cache can live inside the task.
@@ -199,6 +206,8 @@ std::vector<GroupDistanceReport> analyzeDistances(
                 }
             }
         }
+        bitsAnalyzed[static_cast<size_t>(g)] =
+            static_cast<long long>(distCache.size());
         return rep;
     };
 
@@ -206,6 +215,11 @@ std::vector<GroupDistanceReport> analyzeDistances(
         pool.parallelMap<GroupDistanceReport>(prob.design->numGroups(),
                                               analyzeGroup);
     if (parallelStats != nullptr) parallelStats->merge(pool.stats());
+    if (obs::detailEnabled()) {
+        long long bits = 0;
+        for (const long long n : bitsAnalyzed) bits += n;
+        obs::session().counter("distance/analyze.bits").add(bits);
+    }
     return reports;
 }
 

@@ -246,9 +246,8 @@ void writeTopology(std::string* b, const steiner::Topology& topo) {
         putI32(b, p.y);
     }
     putI32(b, topo.driverIndex());
-    const std::vector<steiner::UnitEdge> wire = topo.sortedWire();
-    putU32(b, static_cast<std::uint32_t>(wire.size()));
-    for (const steiner::UnitEdge& e : wire) {
+    putU32(b, static_cast<std::uint32_t>(topo.wire().size()));
+    for (const steiner::UnitEdge& e : topo.wire()) {
         putI32(b, e.at.x);
         putI32(b, e.at.y);
         putU8(b, e.horizontal ? 1 : 0);

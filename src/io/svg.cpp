@@ -70,8 +70,9 @@ void writeSvg(const RoutedDesign& routed, std::ostream& os,
             (bit.hLayer * g.numLayers() + bit.vLayer) % kPalette.size());
         os << "<g stroke=\"" << kPalette[colour]
            << "\" stroke-width=\"2\" stroke-linecap=\"round\">\n";
-        // Sorted so the emitted SVG is byte-identical across toolchains.
-        for (const steiner::UnitEdge& e : bit.topo.sortedWire()) {
+        // The wire is sorted, so the SVG is byte-identical across
+        // toolchains.
+        for (const steiner::UnitEdge& e : bit.topo.wire()) {
             const geom::Point a = e.at;
             const geom::Point b = e.other();
             os << "<line x1=\"" << px(a.x) << "\" y1=\"" << py(a.y)

@@ -56,7 +56,7 @@ bool fits(const grid::EdgeUsage& usage, const steiner::Topology& t,
           const LayerPrediction& layers, ClusterWork* work) {
     ++work->fitsCalls;
     const grid::RoutingGrid& grid = usage.grid();
-    for (const steiner::UnitEdge& e : t.wire()) {  // analyze-ok: unordered-iteration (all-of check; order cannot escape)
+    for (const steiner::UnitEdge& e : t.wire()) {
         const int layer = e.horizontal ? layers.hLayer : layers.vLayer;
         if (!grid.validEdge(layer, e.at.x, e.at.y)) return false;
         if (usage.remaining(grid.edgeId(layer, e.at.x, e.at.y)) < 1) {
@@ -74,7 +74,7 @@ bool fits(const grid::EdgeUsage& usage, const steiner::Topology& t,
 void commit(grid::EdgeUsage* usage, const steiner::Topology& t,
             const LayerPrediction& layers) {
     const grid::RoutingGrid& grid = usage->grid();
-    for (const steiner::UnitEdge& e : t.wire()) {  // analyze-ok: unordered-iteration (commutative usage adds)
+    for (const steiner::UnitEdge& e : t.wire()) {
         const int layer = e.horizontal ? layers.hLayer : layers.vLayer;
         usage->add(grid.edgeId(layer, e.at.x, e.at.y), 1);
     }

@@ -20,8 +20,8 @@ LayerPrediction predictLayers(
         const double w = 1.0 / static_cast<double>(cands.size());
         for (const steiner::Topology& t : cands) {
             // Per-key accumulation: each edge gains w once per topology, in
-            // the deterministic candidate order, whatever the wire order.
-            for (const steiner::UnitEdge& e : t.wire()) u[e] += w;  // analyze-ok: unordered-iteration
+            // the deterministic candidate order.
+            for (const steiner::UnitEdge& e : t.wire()) u[e] += w;
         }
     }
     // The conflict sums below add doubles in visit order; materialize the

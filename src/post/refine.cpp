@@ -80,19 +80,17 @@ Detour makeDetour(const Connection& conn, int shift, bool positive) {
 /// endpoints start / end).
 std::vector<geom::Point> detourInteriorPoints(const Detour& det) {
     std::vector<geom::Point> pts;
-    const auto addPoints = [&](const geom::Segment& s, bool skipA, bool skipB) {
+    const auto addPoints = [&](const geom::Segment& s) {
         const geom::Segment c = s.canonical();
         if (c.horizontal()) {
             for (int x = c.a.x; x <= c.b.x; ++x) pts.push_back({x, c.a.y});
         } else {
             for (int y = c.a.y; y <= c.b.y; ++y) pts.push_back({c.a.x, y});
         }
-        (void)skipA;
-        (void)skipB;
     };
-    addPoints(det.leg1, true, false);
-    addPoints(det.mid, false, false);
-    addPoints(det.leg2, false, true);
+    addPoints(det.leg1);
+    addPoints(det.mid);
+    addPoints(det.leg2);
     std::erase(pts, det.removed.a);
     std::erase(pts, det.removed.b);
     return pts;
@@ -129,9 +127,9 @@ bool detourLegal(const RoutedDesign& routed, const steiner::Topology& topo,
     }
     // The detour must not touch the bit's own wire anywhere except at its
     // anchor points, or the tree gains cycles / the path shortens.
-    const std::unordered_set<geom::Point> own = topo.wirePoints();
+    const std::vector<geom::Point> own = topo.sortedWirePoints();
     for (const geom::Point p : detourInteriorPoints(det)) {
-        if (own.contains(p)) return false;
+        if (std::binary_search(own.begin(), own.end(), p)) return false;
     }
     // Pin-access model: the detour adds layer-change points; the increase
     // per cell must fit the remaining via slots.
@@ -257,7 +255,7 @@ std::vector<geom::Rect> groupSearchRegion(const StreakOptions& opts,
         if (pins.empty()) continue;
         geom::Rect box{pins.front(), pins.front()};
         for (const geom::Point p : pins) box.expand(p);
-        for (const geom::Point p : bit.topo.wirePoints()) box.expand(p);  // analyze-ok: unordered-iteration (commutative bbox expand)
+        for (const geom::Point p : bit.topo.sortedWirePoints()) box.expand(p);
         // Each violation applies at most one detour of shift
         // <= maxDetourShift, and a later connection may sit on wire a
         // previous detour already displaced — so the reachable region

@@ -18,7 +18,7 @@ bool patternRoute(const Design& design, grid::EdgeUsage* usage,
     for (const int h : g.layersOf(grid::Dir::Horizontal)) {
         for (const int v : g.layersOf(grid::Dir::Vertical)) {
             bool fits = true;
-            for (const steiner::UnitEdge& e : topo.wire()) {  // analyze-ok: unordered-iteration (all-of check; order cannot escape)
+            for (const steiner::UnitEdge& e : topo.wire()) {
                 const int layer = e.horizontal ? h : v;
                 if (!g.validEdge(layer, e.at.x, e.at.y) ||
                     usage->remaining(g.edgeId(layer, e.at.x, e.at.y)) < 1) {
@@ -27,7 +27,7 @@ bool patternRoute(const Design& design, grid::EdgeUsage* usage,
                 }
             }
             if (!fits) continue;
-            for (const steiner::UnitEdge& e : topo.wire()) {  // analyze-ok: unordered-iteration (commutative usage adds)
+            for (const steiner::UnitEdge& e : topo.wire()) {
                 const int layer = e.horizontal ? h : v;
                 usage->add(g.edgeId(layer, e.at.x, e.at.y), 1);
             }

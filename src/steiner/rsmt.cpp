@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <limits>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "check/assert.hpp"
@@ -172,10 +171,10 @@ Topology rectifyTree(const std::vector<geom::Point>& pins, int driver,
                     const std::array<UnitEdge, 4> around{
                         UnitEdge{p, true}, UnitEdge{{p.x - 1, p.y}, true},
                         UnitEdge{p, false}, UnitEdge{{p.x, p.y - 1}, false}};
-                    for (const UnitEdge& e : around) {
-                        if (topo.wire().contains(e)) return true;
-                    }
-                    return false;
+                    return std::any_of(around.begin(), around.end(),
+                                       [&](const UnitEdge& e) {
+                                           return topo.hasEdge(e);
+                                       });
                 };
                 const bool lowerTouch = touches(cornerLower);
                 const bool upperTouch = touches(cornerUpper);
@@ -193,69 +192,56 @@ Topology rectifyTree(const std::vector<geom::Point>& pins, int driver,
     return topo;
 }
 
-namespace {
-
-/// Break cycles (overlapping L-shapes can create them) and trim dangling
-/// non-pin stubs, returning a proper tree covering all pins.
 Topology pruneToTree(const Topology& t) {
     if (t.isTree()) return t;
-    // Spanning tree via DFS over the wire graph. Which cycle edges get
-    // dropped depends on the neighbour visit order, so build the
-    // adjacency from the sorted wire view — hash-set order would make
-    // the pruned tree differ across standard libraries.
-    std::unordered_map<geom::Point, std::vector<geom::Point>> adj;
-    for (const UnitEdge& e : t.sortedWire()) {
-        adj[e.at].push_back(e.other());
-        adj[e.other()].push_back(e.at);
-    }
     Topology out(t.pins(), t.driverIndex());
     if (t.wire().empty()) return out;
-    std::unordered_set<geom::Point> seen;
-    std::vector<geom::Point> stack{t.driverPin()};
-    seen.insert(t.driverPin());
-    std::vector<geom::Segment> kept;
-    while (!stack.empty()) {
-        const geom::Point p = stack.back();
-        stack.pop_back();
-        const auto it = adj.find(p);
-        if (it == adj.end()) continue;
-        for (geom::Point q : it->second) {
-            if (seen.insert(q).second) {
-                kept.push_back({p, q});
+    // Spanning tree via DFS over the wire graph from the driver. Which
+    // cycle edges get dropped depends on the neighbour visit order, which
+    // the graph gives in sorted-edge order.
+    const WireGraph g = t.graph();
+    const std::vector<geom::Point>& pts = g.points();
+    std::vector<UnitEdge> kept;
+    if (const int root = g.indexOf(t.driverPin()); root >= 0) {
+        std::vector<char> seen(pts.size(), 0);
+        std::vector<int> stack{root};
+        seen[static_cast<size_t>(root)] = 1;
+        while (!stack.empty()) {
+            const int p = stack.back();
+            stack.pop_back();
+            for (const int q : g.neighbours(p)) {
+                if (seen[static_cast<size_t>(q)] != 0) continue;
+                seen[static_cast<size_t>(q)] = 1;
+                const geom::Point a = pts[static_cast<size_t>(std::min(p, q))];
+                const geom::Point b = pts[static_cast<size_t>(std::max(p, q))];
+                kept.push_back({a, a.y == b.y});
                 stack.push_back(q);
             }
         }
     }
-    for (const geom::Segment& s : kept) out.addSegment(s);
+    std::sort(kept.begin(), kept.end());
+    for (const UnitEdge& e : kept) out.addSegment(e.segment());
 
     // Trim degree-1 non-pin leaves repeatedly.
-    std::unordered_set<geom::Point> pinSet(t.pins().begin(), t.pins().end());
+    std::vector<geom::Point> pinSet = t.pins();
+    std::sort(pinSet.begin(), pinSet.end());
+    const auto isPin = [&](geom::Point p) {
+        return std::binary_search(pinSet.begin(), pinSet.end(), p);
+    };
     for (;;) {
-        const std::vector<UnitEdge> edges = out.sortedWire();
-        std::unordered_map<geom::Point, int> degree;
-        for (const UnitEdge& e : edges) {
-            ++degree[e.at];
-            ++degree[e.other()];
-        }
-        std::vector<UnitEdge> removable;
-        for (const UnitEdge& e : edges) {
-            const bool leafA = degree[e.at] == 1 && !pinSet.contains(e.at);
-            const bool leafB = degree[e.other()] == 1 && !pinSet.contains(e.other());
-            if (leafA || leafB) removable.push_back(e);
-        }
-        if (removable.empty()) break;
+        const WireGraph h = out.graph();
+        const auto leaf = [&](geom::Point p) {
+            return h.degree(h.indexOf(p)) == 1 && !isPin(p);
+        };
         Topology next(out.pins(), out.driverIndex());
-        std::unordered_set<UnitEdge, UnitEdgeHash> drop(removable.begin(),
-                                                        removable.end());
-        for (const UnitEdge& e : edges) {
-            if (!drop.contains(e)) next.addSegment(e.segment());
+        for (const UnitEdge& e : out.wire()) {
+            if (!leaf(e.at) && !leaf(e.other())) next.addSegment(e.segment());
         }
+        if (next.wirelength() == out.wirelength()) break;
         out = std::move(next);
     }
     return out;
 }
-
-}  // namespace
 
 std::vector<Topology> enumerateTopologies(const std::vector<geom::Point>& pins,
                                           int driver,
@@ -278,21 +264,23 @@ std::vector<Topology> enumerateTopologies(const std::vector<geom::Point>& pins,
 
     for (Topology& t : raw) t = pruneToTree(t);
 
-    // Dedupe by wire shape, then rank by wl + lambda * bends.
-    std::vector<Topology> unique;
+    // Dedupe by wire shape, then rank by wl + lambda * bends, with each
+    // cost computed once (bendCount() builds the wire graph).
+    std::vector<std::pair<int, Topology>> ranked;
     std::unordered_set<std::uint64_t> seen;
     for (Topology& t : raw) {
-        if (seen.insert(t.wireHash()).second) unique.push_back(std::move(t));
+        if (!seen.insert(t.wireHash()).second) continue;
+        const int cost = t.wirelength() + opts.bendPenalty * t.bendCount();
+        ranked.emplace_back(cost, std::move(t));
     }
-    std::stable_sort(unique.begin(), unique.end(),
-                     [&](const Topology& a, const Topology& b) {
-                         const int ca = a.wirelength() + opts.bendPenalty * a.bendCount();
-                         const int cb = b.wirelength() + opts.bendPenalty * b.bendCount();
-                         return ca < cb;
-                     });
-    if (static_cast<int>(unique.size()) > opts.maxCandidates) {
-        unique.resize(static_cast<size_t>(opts.maxCandidates));
+    std::stable_sort(ranked.begin(), ranked.end(),
+                     [](const auto& a, const auto& b) { return a.first < b.first; });
+    if (static_cast<int>(ranked.size()) > opts.maxCandidates) {
+        ranked.resize(static_cast<size_t>(opts.maxCandidates));
     }
+    std::vector<Topology> unique;
+    unique.reserve(ranked.size());
+    for (auto& [cost, t] : ranked) unique.push_back(std::move(t));
     return unique;
 }
 

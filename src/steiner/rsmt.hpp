@@ -50,6 +50,11 @@ enum class LMode {
                                    const std::vector<geom::Point>& steiner,
                                    LMode mode);
 
+/// Break the cycles of `t` (overlapping L-shapes can create them) and trim
+/// dangling non-pin stubs, returning a tree covering the pins the driver
+/// reaches. Trees come back unchanged.
+[[nodiscard]] Topology pruneToTree(const Topology& t);
+
 /// Knobs for candidate enumeration.
 struct EnumerateOptions {
     int maxCandidates = 4;

@@ -1,7 +1,6 @@
 #include "steiner/topology.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <stdexcept>
 
 #include "check/assert.hpp"
@@ -10,27 +9,39 @@ namespace streak::steiner {
 
 namespace {
 
-/// Wire incidence at a point: which of the four unit edges around `p`
-/// exist in `wire`.
-struct Incidence {
-    bool left = false, right = false, down = false, up = false;
+/// The unit edges of a straight segment, lowest first — already in wire
+/// order.
+struct Run {
+    geom::Point start;
+    bool horizontal = true;
+    int length = 0;
 
-    [[nodiscard]] int degree() const {
-        return int{left} + int{right} + int{down} + int{up};
+    [[nodiscard]] UnitEdge operator[](int i) const {
+        return horizontal ? UnitEdge{{start.x + i, start.y}, true}
+                          : UnitEdge{{start.x, start.y + i}, false};
     }
-    [[nodiscard]] bool hasHorizontal() const { return left || right; }
-    [[nodiscard]] bool hasVertical() const { return down || up; }
+    /// True when `e` has the run's orientation and row (or column). An
+    /// edge between run[0] and run[length - 1] in wire order that passes
+    /// this is an edge of the run.
+    [[nodiscard]] bool onLine(const UnitEdge& e) const {
+        return e.horizontal == horizontal &&
+               (horizontal ? e.at.y == start.y : e.at.x == start.x);
+    }
 };
 
-Incidence incidenceAt(const std::unordered_set<UnitEdge, UnitEdgeHash>& wire,
-                      geom::Point p) {
-    Incidence inc;
-    inc.right = wire.contains({p, true});
-    inc.left = wire.contains({{p.x - 1, p.y}, true});
-    inc.up = wire.contains({p, false});
-    inc.down = wire.contains({{p.x, p.y - 1}, false});
-    return inc;
+Run runOf(const geom::Segment& seg) {
+    const geom::Segment c = seg.canonical();
+    return {c.a, c.horizontal(), c.length()};
 }
+
+/// One end of wire edge `key / 2`: its `at` end for even keys, its
+/// other() end for odd ones.
+struct EdgeEnd {
+    geom::Point p;
+    int key = 0;
+
+    friend auto operator<=>(const EdgeEnd&, const EdgeEnd&) = default;
+};
 
 }  // namespace
 
@@ -46,11 +57,28 @@ void Topology::addSegment(const geom::Segment& seg) {
     STREAK_ASSERT(seg.rectilinear(),
                   "addSegment with diagonal ({},{})-({},{})",
                   seg.a.x, seg.a.y, seg.b.x, seg.b.y);
-    const geom::Segment c = seg.canonical();
-    if (c.horizontal()) {
-        for (int x = c.a.x; x < c.b.x; ++x) wire_.insert({{x, c.a.y}, true});
-    } else {
-        for (int y = c.a.y; y < c.b.y; ++y) wire_.insert({{c.a.x, y}, false});
+    const Run run = runOf(seg);
+    if (run.length == 0) return;
+    if (wire_.empty() || wire_.back() < run[0]) {
+        for (int i = 0; i < run.length; ++i) wire_.push_back(run[i]);
+        return;
+    }
+    // Merge the run in place from the back, skipping edges already there.
+    int fresh = 0;
+    for (int i = 0; i < run.length; ++i) fresh += hasEdge(run[i]) ? 0 : 1;
+    if (fresh == 0) return;
+    auto old = static_cast<std::ptrdiff_t>(wire_.size());
+    wire_.resize(wire_.size() + static_cast<size_t>(fresh));
+    auto out = static_cast<std::ptrdiff_t>(wire_.size());
+    for (int j = run.length - 1; j >= 0;) {
+        const UnitEdge e = run[j];
+        if (old > 0 && e <= wire_[static_cast<size_t>(old - 1)]) {
+            if (e == wire_[static_cast<size_t>(old - 1)]) --j;
+            wire_[static_cast<size_t>(--out)] = wire_[static_cast<size_t>(--old)];
+        } else {
+            wire_[static_cast<size_t>(--out)] = e;
+            --j;
+        }
     }
 }
 
@@ -67,33 +95,23 @@ void Topology::removeSegment(const geom::Segment& seg) {
     STREAK_ASSERT(seg.rectilinear(),
                   "removeSegment with diagonal ({},{})-({},{})",
                   seg.a.x, seg.a.y, seg.b.x, seg.b.y);
-    const geom::Segment c = seg.canonical();
-    if (c.horizontal()) {
-        for (int x = c.a.x; x < c.b.x; ++x) wire_.erase({{x, c.a.y}, true});
-    } else {
-        for (int y = c.a.y; y < c.b.y; ++y) wire_.erase({{c.a.x, y}, false});
-    }
+    const Run run = runOf(seg);
+    if (run.length == 0) return;
+    const auto first = std::lower_bound(wire_.begin(), wire_.end(), run[0]);
+    const auto last = std::upper_bound(first, wire_.end(), run[run.length - 1]);
+    wire_.erase(std::remove_if(first, last,
+                               [&](const UnitEdge& e) { return run.onLine(e); }),
+                last);
 }
 
-std::unordered_set<geom::Point> Topology::wirePoints() const {
-    std::unordered_set<geom::Point> points;
-    for (const UnitEdge& e : wire_) {  // analyze-ok: unordered-iteration (set union; order cannot escape)
-        points.insert(e.at);
-        points.insert(e.other());
-    }
-    return points;
-}
-
-std::vector<UnitEdge> Topology::sortedWire() const {
-    std::vector<UnitEdge> edges(wire_.begin(), wire_.end());
-    std::sort(edges.begin(), edges.end());
-    return edges;
+bool Topology::hasEdge(const UnitEdge& e) const {
+    return std::binary_search(wire_.begin(), wire_.end(), e);
 }
 
 std::vector<geom::Point> Topology::sortedWirePoints() const {
     std::vector<geom::Point> points;
     points.reserve(wire_.size() * 2);
-    for (const UnitEdge& e : sortedWire()) {
+    for (const UnitEdge& e : wire_) {
         points.push_back(e.at);
         points.push_back(e.other());
     }
@@ -102,183 +120,190 @@ std::vector<geom::Point> Topology::sortedWirePoints() const {
     return points;
 }
 
-std::unordered_map<geom::Point, std::vector<geom::Point>> Topology::adjacency()
-    const {
-    // Built over the sorted view so each neighbour list is in a
-    // reproducible order — BFS tie-breaks downstream then match across
-    // standard libraries.
-    std::unordered_map<geom::Point, std::vector<geom::Point>> adj;
-    for (const UnitEdge& e : sortedWire()) {
-        adj[e.at].push_back(e.other());
-        adj[e.other()].push_back(e.at);
-    }
-    return adj;
+int WireGraph::indexOf(geom::Point p) const {
+    const auto it = std::lower_bound(points_.begin(), points_.end(), p);
+    return it != points_.end() && *it == p
+               ? static_cast<int>(it - points_.begin())
+               : -1;
 }
 
-bool Topology::connected() const {
-    const auto adj = adjacency();
-    // Every pin must be present in the wire graph (or all pins coincide
-    // with the single start point when there is no wire at all).
+std::vector<int> WireGraph::distancesFrom(int source) const {
+    std::vector<int> dist(points_.size(), -1);
+    std::vector<int> queue{source};
+    queue.reserve(points_.size());
+    dist[static_cast<size_t>(source)] = 0;
+    for (size_t head = 0; head < queue.size(); ++head) {
+        const int p = queue[head];
+        for (const int q : neighbours(p)) {
+            if (dist[static_cast<size_t>(q)] >= 0) continue;
+            dist[static_cast<size_t>(q)] = dist[static_cast<size_t>(p)] + 1;
+            queue.push_back(q);
+        }
+    }
+    return dist;
+}
+
+WireGraph Topology::graph() const {
+    // Every edge end, sorted: the ends group by point, and within a point
+    // follow the sorted edge order.
+    std::vector<EdgeEnd> ends;
+    ends.reserve(wire_.size() * 2);
+    for (size_t k = 0; k < wire_.size(); ++k) {
+        const int key = static_cast<int>(2 * k);
+        ends.push_back({wire_[k].at, key});
+        ends.push_back({wire_[k].other(), key + 1});
+    }
+    std::sort(ends.begin(), ends.end());
+
+    WireGraph g;
+    g.points_.reserve(ends.size());
+    g.offsets_.reserve(ends.size() + 1);
+    g.incidence_.reserve(ends.size());
+    std::vector<int> pointOfEnd(ends.size());
+    for (size_t j = 0; j < ends.size(); ++j) {
+        const EdgeEnd& end = ends[j];
+        if (g.points_.empty() || g.points_.back() != end.p) {
+            g.points_.push_back(end.p);
+            g.offsets_.push_back(static_cast<int>(j));
+            g.incidence_.push_back(0);
+        }
+        pointOfEnd[static_cast<size_t>(end.key)] =
+            static_cast<int>(g.points_.size()) - 1;
+        g.incidence_.back() |= wire_[static_cast<size_t>(end.key / 2)].horizontal
+                                   ? WireGraph::kHorizontal
+                                   : WireGraph::kVertical;
+    }
+    g.offsets_.push_back(static_cast<int>(ends.size()));
+    g.neighbours_.reserve(ends.size());
+    for (const EdgeEnd& end : ends) {
+        g.neighbours_.push_back(pointOfEnd[static_cast<size_t>(end.key ^ 1)]);
+    }
+    return g;
+}
+
+bool Topology::spans(const WireGraph& g) const {
+    // With no wire, every pin must sit on the first one.
     if (wire_.empty()) {
         return std::all_of(pins_.begin(), pins_.end(),
                            [&](geom::Point p) { return p == pins_[0]; });
     }
-    std::unordered_set<geom::Point> seen;
-    std::deque<geom::Point> queue{pins_[0]};
-    seen.insert(pins_[0]);
-    while (!queue.empty()) {
-        const geom::Point p = queue.front();
-        queue.pop_front();
-        const auto it = adj.find(p);
-        if (it == adj.end()) continue;
-        for (geom::Point q : it->second) {
-            if (seen.insert(q).second) queue.push_back(q);
-        }
+    // Otherwise the first pin must be on the wire, and the walk from it
+    // must reach every pin and every wire point (no floating metal).
+    const int start = g.indexOf(pins_[0]);
+    if (start < 0) return false;
+    const std::vector<int> dist = g.distancesFrom(start);
+    if (std::any_of(dist.begin(), dist.end(), [](int d) { return d < 0; })) {
+        return false;
     }
-    for (geom::Point p : pins_) {
-        if (!seen.contains(p)) return false;
-    }
-    // Also require the wire itself to be one component (no floating metal).
-    for (const UnitEdge& e : wire_) {  // analyze-ok: unordered-iteration (membership check only)
-        if (!seen.contains(e.at)) return false;
-    }
-    return true;
+    return std::all_of(pins_.begin(), pins_.end(),
+                       [&](geom::Point p) { return g.indexOf(p) >= 0; });
 }
 
+bool Topology::connected() const { return spans(graph()); }
+
 bool Topology::isTree() const {
-    if (!connected()) return false;
-    // |V| = |E| + 1 for a tree; count distinct lattice points in the wire.
-    if (wire_.empty()) return true;
-    std::unordered_set<geom::Point> points;
-    for (const UnitEdge& e : wire_) {  // analyze-ok: unordered-iteration (set union; only the size escapes)
-        points.insert(e.at);
-        points.insert(e.other());
-    }
-    return points.size() == wire_.size() + 1;
+    const WireGraph g = graph();
+    // |V| = |E| + 1 for a tree.
+    return spans(g) && (wire_.empty() || g.points().size() == wire_.size() + 1);
 }
 
 int Topology::bendCount() const {
-    return static_cast<int>(viaPoints().size());
+    const WireGraph g = graph();
+    int bends = 0;
+    for (int i = 0; i < g.size(); ++i) bends += g.isVia(i) ? 1 : 0;
+    return bends;
 }
 
 std::vector<geom::Point> Topology::viaPoints() const {
+    const WireGraph g = graph();
     std::vector<geom::Point> vias;
-    for (geom::Point p : sortedWirePoints()) {
-        const Incidence inc = incidenceAt(wire_, p);
-        if (inc.hasHorizontal() && inc.hasVertical()) vias.push_back(p);
+    for (int i = 0; i < g.size(); ++i) {
+        if (g.isVia(i)) vias.push_back(g.points()[static_cast<size_t>(i)]);
     }
     return vias;
 }
 
 std::vector<int> Topology::sourceToSinkDistances() const {
     std::vector<int> dist(pins_.size(), -1);
-    const auto adj = adjacency();
-    std::unordered_map<geom::Point, int> d;
-    std::deque<geom::Point> queue{driverPin()};
-    d[driverPin()] = 0;
-    while (!queue.empty()) {
-        const geom::Point p = queue.front();
-        queue.pop_front();
-        const auto it = adj.find(p);
-        if (it == adj.end()) continue;
-        for (geom::Point q : it->second) {
-            if (!d.contains(q)) {
-                d[q] = d[p] + 1;
-                queue.push_back(q);
-            }
+    const WireGraph g = graph();
+    const int source = g.indexOf(driverPin());
+    if (source < 0) {
+        // The driver is off the wire: only pins at its location have a
+        // distance (zero).
+        for (size_t i = 0; i < pins_.size(); ++i) {
+            if (pins_[i] == driverPin()) dist[i] = 0;
         }
+        return dist;
     }
+    const std::vector<int> hops = g.distancesFrom(source);
     for (size_t i = 0; i < pins_.size(); ++i) {
-        const auto it = d.find(pins_[i]);
-        if (it != d.end()) dist[i] = it->second;
+        const int p = g.indexOf(pins_[i]);
+        if (p >= 0) dist[i] = hops[static_cast<size_t>(p)];
     }
     return dist;
 }
 
 TopoStructure Topology::structure() const {
+    const WireGraph g = graph();
     TopoStructure st;
-    std::unordered_map<geom::Point, int> nodeOf;
 
-    std::unordered_map<geom::Point, int> pinAt;
+    // Pins by location; the first index wins where pins coincide.
+    std::vector<std::pair<geom::Point, int>> pinAt;
+    pinAt.reserve(pins_.size());
     for (size_t i = 0; i < pins_.size(); ++i) {
-        pinAt.emplace(pins_[i], static_cast<int>(i));
+        pinAt.emplace_back(pins_[i], static_cast<int>(i));
+    }
+    std::sort(pinAt.begin(), pinAt.end());
+
+    // Feature nodes in lexicographic order: a merge of the wire points and
+    // the pin locations, keeping pins, junctions, stub ends and bends.
+    const std::vector<geom::Point>& pts = g.points();
+    size_t w = 0;
+    size_t q = 0;
+    while (w < pts.size() || q < pinAt.size()) {
+        geom::Point p = w < pts.size() ? pts[w] : pinAt[q].first;
+        if (q < pinAt.size() && pinAt[q].first < p) p = pinAt[q].first;
+        int degree = 0;
+        bool via = false;
+        if (w < pts.size() && pts[w] == p) {
+            const auto i = static_cast<int>(w++);
+            degree = g.degree(i);
+            via = g.isVia(i);
+        }
+        int pinIndex = -1;
+        if (q < pinAt.size() && pinAt[q].first == p) {
+            pinIndex = pinAt[q].second;
+            while (q < pinAt.size() && pinAt[q].first == p) ++q;
+        }
+        if (pinIndex < 0 && degree == 2 && !via) continue;
+        st.nodes.push_back({p, pinIndex, degree, degree == 2 && via});
     }
 
-    std::vector<geom::Point> featurePts = sortedWirePoints();
-    featurePts.insert(featurePts.end(), pins_.begin(), pins_.end());
-    std::sort(featurePts.begin(), featurePts.end());
-    featurePts.erase(std::unique(featurePts.begin(), featurePts.end()),
-                     featurePts.end());
-
-    auto isFeature = [&](geom::Point p, const Incidence& inc) {
-        if (pinAt.contains(p)) return true;
-        const int deg = inc.degree();
-        if (deg != 2) return true;  // junctions and stub ends
-        return inc.hasHorizontal() && inc.hasVertical();  // bend
+    const auto nodeAt = [&](geom::Point p) {
+        const auto it = std::lower_bound(
+            st.nodes.begin(), st.nodes.end(), p,
+            [](const TopoStructure::Node& n, geom::Point v) { return n.pt < v; });
+        return it != st.nodes.end() && it->pt == p
+                   ? static_cast<int>(it - st.nodes.begin())
+                   : -1;
     };
-
-    for (geom::Point p : featurePts) {
-        const Incidence inc = incidenceAt(wire_, p);
-        if (!isFeature(p, inc)) continue;
-        TopoStructure::Node n;
-        n.pt = p;
-        n.degree = inc.degree();
-        n.isBend = inc.degree() == 2 && inc.hasHorizontal() && inc.hasVertical();
-        const auto it = pinAt.find(p);
-        n.pinIndex = it == pinAt.end() ? -1 : it->second;
-        nodeOf.emplace(p, static_cast<int>(st.nodes.size()));
-        st.nodes.push_back(n);
-    }
-
-    // Walk straight runs from each feature node in each outgoing direction;
-    // record each RC once (from the lexicographically smaller endpoint).
-    const auto step = [](geom::Point p, int dir) -> geom::Point {
-        switch (dir) {
-            case 0: return {p.x + 1, p.y};
-            case 1: return {p.x - 1, p.y};
-            case 2: return {p.x, p.y + 1};
-            default: return {p.x, p.y - 1};
-        }
-    };
-    const auto edgeTowards = [](geom::Point p, int dir) -> UnitEdge {
-        switch (dir) {
-            case 0: return {p, true};
-            case 1: return {{p.x - 1, p.y}, true};
-            case 2: return {p, false};
-            default: return {{p.x, p.y - 1}, false};
-        }
-    };
-    for (int startIdx = 0; startIdx < static_cast<int>(st.nodes.size());
-         ++startIdx) {
-        const geom::Point start = st.nodes[static_cast<size_t>(startIdx)].pt;
-        for (int dir = 0; dir < 4; ++dir) {
-            if (!wire_.contains(edgeTowards(start, dir))) continue;
-            geom::Point p = start;
-            do {
-                p = step(p, dir);
-            } while (!nodeOf.contains(p));
-            // Register once: only from the smaller endpoint.
-            if (start < p) {
-                st.rcs.emplace_back(startIdx, nodeOf.at(p));
+    // Walk the straight run from each node rightwards and upwards to the
+    // next node. Every RC has its lexicographically smaller end on its
+    // left or bottom, so this records each RC exactly once.
+    for (int start = 0; start < static_cast<int>(st.nodes.size()); ++start) {
+        const TopoStructure::Node& n = st.nodes[static_cast<size_t>(start)];
+        for (const bool horizontal : {true, false}) {
+            if (!hasEdge({n.pt, horizontal})) continue;
+            geom::Point p = n.pt;
+            int end = -1;
+            while (end < 0) {
+                p = horizontal ? geom::Point{p.x + 1, p.y} : geom::Point{p.x, p.y + 1};
+                end = nodeAt(p);
             }
+            st.rcs.emplace_back(start, end);
         }
     }
     return st;
-}
-
-Topology Topology::remap(const std::unordered_map<int, int>& xMap,
-                         const std::unordered_map<int, int>& yMap) const {
-    const auto mapPt = [&](geom::Point p) -> geom::Point {
-        return {xMap.at(p.x), yMap.at(p.y)};
-    };
-    std::vector<geom::Point> newPins;
-    newPins.reserve(pins_.size());
-    for (geom::Point p : pins_) newPins.push_back(mapPt(p));
-    Topology out(std::move(newPins), driver_);
-    for (const UnitEdge& e : wire_) {  // analyze-ok: unordered-iteration (set-to-set remap; order cannot escape)
-        out.addSegment({mapPt(e.at), mapPt(e.other())});
-    }
-    return out;
 }
 
 Topology Topology::translate(int dx, int dy) const {
@@ -286,9 +311,10 @@ Topology Topology::translate(int dx, int dy) const {
     newPins.reserve(pins_.size());
     for (geom::Point p : pins_) newPins.push_back({p.x + dx, p.y + dy});
     Topology out(std::move(newPins), driver_);
-    for (const UnitEdge& e : wire_) {  // analyze-ok: unordered-iteration (set-to-set translate; order cannot escape)
-        const geom::Point a{e.at.x + dx, e.at.y + dy};
-        out.wire_.insert({a, e.horizontal});
+    // A translation keeps the lexicographic order.
+    out.wire_.reserve(wire_.size());
+    for (const UnitEdge& e : wire_) {
+        out.wire_.push_back({{e.at.x + dx, e.at.y + dy}, e.horizontal});
     }
     return out;
 }
@@ -296,7 +322,7 @@ Topology Topology::translate(int dx, int dy) const {
 std::uint64_t Topology::wireHash() const {
     // XOR of per-edge hashes is order independent.
     std::uint64_t h = 0x9e3779b97f4a7c15ull;
-    for (const UnitEdge& e : wire_) {  // analyze-ok: unordered-iteration (XOR fold is order independent)
+    for (const UnitEdge& e : wire_) {
         std::uint64_t k = (static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.at.x)) << 33) ^
                           (static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.at.y)) << 1) ^
                           (e.horizontal ? 1u : 0u);

@@ -3,15 +3,17 @@
 // A Topology is the wire shape of one signal bit: a set of unit lattice
 // edges plus the bit's pin locations. Storing unit edges (rather than long
 // segments) makes unioning overlapping L-shapes, connectivity checks and
-// path-length queries trivial and robust.
+// path-length queries trivial and robust. The edges live in one sorted,
+// duplicate-free vector, so a copy is one vector copy and every walk over
+// the wire is in a reproducible order; graph queries run over a flat
+// WireGraph built from it.
 //
 // The paper's "rectilinear connections" (RCs) — maximal straight wires
 // between pins/bends/junctions — are recovered on demand by structure().
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
+#include <span>
 #include <vector>
 
 #include "geom/point.hpp"
@@ -50,11 +52,60 @@ struct TopoStructure {
         int degree = 0;
         bool isBend = false;  // degree-2 corner (one H + one V incident wire)
     };
+    /// In lexicographic order of pt.
     std::vector<Node> nodes;
     /// RC segments as (node index, node index); each is straight.
     std::vector<std::pair<int, int>> rcs;
 
     [[nodiscard]] int numRCs() const { return static_cast<int>(rcs.size()); }
+};
+
+/// Flat graph view of a topology's wire, built by Topology::graph(): the
+/// wire's lattice points in lexicographic order, each point's neighbours
+/// as CSR lists, and each point's horizontal / vertical incidence. A
+/// point's neighbours are listed in sorted-edge order (the order of the
+/// wire edges that touch it), so every traversal over them is
+/// reproducible.
+class WireGraph {
+public:
+    [[nodiscard]] const std::vector<geom::Point>& points() const { return points_; }
+    [[nodiscard]] int size() const { return static_cast<int>(points_.size()); }
+
+    /// Index of `p` in points(), or -1 when no wire touches it.
+    [[nodiscard]] int indexOf(geom::Point p) const;
+
+    /// Indices of the points one unit edge away from point `i`.
+    [[nodiscard]] std::span<const int> neighbours(int i) const {
+        const auto k = static_cast<size_t>(i);
+        return {neighbours_.data() + offsets_[k],
+                static_cast<size_t>(offsets_[k + 1] - offsets_[k])};
+    }
+
+    [[nodiscard]] int degree(int i) const {
+        const auto k = static_cast<size_t>(i);
+        return offsets_[k + 1] - offsets_[k];
+    }
+    /// Horizontal and vertical wire meet at point `i` (a layer change on
+    /// uni-directional metal).
+    [[nodiscard]] bool isVia(int i) const {
+        return incidence_[static_cast<size_t>(i)] == (kHorizontal | kVertical);
+    }
+
+    /// Hop distance from point `source` to every point; -1 where
+    /// unreachable.
+    [[nodiscard]] std::vector<int> distancesFrom(int source) const;
+
+private:
+    friend class Topology;
+
+    /// Incidence bits: the orientations of the wire edges at a point.
+    static constexpr std::uint8_t kHorizontal = 1;
+    static constexpr std::uint8_t kVertical = 2;
+
+    std::vector<geom::Point> points_;
+    std::vector<int> offsets_;     // size() + 1 entries
+    std::vector<int> neighbours_;  // point indices, grouped by offsets_
+    std::vector<std::uint8_t> incidence_;
 };
 
 class Topology {
@@ -76,17 +127,9 @@ public:
     /// present are ignored). Used by the refinement detour surgery.
     void removeSegment(const geom::Segment& seg);
 
-    /// All lattice points touched by the wire.
-    [[nodiscard]] std::unordered_set<geom::Point> wirePoints() const;
-
-    [[nodiscard]] const std::unordered_set<UnitEdge, UnitEdgeHash>& wire() const {
-        return wire_;
-    }
-
-    /// The wire edges in lexicographic order. Iterate this (not wire())
-    /// wherever the visit order can reach a result — hash-set order is
-    /// STL-specific and would break cross-toolchain reproducibility.
-    [[nodiscard]] std::vector<UnitEdge> sortedWire() const;
+    /// The wire edges, sorted and duplicate free.
+    [[nodiscard]] const std::vector<UnitEdge>& wire() const { return wire_; }
+    [[nodiscard]] bool hasEdge(const UnitEdge& e) const;
 
     /// All lattice points touched by the wire, in lexicographic order.
     [[nodiscard]] std::vector<geom::Point> sortedWirePoints() const;
@@ -94,6 +137,10 @@ public:
 
     /// Total wire-length (number of unit edges).
     [[nodiscard]] int wirelength() const { return static_cast<int>(wire_.size()); }
+
+    /// The wire as a flat graph. Built per call: topologies are shared
+    /// read-only across pool tasks, so nothing is cached inside them.
+    [[nodiscard]] WireGraph graph() const;
 
     /// True if the wire plus pins form one connected component covering
     /// every pin. (Single-pin topologies with no wire are connected.)
@@ -118,14 +165,6 @@ public:
     /// Extract feature nodes and maximal RC segments.
     [[nodiscard]] TopoStructure structure() const;
 
-    /// Remap every wire point and pin coordinate-wise: x -> xMap(x),
-    /// y -> yMap(y). Used for equivalent-topology generation; maps must be
-    /// defined for every coordinate present. Straight segments stay
-    /// straight because equal coordinates stay equal.
-    [[nodiscard]] Topology remap(
-        const std::unordered_map<int, int>& xMap,
-        const std::unordered_map<int, int>& yMap) const;
-
     /// Rigid translation by (dx, dy).
     [[nodiscard]] Topology translate(int dx, int dy) const;
 
@@ -137,13 +176,12 @@ public:
     }
 
 private:
-    /// Adjacency over lattice points implied by the unit edges.
-    [[nodiscard]] std::unordered_map<geom::Point, std::vector<geom::Point>>
-    adjacency() const;
+    /// connected(), given this topology's graph().
+    [[nodiscard]] bool spans(const WireGraph& g) const;
 
     std::vector<geom::Point> pins_;
     int driver_ = 0;
-    std::unordered_set<UnitEdge, UnitEdgeHash> wire_;
+    std::vector<UnitEdge> wire_;  // sorted, duplicate free
 };
 
 }  // namespace streak::steiner

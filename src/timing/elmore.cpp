@@ -1,27 +1,17 @@
 #include "timing/elmore.hpp"
 
-#include <algorithm>
-#include <deque>
-#include <unordered_map>
-#include <unordered_set>
-
 namespace streak::timing {
 
 namespace {
 
-using geom::Point;
-using steiner::UnitEdge;
-using steiner::UnitEdgeHash;
-
 struct Node {
-    Point pt;
+    int at = -1;          // wire point index; -1 for a driver off the wire
     int parent = -1;      // index into nodes; -1 at the root
     double ownCap = 0.0;  // lumped capacitance at the point itself
     double edgeRes = 0.0; // resistance of the wire from the parent
     double edgeCap = 0.0; // capacitance of the wire from the parent
     double subtreeCap = 0.0;
     double delay = 0.0;
-    std::vector<int> children;
 };
 
 }  // namespace
@@ -30,61 +20,54 @@ std::vector<double> elmoreDelays(const steiner::Topology& topo,
                                  const ElmoreParameters& params) {
     std::vector<double> out(topo.pins().size(), -1.0);
 
-    // Lattice adjacency of the wire graph, from the sorted view: the BFS
-    // node numbering (and with it the floating-point accumulation order
-    // of subtree capacitances) follows the neighbour order, so hash-set
-    // order would change delays in the last bits across toolchains.
-    std::unordered_map<Point, std::vector<Point>> adj;
-    for (const UnitEdge& e : topo.sortedWire()) {
-        adj[e.at].push_back(e.other());
-        adj[e.other()].push_back(e.at);
-    }
+    // The BFS node numbering (and with it the floating-point accumulation
+    // order of subtree capacitances) follows the graph's neighbour order,
+    // which is the sorted-edge order on every toolchain.
+    const steiner::WireGraph g = topo.graph();
+    const geom::Point root = topo.driverPin();
+    const int rootAt = g.indexOf(root);
 
     // Lumped capacitance at lattice points: via RC at layer-change points,
     // sink loads at pins.
-    std::unordered_map<Point, double> pointCap;
-    std::unordered_map<Point, double> pointRes;  // series via resistance
-    for (const Point p : topo.viaPoints()) {
-        pointCap[p] += params.viaCapacitance;
-        pointRes[p] += params.viaResistance;
+    std::vector<double> pointCap(static_cast<size_t>(g.size()), 0.0);
+    for (int p = 0; p < g.size(); ++p) {
+        if (g.isVia(p)) pointCap[static_cast<size_t>(p)] += params.viaCapacitance;
     }
+    double offWireRootCap = 0.0;
     for (size_t i = 0; i < topo.pins().size(); ++i) {
         if (static_cast<int>(i) == topo.driverIndex()) continue;
-        pointCap[topo.pins()[i]] += params.sinkLoad;
+        const int p = g.indexOf(topo.pins()[i]);
+        if (p >= 0) {
+            pointCap[static_cast<size_t>(p)] += params.sinkLoad;
+        } else if (topo.pins()[i] == root) {
+            offWireRootCap += params.sinkLoad;
+        }
     }
 
     // BFS tree from the driver over unit edges.
-    const Point root = topo.driverPin();
     std::vector<Node> nodes;
-    std::unordered_map<Point, int> indexOf;
-    const auto makeNode = [&](Point p, int parent) {
-        Node n;
-        n.pt = p;
-        n.parent = parent;
-        const auto capIt = pointCap.find(p);
-        n.ownCap = capIt == pointCap.end() ? 0.0 : capIt->second;
-        indexOf.emplace(p, static_cast<int>(nodes.size()));
-        nodes.push_back(n);
-        return static_cast<int>(nodes.size()) - 1;
-    };
-    makeNode(root, -1);
-    std::deque<int> queue{0};
-    while (!queue.empty()) {
-        const int cur = queue.front();
-        queue.pop_front();
-        const auto it = adj.find(nodes[static_cast<size_t>(cur)].pt);
-        if (it == adj.end()) continue;
-        for (const Point q : it->second) {
-            if (indexOf.contains(q)) continue;
-            const int child = makeNode(q, cur);
-            Node& cn = nodes[static_cast<size_t>(child)];
-            cn.edgeRes = params.wireResistance;
-            cn.edgeCap = params.wireCapacitance;
+    std::vector<int> nodeOf(static_cast<size_t>(g.size()), -1);
+    Node rootNode;
+    rootNode.at = rootAt;
+    rootNode.ownCap =
+        rootAt < 0 ? offWireRootCap : pointCap[static_cast<size_t>(rootAt)];
+    nodes.push_back(rootNode);
+    if (rootAt >= 0) nodeOf[static_cast<size_t>(rootAt)] = 0;
+    for (size_t cur = 0; cur < nodes.size(); ++cur) {
+        const int at = nodes[cur].at;
+        if (at < 0) continue;
+        for (const int q : g.neighbours(at)) {
+            if (nodeOf[static_cast<size_t>(q)] >= 0) continue;
+            Node child;
+            child.at = q;
+            child.parent = static_cast<int>(cur);
+            child.ownCap = pointCap[static_cast<size_t>(q)];
+            child.edgeRes = params.wireResistance;
+            child.edgeCap = params.wireCapacitance;
             // Series via resistance lumps into the edge entering the point.
-            const auto resIt = pointRes.find(q);
-            if (resIt != pointRes.end()) cn.edgeRes += resIt->second;
-            nodes[static_cast<size_t>(cur)].children.push_back(child);
-            queue.push_back(child);
+            if (g.isVia(q)) child.edgeRes += params.viaResistance;
+            nodeOf[static_cast<size_t>(q)] = static_cast<int>(nodes.size());
+            nodes.push_back(child);
         }
     }
 
@@ -109,9 +92,10 @@ std::vector<double> elmoreDelays(const steiner::Topology& topo,
     }
 
     for (size_t i = 0; i < topo.pins().size(); ++i) {
-        const auto it = indexOf.find(topo.pins()[i]);
-        if (it != indexOf.end()) {
-            out[i] = nodes[static_cast<size_t>(it->second)].delay;
+        const int p = g.indexOf(topo.pins()[i]);
+        const int node = p < 0 ? -1 : nodeOf[static_cast<size_t>(p)];
+        if (node >= 0) {
+            out[i] = nodes[static_cast<size_t>(node)].delay;
         } else if (topo.pins()[i] == root) {
             out[i] = nodes[0].delay;
         }

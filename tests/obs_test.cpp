@@ -257,6 +257,30 @@ TEST(FlowObservability, BuildCountersAreThreadCountInvariant) {
     }
 }
 
+TEST(FlowObservability, DistanceAnalysisHasItsOwnSpanAndCounter) {
+    const Design d = smallDesign();
+    const StreakResult first = observedRun(d, 1);
+    // Three analyses per run: the distance stage's, then refinement's
+    // before and after its detour pass.
+    std::vector<std::string> parents;
+    for (const obs::Span& span : first.trace) {
+        if (span.name != "distance/analyze") continue;
+        ASSERT_GE(span.parent, 0);
+        parents.push_back(first.trace[static_cast<size_t>(span.parent)].name);
+    }
+    EXPECT_EQ(parents, (std::vector<std::string>{stage::kDistance, "post/refine",
+                                                 "post/refine"}));
+    ASSERT_TRUE(first.counters.counters.contains("distance/analyze.bits"));
+    const long long bits = first.counters.counters.at("distance/analyze.bits");
+    EXPECT_GT(bits, 0);
+    for (const int threads : {2, 8}) {
+        EXPECT_EQ(observedRun(d, threads)
+                      .counters.counters.at("distance/analyze.bits"),
+                  bits)
+            << threads << " threads changed the analyzed bit count";
+    }
+}
+
 TEST(FlowObservability, ObserverSeesTraceAndStageSpansBackAccessors) {
     const Design d = smallDesign();
     bool called = false;

@@ -127,18 +127,6 @@ TEST(Topology, TranslatePreservesShape) {
     EXPECT_EQ(moved.pins()[1], (Point{5, 1}));
 }
 
-TEST(Topology, RemapStretchesCoordinates) {
-    const Topology t = lShape();
-    // Stretch x by 2, keep y.
-    std::unordered_map<int, int> xMap, yMap;
-    for (int x = 0; x <= 3; ++x) xMap[x] = 2 * x;
-    for (int y = 0; y <= 2; ++y) yMap[y] = y;
-    const Topology r = t.remap(xMap, yMap);
-    EXPECT_TRUE(r.connected());
-    EXPECT_EQ(r.pins()[1], (Point{6, 2}));
-    EXPECT_EQ(r.wirelength(), 8);  // 6 horizontal + 2 vertical
-}
-
 TEST(Topology, WireHashIdenticalForEqualShapes) {
     const Topology a = lShape();
     Topology b({{0, 0}, {3, 2}}, 0);

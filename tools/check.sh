@@ -5,7 +5,8 @@
 #   2. -Werror build                (CMake preset `werror`)
 #   3. sanitizer smoke test         (preset `asan-ubsan`, flow_test +
 #                                    clustering_equivalence_test +
-#                                    problem_build_equivalence_test)
+#                                    problem_build_equivalence_test +
+#                                    topology_equivalence_test)
 #   4. ThreadSanitizer              (preset `tsan`, thread pool +
 #                                    determinism tests)
 #   5. observability exports        (route a generated design with
@@ -77,6 +78,9 @@ else
     # Problem build's shared backbone shapes and flat ratio memos against
     # the per-layer-pair expansion oracle, over 72 designs.
     ./build-asan/tests/problem_build_equivalence_test
+    # Topology's sorted edge vector, in-place segment merges and flat
+    # CSR wire graph against the hash-set reference.
+    ./build-asan/tests/topology_equivalence_test
 fi
 
 echo "== [4/9] ThreadSanitizer =="
