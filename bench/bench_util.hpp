@@ -46,11 +46,6 @@ inline std::string cpuCell(double seconds, bool hitLimit) {
     return buf;
 }
 
-/// No-op observer: passed as StreakOptions::observer when a bench wants
-/// the run's counters in its StreakResult (setting any observer turns on
-/// detail instrumentation for the run).
-inline void observeNothing(const StreakObservation&) {}
-
 /// Machine-readable side channel next to a bench's printed tables:
 /// collects one entry per (design, variant) run and writes them as a
 /// single JSON document — per-suite stage wall times plus every counter
@@ -62,8 +57,8 @@ class JsonLog {
 public:
     explicit JsonLog(std::string benchName) : bench_(std::move(benchName)) {}
 
-    /// Record one finished run. Counters appear only when the run was
-    /// observed (see observeNothing above).
+    /// Record one finished run. Hot-path counters appear only when the
+    /// run had detail instrumentation on (obs::setDetailEnabled).
     void add(const Design& design, const std::string& variant,
              const StreakResult& r) {
         obs::json::Object run;

@@ -13,6 +13,7 @@
 
 #include "bench_util.hpp"
 #include "io/table.hpp"
+#include "obs/trace.hpp"
 
 int main() {
     using namespace streak;
@@ -21,6 +22,7 @@ int main() {
                      "ILP:Route", "ILP:WL", "ILP:Reg", "ILP:CPU(s)",
                      "PD:Route", "PD:WL", "PD:Reg", "PD:CPU(s)"});
 
+    obs::setDetailEnabled(true);  // the JSON log carries the counters
     bench::JsonLog log("table1_compare");
     double manR = 0, ilpR = 0, pdR = 0, ilpReg = 0, pdReg = 0;
     long manWl = 0, ilpWl = 0, pdWl = 0;
@@ -29,7 +31,6 @@ int main() {
         const route::SequentialResult man = route::routeSequential(d);
 
         StreakOptions opts = bench::baseOptions();
-        opts.observer = bench::observeNothing;  // collect counters
         opts.solver = SolverKind::Ilp;
         const StreakResult ilp = runStreak(d, opts).value();
         opts.solver = SolverKind::PrimalDual;

@@ -11,6 +11,7 @@
 
 #include "bench_util.hpp"
 #include "io/table.hpp"
+#include "obs/trace.hpp"
 
 namespace {
 
@@ -30,7 +31,6 @@ void runSide(const streak::Design& d, streak::SolverKind solver,
     StreakOptions opts = bench::baseOptions();
     opts.solver = solver;
     opts.postOptimize = true;
-    opts.observer = bench::observeNothing;  // collect counters
     const StreakResult r = runStreak(d, opts).value();
     log->add(d, solver == SolverKind::Ilp ? "ilp+post" : "pd+post", r);
     table->addRow({d.name,
@@ -65,6 +65,7 @@ int main() {
                         "Avg(Reg)", "CPU(s)"});
     io::Table pdTable({"Bench", "Vio(dst)", "Vio(dst)'", "Route", "WL",
                        "Avg(Reg)", "CPU(s)"});
+    obs::setDetailEnabled(true);  // the JSON log carries the counters
     bench::JsonLog log("table2_postopt");
     Totals ilpTotals, pdTotals;
     for (int i = 1; i <= 7; ++i) {

@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <fstream>
 #include <iomanip>
-#include <limits>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -26,8 +24,7 @@ namespace json = obs::json;
 
 namespace {
 
-/// (config, instance, threads) — the identity of one sweep point. Wall
-/// time depends on the thread count, so thread points diff separately.
+/// (config, instance, threads) — the identity of one sweep point.
 std::string keyOf(const RunRecord& r) {
     return r.config + '/' + r.instance + "/t" + std::to_string(r.threads);
 }
@@ -59,7 +56,7 @@ void flagGrowth(DiffReport* report, const RunRecord& cur, std::string kind,
 }
 
 void compareRecords(const RunRecord& base, const RunRecord& cur,
-                    const DiffThresholds& t, DiffReport* report) {
+                    double counterGrowth, DiffReport* report) {
     // Counters: deterministic (thread-count-invariant), so growth is a
     // behavioural change. Counters absent from the baseline are new
     // instrumentation, not regressions.
@@ -68,22 +65,17 @@ void compareRecords(const RunRecord& base, const RunRecord& cur,
         if (it == base.counters.end()) continue;
         flagGrowth(report, cur, "counter", name,
                    static_cast<double>(it->second),
-                   static_cast<double>(value), t.counterGrowth);
-    }
-    // Wall time: noisy; compare only runs above the floor.
-    if (std::max(base.wallSeconds, cur.wallSeconds) >= t.minWallSeconds) {
-        flagGrowth(report, cur, "wall", "wallSeconds", base.wallSeconds,
-                   cur.wallSeconds, t.wallGrowth);
+                   static_cast<double>(value), counterGrowth);
     }
     // Quality: any loss is a regression.
     flagGrowth(report, cur, "quality", "wirelength",
                static_cast<double>(base.wirelength),
-               static_cast<double>(cur.wirelength), t.qualityGrowth);
+               static_cast<double>(cur.wirelength), 0.0);
     flagGrowth(report, cur, "quality", "vias", static_cast<double>(base.vias),
-               static_cast<double>(cur.vias), t.qualityGrowth);
+               static_cast<double>(cur.vias), 0.0);
     flagGrowth(report, cur, "quality", "totalOverflow",
                static_cast<double>(base.totalOverflow),
-               static_cast<double>(cur.totalOverflow), t.qualityGrowth);
+               static_cast<double>(cur.totalOverflow), 0.0);
     if (cur.routability < base.routability - 1e-12) {
         report->regressions.push_back(
             {"quality", cur.config, cur.instance, "routability",
@@ -337,14 +329,16 @@ std::vector<RunRecord> runCampaign(const CampaignSpec& spec,
                 record.hostname = host.hostname;
                 record.hardwareThreads = host.hardwareThreads;
 
+                // A fresh detail-on session per sweep point: the maze
+                // baseline records its counters into it, and the flow,
+                // which records into a session of its own, takes its
+                // detail gate from it.
+                obs::Session session;
+                const obs::SessionBind bind(session);
+                session.setDetailEnabled(true);
                 if (config.manualBaseline) {
                     // The sequential maze baseline: single-threaded, no
-                    // flow options — every bit through the search,
-                    // counters collected in a fresh session bound for the
-                    // run's duration.
-                    obs::Session session;
-                    const obs::SessionBind bind(session);
-                    obs::setDetailEnabled(true);
+                    // flow options — every bit through the search.
                     const obs::Stopwatch watch;
                     const route::SequentialResult sr = route::routeSequential(
                         design, route::MazeOptions{}, /*mazeOnly=*/true);
@@ -360,13 +354,6 @@ std::vector<RunRecord> runCampaign(const CampaignSpec& spec,
                 } else {
                     StreakOptions opts = config.options;
                     opts.threads = threads;
-                    // A fresh session per run: no counter bleed between
-                    // sweep points, records identical to fresh-process
-                    // runs.
-                    opts.session = std::make_shared<obs::Session>();
-                    // Any observer turns on detail instrumentation, which
-                    // populates the hot-path counters the records persist.
-                    opts.observer = [](const StreakObservation&) {};
                     const obs::Stopwatch watch;
                     FlowResult flow = runStreak(design, opts);
                     record.wallSeconds = watch.seconds();
@@ -409,7 +396,7 @@ std::vector<RunRecord> runCampaign(const CampaignSpec& spec,
 }
 
 DiffReport diffAgainstStore(const Store& baseline, const Store& current,
-                            const DiffThresholds& thresholds) {
+                            double counterGrowth) {
     DiffReport report;
     std::map<std::string, const RunRecord*> base;
     // Append-only store: the last record with a key is the newest
@@ -434,7 +421,7 @@ DiffReport diffAgainstStore(const Store& baseline, const Store& current,
             continue;
         }
         ++report.comparedRuns;
-        compareRecords(b, cur, thresholds, &report);
+        compareRecords(b, cur, counterGrowth, &report);
     }
     return report;
 }

@@ -3,21 +3,22 @@
 // runStreak, persist one schema-versioned record per run into an
 // append-only JSON-lines store, and diff stores for regressions.
 //
-// Each sweep point runs under its own obs::Session (StreakOptions::
-// session), so counters from one run can never bleed into the next and
-// the records are byte-identical to what a fresh process would report.
-// Records carry provenance — a hash of the exact design text, a hash of
-// the canonical options JSON, and host info — so a diff can tell "the
-// router regressed" apart from "you measured a different problem".
+// Each sweep point runs with detail instrumentation on, and every flow
+// run records into its own obs::Session, so counters from one run can
+// never bleed into the next and the records are byte-identical to what
+// a fresh process would report. Records carry provenance — a hash of the
+// exact design text, a hash of the canonical options JSON, and host info
+// — so a diff can tell "the router regressed" apart from "you measured a
+// different problem".
 //
 // The diff side compares a fresh store against a baseline store — a
 // prior run, or the committed reference BENCH_campaign.jsonl (the full
-// shrunk sweep at one thread) — flagging wall-time growth, counter
-// growth (maze pops, LP pivots, ...), and any quality loss (wirelength /
-// vias / overflow / routability). Counters are thread-count-invariant by
-// the determinism contract, so any counter growth between same-config
-// runs is a real behavioural change, not scheduling noise; wall time
-// gets a generous threshold plus a noise floor instead.
+// shrunk sweep at one thread) — flagging counter growth (maze pops, LP
+// pivots, ...) and any quality loss (wirelength / vias / overflow /
+// routability). Counters are thread-count-invariant by the determinism
+// contract, so any counter growth between same-config runs is a real
+// behavioural change, not scheduling noise. Wall time is recorded for
+// information only; perfbench/ owns timing.
 #pragma once
 
 #include <iosfwd>
@@ -86,7 +87,7 @@ struct RunRecord {
     std::string configHash;   ///< FNV-1a over the canonical options JSON
     std::string hostname;
     int hardwareThreads = 1;
-    // Cost.
+    // Cost; information only, never compared.
     double wallSeconds = 0.0;
     // Quality. `vias` sums the solver-selected candidates' via counts
     // (bends + pin stacks); overflow is the routed design's.
@@ -121,31 +122,25 @@ void appendStore(const std::vector<RunRecord>& records, std::ostream& os);
 /// Throws robust::StreakException (invalid-input) when unreadable.
 [[nodiscard]] Store readStoreFile(const std::string& path);
 
-/// Run the sweep grid. Each point routes under a fresh obs::Session and
-/// detail instrumentation, so every record carries the hot-path
-/// counters. Progress lines go to *log when non-null. Throws on a flow
-/// failure (the shrunk suites are expected to route cleanly).
+/// Run the sweep grid. Each point routes under a fresh detail-on
+/// obs::Session, so every record carries the hot-path counters. Progress
+/// lines go to *log when non-null. Throws on a flow failure (the shrunk
+/// suites are expected to route cleanly).
 [[nodiscard]] std::vector<RunRecord> runCampaign(const CampaignSpec& spec,
                                                  std::ostream* log = nullptr);
 
-/// Regression thresholds. Counters are deterministic, but unrelated code
-/// motion legitimately shifts them a little between binaries, so the
-/// default tolerates 10% growth; wall time is noisy on shared hosts and
-/// gets 50% plus an absolute floor below which runs are never compared;
-/// quality must not regress at all.
-struct DiffThresholds {
-    double counterGrowth = 0.10;
-    double wallGrowth = 0.50;
-    double minWallSeconds = 0.1;
-    double qualityGrowth = 0.0;
-};
+/// Default counter growth threshold. Counters are deterministic, but
+/// unrelated code motion legitimately shifts them a little between
+/// binaries, so the diff tolerates 10% growth; quality must not regress
+/// at all.
+inline constexpr double kDefaultCounterGrowth = 0.10;
 
 /// One flagged regression of a (config, instance, threads) sweep point.
 struct Regression {
-    std::string kind;  ///< "counter" | "wall" | "quality"
+    std::string kind;  ///< "counter" | "quality"
     std::string config;
     std::string instance;
-    std::string metric;  ///< counter name, "wallSeconds", "wirelength", ...
+    std::string metric;  ///< counter name, "wirelength", "vias", ...
     double baseline = 0.0;
     double current = 0.0;
     double growthPercent = 0.0;
@@ -164,11 +159,13 @@ struct DiffReport {
 
 /// Compare current records against the *last* baseline record with the
 /// same (config, instance, threads) key (stores are append-only; the
-/// newest measurement wins). Records whose problem or config hash
-/// differs from the baseline's are noted and skipped, not compared.
-[[nodiscard]] DiffReport diffAgainstStore(const Store& baseline,
-                                          const Store& current,
-                                          const DiffThresholds& thresholds = {});
+/// newest measurement wins). A counter regresses when it grows by more
+/// than `counterGrowth` (a fraction); quality by any amount. Records
+/// whose problem or config hash differs from the baseline's are noted
+/// and skipped, not compared.
+[[nodiscard]] DiffReport diffAgainstStore(
+    const Store& baseline, const Store& current,
+    double counterGrowth = kDefaultCounterGrowth);
 
 /// Exit status of `streak campaign diff` for a finished comparison: 3
 /// (invalid input) when no record was compared — every key missing from

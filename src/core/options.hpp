@@ -2,26 +2,13 @@
 // ablations can tweak a single struct.
 #pragma once
 
-#include <functional>
 #include <memory>
 
 #include "core/backbone.hpp"
-#include "obs/counters.hpp"
-#include "obs/session.hpp"
-#include "obs/trace.hpp"
 #include "robust/control.hpp"
 #include "robust/recovery.hpp"
 
 namespace streak {
-
-/// What StreakOptions::observer receives at the end of a run: the run's
-/// span tree and its counter/histogram deltas (see DESIGN.md
-/// "Observability"). The referenced data lives in the StreakResult being
-/// returned; copy what you keep.
-struct StreakObservation {
-    const obs::Trace& trace;
-    const obs::Snapshot& counters;
-};
 
 enum class SolverKind {
     PrimalDual,       // Alg. 2 (fast, near-ILP quality)
@@ -93,20 +80,6 @@ struct StreakOptions {
     /// already receive. Leave default-constructed (idle) when calling
     /// stages directly.
     robust::Ticket control;
-
-    // --- observability (DESIGN.md "Observability") ---
-    /// Called once at the end of runStreak with the run's span tree and
-    /// counter deltas. Setting it turns on detailed instrumentation
-    /// (hot-path spans + counters) for the run, so benches can consume
-    /// counters programmatically without touching the session's gate.
-    std::function<void(const StreakObservation&)> observer;
-    /// Observability session the run records into (counters, histograms,
-    /// spans, detail gate). Null means the process-global default
-    /// session, which preserves the historical behaviour; give each run
-    /// its own session to keep metrics from concurrent or back-to-back
-    /// runs fully isolated (campaign sweeps do this). The session must
-    /// outlive the run.
-    std::shared_ptr<obs::Session> session;
 };
 
 }  // namespace streak

@@ -45,7 +45,7 @@ struct Checkpoint {
     std::unique_ptr<Design> design;
     /// Semantic option subset of the original run (solver, weights, post
     /// switches, threads). Runtime-only knobs — deadline, cancellation,
-    /// recovery policy, observer — are not serialized and stay default.
+    /// recovery policy — are not serialized and stay default.
     StreakOptions opts;
     /// Solver artifact: selected candidate per routing object (-1 =
     /// unrouted). Kept for round-trips and diagnostics; the ECO re-route
@@ -75,7 +75,7 @@ struct Checkpoint {
 
 /// The option subset a checkpoint round-trips: everything that changes
 /// the routed result, nothing that only shapes one process's run
-/// (deadline, cancellation, recovery policy, observer, control ticket).
+/// (deadline, cancellation, recovery policy, control ticket).
 [[nodiscard]] StreakOptions semanticOptions(const StreakOptions& opts);
 
 /// Freeze a finished flow run. Copies the design; maps the result's

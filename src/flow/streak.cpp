@@ -53,28 +53,10 @@ void recordEdgeUtilization(const RoutedDesign& routed) {
     }
 }
 
-/// Enables detail instrumentation for the run when the caller asked for
-/// an observer; restores the bound session's previous gate on scope exit.
-class DetailForRun {
-public:
-    explicit DetailForRun(bool wanted)
-        : previous_(obs::detailEnabled()) {
-        if (wanted) obs::setDetailEnabled(true);
-    }
-    ~DetailForRun() { obs::setDetailEnabled(previous_); }
-    DetailForRun(const DetailForRun&) = delete;
-    DetailForRun& operator=(const DetailForRun&) = delete;
-
-private:
-    bool previous_;
-};
-
 /// True when the degradation ladder may absorb this error (cancellation
 /// always unwinds the whole run).
-bool ladderMayAbsorb(const robust::StreakError& err,
-                     const robust::RecoveryPolicy& policy) {
-    return policy.enabled && err.recoverable &&
-           err.kind != robust::ErrorKind::Cancelled;
+bool ladderMayAbsorb(const robust::StreakError& err) {
+    return err.recoverable && err.kind != robust::ErrorKind::Cancelled;
 }
 
 /// Record one ladder rung: a `robust/degraded.<rung>` counter (always,
@@ -135,18 +117,13 @@ StreakResult runStreakGuarded(const Design& design,
     StreakResult result(design.grid);
     result.threadsUsed = parallel::resolveThreads(opts.threads);
 
-    // Bind the run's observability session (the process-global default
-    // when the caller didn't supply one): every counter flush and span
-    // below — including on pool workers — lands in it. One traced run at
-    // a time per session: restart its span tree and remember the counter
-    // baseline so result.counters holds this run's deltas.
-    obs::Session& sess =
-        opts.session != nullptr ? *opts.session : obs::defaultSession();
+    // The run records into a session of its own: every counter flush and
+    // span below — including on pool workers — lands in it and nowhere
+    // else, so concurrent runs cannot see each other's values. Detail
+    // instrumentation follows the caller's gate.
+    obs::Session sess;
+    sess.setDetailEnabled(obs::detailEnabled());
     const obs::SessionBind bind(sess);
-    obs::Tracer& tracer = sess.tracer();
-    tracer.reset();
-    const DetailForRun detail(static_cast<bool>(opts.observer));
-    const obs::Snapshot countersBefore = sess.snapshotMetrics();
     obs::SpanScope runSpan(stage::kRun);
 
     // Once the run-wide deadline has been absorbed by a rung, later
@@ -190,8 +167,7 @@ StreakResult runStreakGuarded(const Design& design,
                 // a deadline that already killed the cheap solver leaves
                 // nothing for the expensive one either.
                 if (e.error().kind != robust::ErrorKind::FaultInjected ||
-                    !ladderMayAbsorb(e.error(), opts.recovery) ||
-                    !opts.recovery.warmStartOptional) {
+                    !ladderMayAbsorb(e.error())) {
                     throw;
                 }
                 recordDegradation(&result, stage::kSolve, "solve.cold_start",
@@ -214,7 +190,7 @@ StreakResult runStreakGuarded(const Design& design,
             } catch (const robust::StreakException& e) {
                 // Rung: the formal "ILP timeout -> PD result" fallback,
                 // now also covering deadline expiry and injected faults.
-                if (!haveWarm || !ladderMayAbsorb(e.error(), opts.recovery) ||
+                if (!haveWarm || !ladderMayAbsorb(e.error()) ||
                     !opts.recovery.ilpFallbackToPd) {
                     throw;
                 }
@@ -250,10 +226,7 @@ StreakResult runStreakGuarded(const Design& design,
         obs::SpanScope span(stage::kDistance);
         parallel::RegionStats stats;
         const auto skipRung = [&](const robust::StreakError& cause) {
-            if (!opts.recovery.enabled ||
-                !opts.recovery.distanceSkipOnFailure) {
-                robust::raise(cause);
-            }
+            if (!opts.recovery.distanceSkipOnFailure) robust::raise(cause);
             recordDegradation(&result, stage::kDistance, "distance.skipped",
                               cause);
             before.clear();
@@ -284,7 +257,7 @@ StreakResult runStreakGuarded(const Design& design,
         } catch (const robust::StreakException& e) {
             // Rung: the analysis is diagnostic — skip it rather than
             // fail a run that already has a routed solution.
-            if (!ladderMayAbsorb(e.error(), opts.recovery)) throw;
+            if (!ladderMayAbsorb(e.error())) throw;
             absorbedDeadline(e.error());
             skipRung(e.error());
         }
@@ -340,7 +313,7 @@ StreakResult runStreakGuarded(const Design& design,
                 }
             } catch (const robust::StreakException& e) {
                 // Rung: restore the last valid solution.
-                if (!ladderMayAbsorb(e.error(), opts.recovery) ||
+                if (!ladderMayAbsorb(e.error()) ||
                     !opts.recovery.postRollback) {
                     throw;
                 }
@@ -364,12 +337,10 @@ StreakResult runStreakGuarded(const Design& design,
     runSpan.addArg("threads", result.threadsUsed);
     runSpan.addArg("degradations",
                    static_cast<double>(result.degradations.size()));
-    tracer.endSpan(runSpan.id());
-    result.trace = tracer.snapshot();
-    result.counters = sess.snapshotMetrics().minus(countersBefore);
-    if (opts.observer) {
-        opts.observer(StreakObservation{result.trace, result.counters});
-    }
+    sess.tracer().endSpan(runSpan.id());
+    result.trace = sess.tracer().snapshot();
+    // minus({}) drops the counters and histograms that stayed at zero.
+    result.counters = sess.snapshotMetrics().minus({});
     return result;
 }
 
@@ -398,7 +369,7 @@ FlowResult runStreak(const Design& design, const StreakOptions& callerOpts) {
         return FlowResult(e.error());
     } catch (const std::exception& e) {
         // Belt and braces: runStage should have wrapped everything, but
-        // the rim between stages (snapshots, observer) can still throw.
+        // the rim between stages (snapshots) can still throw.
         robust::StreakError err;
         err.kind = robust::ErrorKind::Internal;
         err.stage = stage::kRun;

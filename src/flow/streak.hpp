@@ -25,11 +25,15 @@
 // rung in StreakResult::degradations. Degraded output still passes the
 // deep auditors.
 //
-// Timing is span-based (DESIGN.md "Observability"): runStreak records a
-// span tree rooted at "flow/run" with one child per stage; the
-// buildSeconds()/solveSeconds()/... accessors and the per-stage
-// RegionStats derive from it, so the span tree is the single source of
-// truth for where the run's wall time went.
+// Observability (DESIGN.md "Observability"): every run records into an
+// obs::Session of its own, so two runs — back to back or on two threads
+// at once — never share a counter or a span. The run's span tree, rooted
+// at "flow/run" with one child per stage, and its counters come back in
+// StreakResult::trace and ::counters. The buildSeconds()/solveSeconds()/
+// ... accessors and the per-stage RegionStats derive from the span tree,
+// so it is the single source of truth for where the run's wall time
+// went. Hot-path detail (solver spans and work counters) is on when the
+// calling thread's gate is: obs::setDetailEnabled(true) before the call.
 #pragma once
 
 #include <optional>
@@ -95,9 +99,10 @@ struct StreakResult {
     /// The run's span tree (rooted at "flow/run"): stage spans always;
     /// detailed solver/router spans when detail instrumentation was on.
     obs::Trace trace;
-    /// Per-run counter / histogram deltas. Counter values are
-    /// byte-identical for every `threads` value (timestamps live only in
-    /// spans); populated with the hot-path counters only when detail
+    /// The run's own counters and histograms — everything its session
+    /// recorded, minus the entries that stayed at zero. Counter values
+    /// are byte-identical for every `threads` value (timestamps live only
+    /// in spans); the hot-path counters appear only when detail
     /// instrumentation was on for the run.
     obs::Snapshot counters;
 

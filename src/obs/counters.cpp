@@ -1,7 +1,6 @@
 #include "obs/counters.hpp"
 
 #include "check/assert.hpp"
-#include "obs/session.hpp"
 
 namespace streak::obs {
 
@@ -74,18 +73,9 @@ Snapshot Registry::snapshot() const {
     return snap;
 }
 
-Counter& counter(std::string_view name) { return session().counter(name); }
-
-Histogram& histogram(std::string_view name,
-                     std::vector<long long> upperBounds) {
-    return session().histogram(name, std::move(upperBounds));
-}
-
-Snapshot snapshotMetrics() { return session().snapshotMetrics(); }
-
 Snapshot Snapshot::minus(const Snapshot& base) const {
-    // Zero-delta entries are dropped: a counter another run bumped long
-    // ago should not show up in this run's report.
+    // Zero-delta entries are dropped, so a counter registered but never
+    // bumped in the measured interval does not show up in a report.
     Snapshot out;
     for (const auto& [name, value] : counters) {
         const auto it = base.counters.find(name);

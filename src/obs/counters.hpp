@@ -17,18 +17,19 @@
 //   if (obs::detailEnabled()) obs::session().counter("route/maze.pops").add(n);
 //
 // Never cache a handle in a `static` local: handles belong to the
-// Session (obs/session.hpp) that resolved them, and a static would pin
-// the first run's session forever, bleeding later runs' metrics into it.
+// Session (obs/session.hpp) that resolved them, and every run has its
+// own session, so a static would dangle once the first run returned.
 //
 // Histograms bucket values against fixed upper bounds; the last bucket
 // is an unbounded overflow bucket (how the per-edge utilization
 // distribution represents > 100% overflow).
 //
-// Handles live in a Registry owned by an obs::Session. Registered
-// entries are never removed, so references stay valid for the owning
-// session's lifetime and instrumented code never needs resetting:
-// per-run values are obtained by snapshot deltas (runStreak snapshots on
-// entry and exit).
+// Handles live in a Registry owned by an obs::Session and are always
+// resolved through one: obs::session().counter(...). Registered entries
+// are never removed, so references stay valid for the owning session's
+// lifetime. runStreak records every run into a session of its own, so a
+// run's values are simply that session's snapshot; Snapshot::minus gives
+// the delta when a caller shares one session across several operations.
 #pragma once
 
 #include <atomic>
@@ -95,7 +96,8 @@ struct Snapshot {
     std::map<std::string, HistogramValues> histograms;
 
     /// Everything this snapshot accumulated beyond `base` (counters /
-    /// histograms absent from `base` count from zero).
+    /// histograms absent from `base` count from zero); entries that did
+    /// not move are dropped, so minus({}) keeps only the nonzero ones.
     [[nodiscard]] Snapshot minus(const Snapshot& base) const;
 };
 
@@ -125,16 +127,5 @@ private:
     std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
     std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
-
-// Free-function conveniences resolving through the calling thread's
-// bound session (obs::session(); the process-global default session when
-// none is bound). Instrumented modules should spell the session out —
-// obs::session().counter(...) — which streak_analyze enforces outside
-// src/obs; these wrappers exist for tests and benches working against
-// the default session.
-[[nodiscard]] Counter& counter(std::string_view name);
-[[nodiscard]] Histogram& histogram(std::string_view name,
-                                   std::vector<long long> upperBounds);
-[[nodiscard]] Snapshot snapshotMetrics();
 
 }  // namespace streak::obs

@@ -1,28 +1,30 @@
-// Per-run observability sessions (DESIGN.md "Observability").
+// Observability sessions (DESIGN.md "Observability").
 //
 // A Session owns one counter/histogram Registry and one span Tracer
 // (with its runtime detail gate). Everything instrumented code records
-// goes to the *calling thread's bound session*, so two flow runs in one
-// process — campaign sweeps, future streakd jobs — get fully independent
-// metrics with no bleed between them:
+// goes to the *calling thread's bound session*. runStreak gives every
+// run a private session, so concurrent and back-to-back runs never share
+// a counter or a span, and fills StreakResult::trace and ::counters from
+// it. The run's detail gate starts from the caller's (obs::detailEnabled()
+// on the calling thread), which is the one switch for hot-path detail:
 //
-//   auto session = std::make_shared<obs::Session>();
-//   StreakOptions opts;
-//   opts.session = session;            // runStreak binds it for the run
-//   ...
-//   // session->snapshotMetrics() now holds only this run's values.
+//   obs::setDetailEnabled(true);       // this thread's session
+//   const StreakResult r = runStreak(design, opts).value();
+//   // r.counters holds this run's hot-path counters and nothing else.
 //
-// Binding is thread-local and RAII:
+// Code outside the flow that wants its own metrics binds a session:
 //
-//   obs::SessionBind bind(*session);   // owner thread, e.g. runStreak
-//   obs::WorkerBind  bind(*session, parentSpan, track);   // pool workers
+//   obs::Session session;
+//   const obs::SessionBind bind(session);   // owner thread
+//   session.setDetailEnabled(true);
+//   ...                                     // session.snapshotMetrics()
 //
-// Both save and restore the previous binding *and* the thread's span
-// context together — span ids are indices into the bound session's
+// Binding is thread-local and RAII; pool workers use
+// obs::WorkerBind(session, parentSpan, track) to join the region owner's
+// session. Both save and restore the previous binding *and* the thread's
+// span context together — span ids are indices into the bound session's
 // tracer, so the pair must always travel as one. When no session is
-// bound, obs::session() resolves to the process-global default session,
-// which keeps the historical process-global behaviour (and byte-identical
-// output) for every existing call site, test, and bench.
+// bound, obs::session() resolves to the process-global default session.
 #pragma once
 
 #include "obs/counters.hpp"
@@ -31,8 +33,8 @@
 namespace streak::obs {
 
 /// One isolated observability domain: counters + histograms + tracer +
-/// detail gate. Thread-safe exactly like the global registry was; the
-/// object must outlive every thread bound to it.
+/// detail gate. Thread-safe; the object must outlive every thread bound
+/// to it.
 class Session {
 public:
     Session() = default;

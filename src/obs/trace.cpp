@@ -36,8 +36,8 @@ int Tracer::beginSpan(std::string name) {
 
 void Tracer::endSpan(int id) {
     std::lock_guard<std::mutex> lock(mutex_);
-    // A reset() between begin and end (one flow run at a time) invalidates
-    // outstanding ids; tolerate it rather than corrupting the new trace.
+    // A reset() between begin and end invalidates outstanding ids;
+    // tolerate it rather than corrupting the new trace.
     if (id < 0 || id >= static_cast<int>(spans_.size())) return;
     Span& span = spans_[static_cast<size_t>(id)];
     const std::chrono::duration<double> sinceEpoch =

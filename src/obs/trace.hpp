@@ -24,11 +24,11 @@
 //                             (obs::detailEnabled(), a relaxed atomic
 //                             load), so the disabled cost is near zero
 //
-// Each obs::Session (obs/session.hpp) owns one Tracer, sized for one
-// flow run at a time within that session: runStreak() binds its session,
-// resets the tracer on entry, and snapshots the span tree on exit. Spans
-// from instrumented code reach the tracer of the calling thread's bound
-// session (the process-global default session when none is bound).
+// Each obs::Session (obs/session.hpp) owns one Tracer. runStreak()
+// records every run into a session of its own and copies that session's
+// span tree into StreakResult::trace on exit. Spans from instrumented
+// code reach the tracer of the calling thread's bound session (the
+// process-global default session when none is bound).
 // Timestamps live only in spans, never in counters, so counter values
 // stay byte-identical across thread counts while spans remain free to
 // differ.
@@ -98,8 +98,8 @@ public:
         detail_.store(enabled, std::memory_order_relaxed);
     }
 
-    /// Drop all recorded spans and restart the epoch. The flow calls this
-    /// on entry; only one run may trace at a time per session.
+    /// Drop all recorded spans and restart the epoch, for callers that
+    /// reuse one session across several traced operations.
     void reset();
 
     /// Open a span under the calling thread's current span; returns its

@@ -16,12 +16,10 @@
 namespace streak::robust {
 
 /// Per-stage switches; all on by default. Turning one off converts that
-/// rung's recoverable failures into structured errors.
+/// rung's recoverable failures into structured errors. The warm-start
+/// rung (an injected fault in the primal-dual warm start of an ILP run:
+/// continue the ILP cold) has no switch and is always taken.
 struct RecoveryPolicy {
-    /// Master switch for the whole ladder.
-    bool enabled = true;
-    /// Warm-start PD failed before an ILP solve: continue the ILP cold.
-    bool warmStartOptional = true;
     /// ILP solve failed or ran out of budget: keep the PD solution.
     bool ilpFallbackToPd = true;
     /// Distance analysis failed: skip it (report zero violations).

@@ -109,30 +109,10 @@ TEST(AnalyzeRules, FixturesFireWaiveAndRot) {
          {{3, "nondet-random"},
           {4, "nondet-random"},
           {7, "unused-suppression"}}},
-        {"rules/obs_registry.cpp",
-         {{5, "obs-global-registry"},
-          {6, "obs-global-registry"},
-          {14, "unused-suppression"}}},
     };
     for (const auto& [file, want] : cases) {
         expectFindings(run({fixture(file)}), want, file);
     }
-}
-
-TEST(AnalyzeRules, ObsRegistryRuleExemptsSrcObsAndSessionCalls) {
-    const std::string_view code =
-        "void f() { obs::counter(\"flow/x\").add(1); }\n";
-    // src/obs implements the free functions; everywhere else they are a
-    // hidden dependency on the bound session.
-    expectFindings(run({snippet("src/obs/counters.cpp", code)}), {},
-                   "src/obs is exempt");
-    expectFindings(run({snippet("src/flow/streak.cpp", code)}),
-                   {{1, "obs-global-registry"}}, "src/flow fires");
-    // The sanctioned spelling resolves through the session object.
-    expectFindings(
-        run({snippet("src/flow/streak.cpp",
-                     "void f() { obs::session().counter(\"x\").add(1); }\n")}),
-        {}, "session member call is fine");
 }
 
 TEST(AnalyzeRules, CompanionHeaderSuppliesUnorderedVars) {

@@ -6,7 +6,6 @@
 // (BENCH_campaign.jsonl, path injected as STREAK_CAMPAIGN_BASELINE).
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -154,12 +153,8 @@ TEST_F(CampaignSweep, ShrunkSweepMatchesTheCommittedStore) {
     const campaign::Store reference =
         campaign::readStoreFile(STREAK_CAMPAIGN_BASELINE);
     EXPECT_TRUE(reference.problems.empty()) << reference.problems.front();
-    campaign::DiffThresholds thresholds;
-    // Wall time belongs to the host that wrote the store; counters and
-    // quality do not.
-    thresholds.minWallSeconds = std::numeric_limits<double>::infinity();
     const campaign::DiffReport report =
-        campaign::diffAgainstStore(reference, current, thresholds);
+        campaign::diffAgainstStore(reference, current);
     EXPECT_EQ(report.comparedRuns, 28);
     EXPECT_TRUE(report.notes.empty()) << report.notes.front();
     for (const campaign::Regression& r : report.regressions) {

@@ -147,27 +147,6 @@ TEST(CampaignDiff, FlagsQualityLossAtZeroTolerance) {
     }
 }
 
-TEST(CampaignDiff, WallTimeUsesThresholdAndNoiseFloor) {
-    campaign::RunRecord base = sampleRecord();
-    campaign::RunRecord cur = sampleRecord();
-    // Below the floor: even 10x growth is noise.
-    base.wallSeconds = 0.004;
-    cur.wallSeconds = 0.04;
-    EXPECT_TRUE(
-        campaign::diffAgainstStore(storeOf({base}), storeOf({cur})).ok());
-    // Above the floor: +60% > the 50% threshold.
-    base.wallSeconds = 0.5;
-    cur.wallSeconds = 0.8;
-    const campaign::DiffReport report =
-        campaign::diffAgainstStore(storeOf({base}), storeOf({cur}));
-    ASSERT_EQ(report.regressions.size(), 1u);
-    EXPECT_EQ(report.regressions.front().kind, "wall");
-    // +40% stays under it.
-    cur.wallSeconds = 0.7;
-    EXPECT_TRUE(
-        campaign::diffAgainstStore(storeOf({base}), storeOf({cur})).ok());
-}
-
 TEST(CampaignDiff, ProvenanceMismatchIsSkippedWithANote) {
     const campaign::Store baseline = storeOf({sampleRecord()});
     campaign::RunRecord cur = sampleRecord();

@@ -1,14 +1,17 @@
 // Per-run observability sessions (DESIGN.md "Observability"): binding
 // semantics (save/restore of session + span context), isolation of
 // counters / histograms / spans / the detail gate between sessions, and
-// the flow-level contract the campaign runner depends on — sequential
-// in-process runs under distinct sessions report exactly what a fresh
+// the flow-level contract the campaign runner depends on — every run
+// records into a session of its own and never into the caller's, so
+// sequential and concurrent in-process runs report exactly what a fresh
 // process would, at every thread count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
+#include <atomic>
+#include <optional>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -18,6 +21,7 @@
 #include "obs/counters.hpp"
 #include "obs/session.hpp"
 #include "obs/trace.hpp"
+#include "test_util.hpp"
 
 namespace streak {
 namespace {
@@ -69,12 +73,12 @@ TEST(Session, CountersAndHistogramsIsolateBetweenSessions) {
     obs::Session b;
     {
         const obs::SessionBind bind(a);
-        obs::counter("test/session.iso").add(3);
-        obs::histogram("test/session.hist", {10}).record(4);
+        obs::session().counter("test/session.iso").add(3);
+        obs::session().histogram("test/session.hist", {10}).record(4);
     }
     {
         const obs::SessionBind bind(b);
-        obs::counter("test/session.iso").add(5);
+        obs::session().counter("test/session.iso").add(5);
     }
     const obs::Snapshot snapA = a.snapshotMetrics();
     const obs::Snapshot snapB = b.snapshotMetrics();
@@ -135,15 +139,26 @@ struct SessionRun {
     obs::Trace trace;
 };
 
-/// One flow run under a brand-new session — what a fresh process would
-/// report for the same design and options.
-SessionRun runInFreshSession(const Design& d, int threads) {
+StreakOptions postOptions(int threads) {
     StreakOptions opts;
     opts.postOptimize = true;
     opts.threads = threads;
-    opts.session = std::make_shared<obs::Session>();
-    opts.observer = [](const StreakObservation&) {};
-    const StreakResult r = runStreak(d, opts).value();
+    return opts;
+}
+
+/// One flow run started from a thread bound to a detail-on session, as a
+/// campaign sweep point starts it. The run records into a brand-new
+/// session of its own — what a fresh process would report for the same
+/// design and options — and leaves the caller's session empty.
+SessionRun runInFreshSession(const Design& d, int threads) {
+    obs::Session caller;
+    const obs::SessionBind bind(caller);
+    caller.setDetailEnabled(true);
+    const StreakResult r = runStreak(d, postOptions(threads)).value();
+    const obs::Snapshot untouched = caller.snapshotMetrics();
+    EXPECT_TRUE(untouched.counters.empty());
+    EXPECT_TRUE(untouched.histograms.empty());
+    EXPECT_TRUE(caller.tracer().snapshot().empty());
     return {r.counters, r.trace};
 }
 
@@ -176,11 +191,52 @@ TEST(SessionFlow, SequentialSessionRunsMatchAFreshRunAtEveryThreadCount) {
 }
 
 TEST(SessionFlow, ScopedRunLeavesTheDefaultSessionUntouched) {
+    // An unbound caller with detail on: the run still records into its
+    // own session, never into the process-global default one.
+    const testutil::DetailGuard guard;
+    obs::setDetailEnabled(true);
     const Design d = smallDesign();
-    const obs::Snapshot before = obs::defaultSession().snapshotMetrics();
-    (void)runInFreshSession(d, 2);
-    const obs::Snapshot after = obs::defaultSession().snapshotMetrics();
-    expectSnapshotsEqual(after, before);
+    obs::Session& global = obs::defaultSession();
+    const obs::Snapshot before = global.snapshotMetrics();
+    const size_t spansBefore = global.tracer().snapshot().size();
+    const StreakResult r = runStreak(d, postOptions(2)).value();
+    EXPECT_TRUE(r.counters.counters.contains("solve/pd.iterations"));
+    expectSnapshotsEqual(global.snapshotMetrics(), before);
+    EXPECT_EQ(global.tracer().snapshot().size(), spansBefore);
+}
+
+TEST(SessionFlow, ConcurrentRunsMatchALoneRun) {
+    // Two runs at once from two unbound threads: neither may see the
+    // other's counters or spans.
+    const testutil::DetailGuard guard;
+    obs::setDetailEnabled(true);
+    const Design d = smallDesign();
+    const StreakOptions opts = postOptions(2);
+    const StreakResult lone = runStreak(d, opts).value();
+    ASSERT_TRUE(lone.counters.counters.contains("solve/pd.iterations"));
+    for (int trial = 0; trial < 20; ++trial) {
+        std::atomic<int> arrived{0};
+        // runStreak never throws, so nothing escapes a thread.
+        std::vector<std::optional<FlowResult>> runs(2);
+        std::vector<std::thread> threads;
+        for (size_t t = 0; t < runs.size(); ++t) {
+            threads.emplace_back([&, t] {
+                // Both threads are up before either starts routing.
+                arrived.fetch_add(1);
+                while (arrived.load() < 2) std::this_thread::yield();
+                runs[t].emplace(runStreak(d, opts));
+            });
+        }
+        for (std::thread& th : threads) th.join();
+        for (const std::optional<FlowResult>& run : runs) {
+            ASSERT_TRUE(run->ok()) << run->error().describe();
+            expectSnapshotsEqual(run->value().counters, lone.counters);
+            EXPECT_EQ(shapeOf(run->value().trace), shapeOf(lone.trace));
+        }
+        if (::testing::Test::HasFailure()) {
+            FAIL() << "trial " << trial << " differs from the lone run";
+        }
+    }
 }
 
 TEST(SessionFlow, HistogramsFollowTheRunSessionNotTheFirstCaller) {

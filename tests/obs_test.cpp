@@ -1,8 +1,9 @@
 // Observability layer suite (DESIGN.md "Observability"): span nesting
 // and worker-thread attachment, counter / histogram semantics, the
-// determinism contract (counter deltas byte-identical across thread
-// counts), the JSON run report round-tripped through the bundled parser
-// and the chrome://tracing export's structural validity.
+// determinism contract (run counters byte-identical across thread
+// counts), the caller's detail gate, the JSON run report round-tripped
+// through the bundled parser and the chrome://tracing export's
+// structural validity.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -25,15 +26,7 @@
 namespace streak {
 namespace {
 
-/// Restores the global detail gate (tests toggle it at will).
-class DetailGuard {
-public:
-    DetailGuard() : saved_(obs::detailEnabled()) {}
-    ~DetailGuard() { obs::setDetailEnabled(saved_); }
-
-private:
-    bool saved_;
-};
+using testutil::DetailGuard;
 
 const obs::Span* spanNamed(const obs::Trace& trace, std::string_view name) {
     return obs::findSpan(trace, name);
@@ -137,22 +130,29 @@ TEST(Tracer, WorkerSpansAttachUnderRegionSpan) {
 }
 
 TEST(Counters, RegistryAccumulatesAndSnapshotsDelta) {
-    obs::Counter& c = obs::counter("test/obs.counter_a");
-    const obs::Snapshot before = obs::snapshotMetrics();
+    obs::Session session;
+    obs::Counter& c = session.counter("test/obs.counter_a");
+    const obs::Snapshot before = session.snapshotMetrics();
     c.add(5);
     c.add(2);
-    const obs::Snapshot delta = obs::snapshotMetrics().minus(before);
+    const obs::Snapshot delta = session.snapshotMetrics().minus(before);
     EXPECT_EQ(delta.counters.at("test/obs.counter_a"), 7);
     // A second handle for the same name hits the same counter.
-    obs::counter("test/obs.counter_a").add(1);
+    session.counter("test/obs.counter_a").add(1);
     EXPECT_EQ(c.value() - before.counters.at("test/obs.counter_a"), 8);
+    // minus({}) keeps only the nonzero entries, as runStreak reports them.
+    (void)session.counter("test/obs.never_bumped");
+    const obs::Snapshot nonzero = session.snapshotMetrics().minus({});
+    EXPECT_EQ(nonzero.counters.size(), 1u);
+    EXPECT_EQ(nonzero.counters.at("test/obs.counter_a"), 8);
 }
 
 TEST(Counters, HistogramBucketsAndOverflow) {
-    obs::Histogram& h = obs::histogram("test/obs.hist", {10, 20, 30});
-    const obs::Snapshot before = obs::snapshotMetrics();
+    obs::Session session;
+    obs::Histogram& h = session.histogram("test/obs.hist", {10, 20, 30});
+    const obs::Snapshot before = session.snapshotMetrics();
     for (const long long v : {5, 10, 11, 25, 31, 1000}) h.record(v);
-    const obs::Snapshot delta = obs::snapshotMetrics().minus(before);
+    const obs::Snapshot delta = session.snapshotMetrics().minus(before);
     const auto& hv = delta.histograms.at("test/obs.hist");
     ASSERT_EQ(hv.upperBounds, (std::vector<long long>{10, 20, 30}));
     // <=10: {5, 10}; <=20: {11}; <=30: {25}; overflow: {31, 1000}.
@@ -174,23 +174,30 @@ Design smallDesign() {
     return gen::generate(spec);
 }
 
-StreakResult observedRun(const Design& d, int threads) {
+/// runStreak with the calling thread's detail gate on, so the run
+/// records its hot-path spans and counters.
+StreakResult detailedRun(const Design& d, const StreakOptions& opts) {
+    DetailGuard guard;
+    obs::setDetailEnabled(true);
+    return runStreak(d, opts).value();
+}
+
+StreakResult detailedRun(const Design& d, int threads) {
     StreakOptions opts;
     opts.postOptimize = true;
     opts.threads = threads;
-    opts.observer = [](const StreakObservation&) {};
-    return runStreak(d, opts).value();
+    return detailedRun(d, opts);
 }
 
 TEST(FlowObservability, CountersAreThreadCountInvariant) {
     const Design d = smallDesign();
-    const StreakResult base = observedRun(d, 1);
+    const StreakResult base = detailedRun(d, 1);
     EXPECT_FALSE(base.counters.counters.empty());
     EXPECT_GT(base.counters.counters.at("solve/pd.iterations"), 0);
     ASSERT_TRUE(base.counters.histograms.contains("route/edge.utilization_pct"));
 
     for (const int threads : {2, 8}) {
-        const StreakResult r = observedRun(d, threads);
+        const StreakResult r = detailedRun(d, threads);
         EXPECT_EQ(r.counters.counters, base.counters.counters)
             << threads << " threads changed a counter value";
         for (const auto& [name, hv] : base.counters.histograms) {
@@ -212,12 +219,12 @@ TEST(FlowObservability, ClusteringCountersAreThreadCountInvariant) {
         return out;
     };
     const std::map<std::string, long long> base =
-        clusterCounters(observedRun(d, 1));
+        clusterCounters(detailedRun(d, 1));
     ASSERT_TRUE(base.contains("post/cluster.rounds"));
     EXPECT_GT(base.at("post/cluster.rounds"), 0);
     EXPECT_GT(base.at("post/cluster.bits_routed"), 0);
     for (const int threads : {2, 8}) {
-        EXPECT_EQ(clusterCounters(observedRun(d, threads)), base)
+        EXPECT_EQ(clusterCounters(detailedRun(d, threads)), base)
             << threads << " threads changed a clustering counter";
     }
 }
@@ -232,7 +239,7 @@ TEST(FlowObservability, BuildCountersAreThreadCountInvariant) {
         }
         return out;
     };
-    const StreakResult first = observedRun(d, 1);
+    const StreakResult first = detailedRun(d, 1);
     const std::map<std::string, long long> base = buildCounters(first);
     for (const char* name :
          {"build/candidates.objects", "build/candidates.backbones",
@@ -252,14 +259,14 @@ TEST(FlowObservability, BuildCountersAreThreadCountInvariant) {
                   stage::kBuild);
     }
     for (const int threads : {2, 8}) {
-        EXPECT_EQ(buildCounters(observedRun(d, threads)), base)
+        EXPECT_EQ(buildCounters(detailedRun(d, threads)), base)
             << threads << " threads changed a build counter";
     }
 }
 
 TEST(FlowObservability, DistanceAnalysisHasItsOwnSpanAndCounter) {
     const Design d = smallDesign();
-    const StreakResult first = observedRun(d, 1);
+    const StreakResult first = detailedRun(d, 1);
     // Three analyses per run: the distance stage's, then refinement's
     // before and after its detour pass.
     std::vector<std::string> parents;
@@ -274,28 +281,22 @@ TEST(FlowObservability, DistanceAnalysisHasItsOwnSpanAndCounter) {
     const long long bits = first.counters.counters.at("distance/analyze.bits");
     EXPECT_GT(bits, 0);
     for (const int threads : {2, 8}) {
-        EXPECT_EQ(observedRun(d, threads)
+        EXPECT_EQ(detailedRun(d, threads)
                       .counters.counters.at("distance/analyze.bits"),
                   bits)
             << threads << " threads changed the analyzed bit count";
     }
 }
 
-TEST(FlowObservability, ObserverSeesTraceAndStageSpansBackAccessors) {
+TEST(FlowObservability, RunTraceBacksTheStageAccessors) {
     const Design d = smallDesign();
-    bool called = false;
-    StreakOptions opts;
-    opts.postOptimize = true;
-    opts.threads = 1;
-    opts.observer = [&](const StreakObservation& o) {
-        called = true;
-        EXPECT_NE(obs::findSpan(o.trace, stage::kRun), nullptr);
-        EXPECT_FALSE(o.counters.counters.empty());
-    };
-    const StreakResult r = runStreak(d, opts).value();
-    EXPECT_TRUE(called);
+    const StreakResult r = detailedRun(d, 1);
+    const obs::Span* run = obs::findSpan(r.trace, stage::kRun);
+    ASSERT_NE(run, nullptr);
+    EXPECT_EQ(run->parent, -1);
+    EXPECT_FALSE(r.counters.counters.empty());
 
-    // The derived accessors read the same span tree the observer saw.
+    // The derived accessors read the run's own span tree.
     EXPECT_GT(r.totalSeconds(), 0.0);
     EXPECT_GT(r.buildSeconds(), 0.0);
     EXPECT_GE(r.totalSeconds(), r.buildSeconds() + r.solveSeconds() +
@@ -304,18 +305,26 @@ TEST(FlowObservability, ObserverSeesTraceAndStageSpansBackAccessors) {
     EXPECT_GT(r.buildParallel().regions, 0);
 }
 
-TEST(FlowObservability, DetailStaysOffWithoutObserver) {
+TEST(FlowObservability, DetailFollowsTheCallersGate) {
     DetailGuard guard;
-    obs::setDetailEnabled(false);
     const Design d = smallDesign();
     StreakOptions opts;
     opts.postOptimize = true;
     opts.threads = 1;
-    const StreakResult r = runStreak(d, opts).value();
+    obs::setDetailEnabled(false);
+    const StreakResult quiet = runStreak(d, opts).value();
     // Stage spans always record; hot-path counters stay silent.
-    EXPECT_GT(r.totalSeconds(), 0.0);
-    EXPECT_FALSE(r.counters.counters.contains("solve/pd.iterations"));
+    EXPECT_GT(quiet.totalSeconds(), 0.0);
+    EXPECT_FALSE(quiet.counters.counters.contains("solve/pd.iterations"));
+    EXPECT_EQ(obs::findSpan(quiet.trace, "solve/pd"), nullptr);
     EXPECT_FALSE(obs::detailEnabled());
+
+    obs::setDetailEnabled(true);
+    const StreakResult detailed = runStreak(d, opts).value();
+    EXPECT_TRUE(detailed.counters.counters.contains("solve/pd.iterations"));
+    EXPECT_NE(obs::findSpan(detailed.trace, "solve/pd"), nullptr);
+    // The run reads the caller's gate and leaves it as it was.
+    EXPECT_TRUE(obs::detailEnabled());
 }
 
 TEST(Report, RoundTripsThroughParser) {
@@ -323,8 +332,7 @@ TEST(Report, RoundTripsThroughParser) {
     StreakOptions opts;
     opts.postOptimize = true;
     opts.threads = 2;
-    opts.observer = [](const StreakObservation&) {};
-    const StreakResult r = runStreak(d, opts).value();
+    const StreakResult r = detailedRun(d, opts);
 
     std::ostringstream os;
     flow::writeRunReport(d, opts, r, os);
@@ -370,7 +378,7 @@ TEST(Report, RoundTripsThroughParser) {
 
 TEST(ChromeTrace, EmitsBalancedDurationEvents) {
     const Design d = smallDesign();
-    const StreakResult r = observedRun(d, 4);
+    const StreakResult r = detailedRun(d, 4);
 
     std::ostringstream os;
     obs::writeChromeTrace(r.trace, os);

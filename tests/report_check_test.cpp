@@ -13,6 +13,8 @@
 #include "flow/streak.hpp"
 #include "gen/generator.hpp"
 #include "obs/json.hpp"
+#include "obs/trace.hpp"
+#include "test_util.hpp"
 
 namespace streak {
 namespace {
@@ -29,7 +31,8 @@ std::string freshReport() {
     StreakOptions opts;
     opts.postOptimize = true;
     opts.threads = 1;
-    opts.observer = [](const StreakObservation&) {};
+    const testutil::DetailGuard guard;
+    obs::setDetailEnabled(true);
     const StreakResult r = runStreak(d, opts).value();
     std::ostringstream os;
     flow::writeRunReport(d, opts, r, os);

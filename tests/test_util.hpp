@@ -5,8 +5,23 @@
 
 #include "core/signal.hpp"
 #include "gen/generator.hpp"
+#include "obs/trace.hpp"
 
 namespace streak::testutil {
+
+/// Restores the calling thread's detail gate on scope exit, so a test can
+/// turn detail instrumentation on (obs::setDetailEnabled) for the runs it
+/// starts without leaking the setting into later tests.
+class DetailGuard {
+public:
+    DetailGuard() : saved_(obs::detailEnabled()) {}
+    ~DetailGuard() { obs::setDetailEnabled(saved_); }
+    DetailGuard(const DetailGuard&) = delete;
+    DetailGuard& operator=(const DetailGuard&) = delete;
+
+private:
+    bool saved_;
+};
 
 /// A bit with the given pins; pins[0] is the driver.
 inline Bit makeBit(std::vector<geom::Point> pins, const std::string& name = "b") {

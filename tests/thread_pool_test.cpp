@@ -1,6 +1,6 @@
 #include "parallel/thread_pool.hpp"
 
-#include "obs/counters.hpp"
+#include "obs/session.hpp"
 
 #include <gtest/gtest.h>
 
@@ -115,8 +115,8 @@ TEST(ThreadPool, SuppressedFailuresAreCountedAndNoted) {
     // throwing: both failures are guaranteed recorded, so exactly one is
     // suppressed — deterministically, unlike the fail-fast race above.
     ThreadPool pool(2);
-    const long long before =
-        obs::counter("parallel/exceptions_suppressed").value();
+    obs::Session session;
+    const obs::SessionBind bind(session);
     std::atomic<int> arrived{0};
     try {
         pool.parallelFor(2, [&](int i) {
@@ -135,8 +135,8 @@ TEST(ThreadPool, SuppressedFailuresAreCountedAndNoted) {
                   std::string::npos)
             << what;
     }
-    EXPECT_EQ(obs::counter("parallel/exceptions_suppressed").value(),
-              before + 1);
+    // The owner thread's bound session records the tally.
+    EXPECT_EQ(session.counter("parallel/exceptions_suppressed").value(), 1);
 }
 
 TEST(ThreadPool, PoolSurvivesAFailedRegion) {

@@ -40,9 +40,6 @@ const std::vector<RuleInfo> kCatalog = {
     {"flow-throw",
      "src/flow may only throw robust::StreakException; ad-hoc types bypass "
      "the structured-error contract"},
-    {"obs-global-registry",
-     "obs::counter / obs::histogram free-function lookup outside src/obs; "
-     "resolve handles through the run's obs::Session"},
     {"layering", "include edge not declared in the module layering DAG"},
     {"unused-suppression", "suppression marker that suppresses nothing"},
 };
@@ -123,7 +120,6 @@ struct FileContext {
     bool randomExempt = false;       // src/gen
     bool catchAllExempt = false;     // src/parallel, src/robust
     bool inFlow = false;             // src/flow
-    bool obsExempt = false;          // src/obs
     const std::set<std::string>* unorderedVars = nullptr;   // this file + header
     const std::set<std::string>* unorderedFns = nullptr;    // global
 };
@@ -214,7 +210,6 @@ public:
             runLegacyAt(toks, i);
             runDeterminismAt(toks, i);
             runRobustnessAt(toks, i);
-            runObservabilityAt(toks, i);
         }
     }
 
@@ -379,29 +374,6 @@ private:
                     "see kind/stage/site");
             }
         }
-    }
-
-    void runObservabilityAt(const std::vector<Token>& toks, size_t i) {
-        if (ctx_.obsExempt) return;
-        const Token& tok = toks[i];
-        if (tok.kind != TokKind::Identifier ||
-            (tok.text != "counter" && tok.text != "histogram")) {
-            return;
-        }
-        // Only the free-function lookups `obs::counter(...)` /
-        // `obs::histogram(...)`; the member calls on a session —
-        // obs::session().counter(...) — resolve against the run's own
-        // registry and are the sanctioned spelling.
-        if (i < 2 || !isPunct(toks[i - 1], "::") ||
-            !isIdent(toks[i - 2], "obs")) {
-            return;
-        }
-        if (i + 1 >= toks.size() || !isPunct(toks[i + 1], "(")) return;
-        add(tok.line, "obs-global-registry",
-            "obs::" + tok.text +
-                " resolves against whichever session is bound at call "
-                "time (and invites cached handles that pin the wrong "
-                "one); go through obs::session()." + tok.text + "(...)");
     }
 
     /// Flag `for (decl : range)` when the range expression mentions a name
@@ -687,7 +659,6 @@ std::vector<Finding> analyze(const std::vector<SourceFile>& files,
         ctx.catchAllExempt = startsWith(ctx.srcRel, "parallel/") ||
                              startsWith(ctx.srcRel, "robust/");
         ctx.inFlow = startsWith(ctx.srcRel, "flow/");
-        ctx.obsExempt = startsWith(ctx.srcRel, "obs/");
 
         std::set<std::string> vars = declsOf[f.path].vars;
         const auto companion = declsOf.find(companionOf(f.path));

@@ -5,9 +5,8 @@
 //    new/delete, pragma once, relative includes, float equality, bare
 //    assert, raw timing), the determinism rule pack (unordered-container
 //    iteration, pointer-keyed containers, thread-identity state, raw
-//    randomness), the robustness pack (catch-all handlers outside the
-//    infrastructure modules, ad-hoc throws in flow code), and the
-//    observability pack (global obs-registry access outside src/obs),
+//    randomness), and the robustness pack (catch-all handlers outside
+//    the infrastructure modules, ad-hoc throws in flow code),
 //  - the include-graph pass: module layering against the DAG declared in
 //    tools/analyze/layers.txt.
 //

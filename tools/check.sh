@@ -7,8 +7,9 @@
 #                                    clustering_equivalence_test +
 #                                    problem_build_equivalence_test +
 #                                    topology_equivalence_test)
-#   4. ThreadSanitizer              (preset `tsan`, thread pool +
-#                                    determinism tests)
+#   4. ThreadSanitizer              (preset `tsan`, thread pool,
+#                                    determinism and per-run session
+#                                    tests)
 #   5. observability exports        (route a generated design with
 #                                    --report/--trace, validate both with
 #                                    tools/report_check)
@@ -25,9 +26,10 @@
 #                                    suite, checkpoint-reader fuzz under
 #                                    ASan/UBSan, then a checkpoint ->
 #                                    delta -> `streak eco --cold-check`
-#                                    CLI run whose report must validate
-#                                    and re-solve strictly fewer groups
-#                                    than a cold re-route)
+#                                    CLI run whose report must validate,
+#                                    carry the closure run's hot-path
+#                                    counters, and re-solve strictly
+#                                    fewer groups than a cold re-route)
 #   9. campaign regression gate     (`streak campaign run` sweeps every
 #                                    builtin config over the shrunk
 #                                    synth1-7 into a JSONL store;
@@ -90,11 +92,13 @@ if [[ "$FULL" == 1 ]]; then
     ctest --preset tsan -j "$JOBS"
 else
     # The pool's own unit tests plus the thread-count invariance suite
-    # cover every parallel seam in the flow.
+    # cover every parallel seam in the flow; the session suite runs two
+    # flows at once, each recording into a session of its own.
     cmake --build --preset tsan -j "$JOBS" \
-        --target thread_pool_test parallel_determinism_test
+        --target thread_pool_test parallel_determinism_test obs_session_test
     ./build-tsan/tests/thread_pool_test
     ./build-tsan/tests/parallel_determinism_test
+    ./build-tsan/tests/obs_session_test
 fi
 
 echo "== [5/9] observability exports =="
@@ -144,8 +148,9 @@ cmake --build --preset dev --target eco_test -j "$JOBS" >/dev/null
 cmake --build --preset asan-ubsan -j "$JOBS" --target fuzz_test >/dev/null
 ./build-asan/tests/fuzz_test --gtest_filter='CheckpointFuzz.*'
 # CLI drill: checkpoint a routed suite, apply a one-pin ECO, verify the
-# incremental result against a cold re-route, validate the report, and
-# require the closure to be a strict subset of the design's groups.
+# incremental result against a cold re-route, validate the report,
+# require --report to have turned on the closure run's hot-path counters,
+# and require the closure to be a strict subset of the design's groups.
 ./build/tools/streak generate 4 "$OBS_TMP/synth4.streak" >/dev/null
 ./build/tools/streak route "$OBS_TMP/synth4.streak" --no-post \
     --checkpoint="$OBS_TMP/synth4.ckpt" --quiet >/dev/null
@@ -157,6 +162,11 @@ printf 'MOVEPIN 0 0 0 %d %d\n' \
     --deltas="$OBS_TMP/fix.eco" --cold-check \
     --report="$OBS_TMP/eco.json" | tee "$OBS_TMP/eco.out"
 ./build/tools/report_check "$OBS_TMP/eco.json"
+if ! grep -q '"solve/pd.iterations"' "$OBS_TMP/eco.json"; then
+    echo "check.sh: the eco report lacks the solve/pd.iterations counter" \
+         "(detail instrumentation was off for the closure run)" >&2
+    exit 1
+fi
 grep -q 'byte-identical' "$OBS_TMP/eco.out"
 read -r RESOLVED TOTAL < <(sed -n \
     's|^eco: re-solved \([0-9]*\)/\([0-9]*\) .*|\1 \2|p' "$OBS_TMP/eco.out")
@@ -171,13 +181,13 @@ echo "== [9/9] campaign regression gate =="
 # shrunk synth suites at one thread and diff the store against the
 # committed reference BENCH_campaign.jsonl: every one of the 28 sweep
 # points must compare, counters may grow at most 10% and quality not at
-# all. Wall time is left out (the reference was measured on another
-# host). With maze pops scaled 2x the diff must exit 8 (the
-# campaign-regression code), proving the alarm fires.
+# all (wall time is recorded but never compared; perfbench/ owns timing).
+# With maze pops scaled 2x the diff must exit 8 (the campaign-regression
+# code), proving the alarm fires.
 ./build/tools/streak campaign run --store="$OBS_TMP/campaign.jsonl" \
     --threads=1 --quiet
 ./build/tools/streak campaign diff "$OBS_TMP/campaign.jsonl" \
-    --baseline=BENCH_campaign.jsonl --counter-pct=10 --min-wall=inf \
+    --baseline=BENCH_campaign.jsonl --counter-pct=10 \
     --verdict="$OBS_TMP/verdict.json"
 if ! grep -q '"comparedRuns": 28,' "$OBS_TMP/verdict.json"; then
     echo "check.sh: campaign diff did not compare all 28 sweep points" \
@@ -189,7 +199,7 @@ fi
     --scale-counter=route/maze.pops:2 --quiet
 DRILL_RC=0
 ./build/tools/streak campaign diff "$OBS_TMP/drill.jsonl" \
-    --baseline=BENCH_campaign.jsonl --min-wall=inf \
+    --baseline=BENCH_campaign.jsonl \
     --verdict="$OBS_TMP/drill-verdict.json" --quiet 2>/dev/null \
     || DRILL_RC=$?
 if [[ "$DRILL_RC" -ne 8 ]]; then

@@ -40,7 +40,8 @@
 //   --cold-check           with --cold: verify the incremental result is
 //                          byte-identical to the cold one (exit 1 if not)
 //   --report=<file.json>   write the run report (streak-run-report schema
-//                          plus an "eco" section)
+//                          plus an "eco" section); turns on detail
+//                          instrumentation for the run
 //   --save=<file>          checkpoint the stitched result, so another
 //                          delta batch can chain on top
 //   --quiet                only the summary lines
@@ -65,9 +66,9 @@
 //                            BENCH_campaign.jsonl; exits 3 when no
 //                            record matches a baseline record
 //   --verdict=<file.json>    write the machine-readable verdict
-//   --counter-pct=<p>        counter growth threshold (default 10)
-//   --wall-pct=<p>           wall-time growth threshold (default 50)
-//   --min-wall=<sec>         wall noise floor (default 0.1)
+//   --counter-pct=<p>        counter growth threshold (default 10);
+//                            quality may not regress at all, and wall
+//                            time is recorded but never compared
 //   --quiet                  only the verdict summary line
 //
 // The stage table's "speedup" column estimates per-stage parallel
@@ -154,8 +155,7 @@ int usage() {
                  " [--scale-counter=NAME:FACTOR] [--quiet]\n"
               << "  streak campaign diff <store.jsonl> --baseline=FILE.jsonl"
                  " [--verdict=FILE.json]"
-                 " [--counter-pct=P] [--wall-pct=P] [--min-wall=SEC]"
-                 " [--quiet]\n"
+                 " [--counter-pct=P] [--quiet]\n"
               << "  streak route <design.streak> [--solver=pd|ilp]"
                  " [--ilp-limit=SEC] [--threads=N] [--no-post]"
                  " [--no-clustering] [--no-refinement] [--backbones=K]"
@@ -270,10 +270,10 @@ int cmdRoute(int argc, char** argv) {
         }
     }
 
-    // Either export needs the detailed spans / counters; the observer
-    // hook is how a run opts into them.
+    // Either export needs the detailed spans / counters; the run takes
+    // its detail gate from this thread's.
     if (!reportPath.empty() || !tracePath.empty()) {
-        opts.observer = [](const StreakObservation&) {};
+        obs::setDetailEnabled(true);
     }
 
     const Design d = io::readDesignFile(path);
@@ -427,6 +427,8 @@ int cmdEco(int argc, char** argv) {
                   << " delta" << (deltas.size() == 1 ? "" : "s") << '\n';
     }
 
+    // The report carries the closure run's hot-path counters and spans.
+    if (!reportPath.empty()) obs::setDetailEnabled(true);
     obs::Stopwatch watch;
     const eco::EcoResult r = eco::runEco(ckpt, deltas, threads);
     const double incrementalSeconds = watch.seconds();
@@ -572,7 +574,7 @@ int cmdCampaignDiff(int argc, char** argv) {
     const std::string currentPath = argv[3];
     std::string baselinePath;
     std::string verdictPath;
-    campaign::DiffThresholds thresholds;
+    double counterGrowth = campaign::kDefaultCounterGrowth;
     bool quiet = false;
     for (int i = 4; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -584,14 +586,8 @@ int cmdCampaignDiff(int argc, char** argv) {
         } else if (arg.rfind("--verdict=", 0) == 0) {
             verdictPath = value("--verdict=");
         } else if (arg.rfind("--counter-pct=", 0) == 0) {
-            thresholds.counterGrowth =
+            counterGrowth =
                 doubleValue(value("--counter-pct="), "--counter-pct") / 100.0;
-        } else if (arg.rfind("--wall-pct=", 0) == 0) {
-            thresholds.wallGrowth =
-                doubleValue(value("--wall-pct="), "--wall-pct") / 100.0;
-        } else if (arg.rfind("--min-wall=", 0) == 0) {
-            thresholds.minWallSeconds =
-                doubleValue(value("--min-wall="), "--min-wall");
         } else if (arg == "--quiet") {
             quiet = true;
         } else {
@@ -618,7 +614,7 @@ int cmdCampaignDiff(int argc, char** argv) {
         std::cerr << "streak: campaign: " << problem << '\n';
     }
     const campaign::DiffReport report =
-        campaign::diffAgainstStore(baseline, current, thresholds);
+        campaign::diffAgainstStore(baseline, current, counterGrowth);
     const int status = campaign::diffExitCode(report);
     if (report.comparedRuns == 0) {
         // Every record was skipped, so there is no verdict to write.
