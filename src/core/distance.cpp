@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <numeric>
+#include <utility>
 
+#include "check/assert.hpp"
 #include "core/similarity.hpp"
 #include "obs/session.hpp"
 #include "obs/trace.hpp"
@@ -58,10 +61,10 @@ std::vector<int> matchPins(const Bit& from, const Bit& to) {
 /// parallel.
 std::vector<FamilyMember> buildGroupFamilies(
     const RoutingProblem& prob, const RoutedDesign& routed, int g,
-    const std::vector<int>* groupBits) {
+    const std::vector<int>& groupBits) {
     const Design& design = *prob.design;
     std::vector<FamilyMember> family;
-    if (groupBits == nullptr) return family;
+    if (groupBits.empty()) return family;
 
     // Canonical object: the group's first object.
     const std::vector<int>& objIds = prob.groupObjects[static_cast<size_t>(g)];
@@ -85,7 +88,7 @@ std::vector<FamilyMember> buildGroupFamilies(
         }
     }
 
-    for (const int r : *groupBits) {
+    for (const int r : groupBits) {
         const RoutedBit& rb = routed.bits[static_cast<size_t>(r)];
         const RoutingObject& obj =
             prob.objects[static_cast<size_t>(rb.objectIndex)];
@@ -104,20 +107,16 @@ std::vector<FamilyMember> buildGroupFamilies(
     return family;
 }
 
-std::vector<std::vector<FamilyMember>> buildSinkFamiliesWith(
-    const RoutingProblem& prob, const RoutedDesign& routed,
-    parallel::ThreadPool& pool) {
-    std::map<int, std::vector<int>> bitsOfGroup;
+/// Routed bit indices of each group, in routed order.
+std::vector<std::vector<int>> bitsByGroup(const RoutingProblem& prob,
+                                          const RoutedDesign& routed) {
+    std::vector<std::vector<int>> bits(
+        static_cast<size_t>(prob.design->numGroups()));
     for (size_t r = 0; r < routed.bits.size(); ++r) {
-        bitsOfGroup[routed.bits[r].groupIndex].push_back(static_cast<int>(r));
+        bits[static_cast<size_t>(routed.bits[r].groupIndex)].push_back(
+            static_cast<int>(r));
     }
-    return pool.parallelMap<std::vector<FamilyMember>>(
-        prob.design->numGroups(), [&](int g) {
-            const auto itBits = bitsOfGroup.find(g);
-            return buildGroupFamilies(
-                prob, routed, g,
-                itBits == bitsOfGroup.end() ? nullptr : &itBits->second);
-        });
+    return bits;
 }
 
 }  // namespace
@@ -125,28 +124,59 @@ std::vector<std::vector<FamilyMember>> buildSinkFamiliesWith(
 std::vector<std::vector<FamilyMember>> buildSinkFamilies(
     const RoutingProblem& prob, const RoutedDesign& routed) {
     parallel::ThreadPool pool(parallel::resolveThreads(prob.opts.threads));
-    return buildSinkFamiliesWith(prob, routed, pool);
+    const std::vector<std::vector<int>> bitsOfGroup = bitsByGroup(prob, routed);
+    return pool.parallelMap<std::vector<FamilyMember>>(
+        prob.design->numGroups(), [&](int g) {
+            return buildGroupFamilies(prob, routed, g,
+                                      bitsOfGroup[static_cast<size_t>(g)]);
+        });
 }
 
 std::vector<GroupDistanceReport> analyzeDistances(
     const RoutingProblem& prob, const RoutedDesign& routed,
     double thresholdFraction, const std::vector<int>* fixedThresholds,
-    parallel::RegionStats* parallelStats) {
+    parallel::RegionStats* parallelStats,
+    const std::vector<GroupDistanceReport>* previous,
+    const std::vector<char>* changed) {
     STREAK_SPAN("distance/analyze");
     STREAK_FAULT_POINT("distance/analyze");
+    STREAK_REQUIRE((previous == nullptr) == (changed == nullptr),
+                   "previous reports and the changed mask come together");
+    const int numGroups = prob.design->numGroups();
+    STREAK_REQUIRE(fixedThresholds == nullptr ||
+                       static_cast<int>(fixedThresholds->size()) == numGroups,
+                   "{} fixed thresholds for {} groups",
+                   fixedThresholds == nullptr ? 0 : fixedThresholds->size(),
+                   numGroups);
+    std::vector<GroupDistanceReport> reports;
+    std::vector<int> todo;  // the groups to analyze, ascending
+    if (previous == nullptr) {
+        reports.resize(static_cast<size_t>(numGroups));
+        todo.resize(static_cast<size_t>(numGroups));
+        std::iota(todo.begin(), todo.end(), 0);
+    } else {
+        STREAK_REQUIRE(static_cast<int>(previous->size()) == numGroups &&
+                           static_cast<int>(changed->size()) == numGroups,
+                       "{} previous reports and {} changed flags for {} "
+                       "groups",
+                       previous->size(), changed->size(), numGroups);
+        reports = *previous;
+        for (int g = 0; g < numGroups; ++g) {
+            if ((*changed)[static_cast<size_t>(g)] != 0) todo.push_back(g);
+        }
+    }
     parallel::ThreadPool pool(parallel::resolveThreads(prob.opts.threads));
     pool.setControl(prob.opts.control);
 
-    const std::vector<std::vector<FamilyMember>> allFamilies =
-        buildSinkFamiliesWith(prob, routed, pool);
-    // Routed bits whose distances each group computed (one slot per
-    // group, so the tasks never share one).
-    std::vector<long long> bitsAnalyzed(
-        static_cast<size_t>(prob.design->numGroups()), 0);
+    const std::vector<std::vector<int>> bitsOfGroup = bitsByGroup(prob, routed);
+    // Routed bits whose distances each analyzed group computed (one slot
+    // per task, so the tasks never share one).
+    std::vector<long long> bitsAnalyzed(todo.size(), 0);
 
     // Groups analyze independently: a routed bit belongs to exactly one
     // group, so the per-bit BFS distance cache can live inside the task.
-    const auto analyzeGroup = [&](int g) {
+    const auto analyzeGroup = [&](int task) {
+        const int g = todo[static_cast<size_t>(task)];
         std::map<int, std::vector<int>> distCache;
         const auto distancesOf = [&](int routedBit) -> const std::vector<int>& {
             auto it = distCache.find(routedBit);
@@ -170,7 +200,8 @@ std::vector<GroupDistanceReport> analyzeDistances(
         };
         std::map<int, std::vector<Sample>> byFamily;
         int maxDst = 0;
-        for (const FamilyMember& m : allFamilies[static_cast<size_t>(g)]) {
+        for (const FamilyMember& m : buildGroupFamilies(
+                 prob, routed, g, bitsOfGroup[static_cast<size_t>(g)])) {
             const int dst =
                 distancesOf(m.routedBitIndex)[static_cast<size_t>(m.pinIndex)];
             if (dst < 0) continue;
@@ -206,14 +237,17 @@ std::vector<GroupDistanceReport> analyzeDistances(
                 }
             }
         }
-        bitsAnalyzed[static_cast<size_t>(g)] =
+        bitsAnalyzed[static_cast<size_t>(task)] =
             static_cast<long long>(distCache.size());
         return rep;
     };
 
-    std::vector<GroupDistanceReport> reports =
-        pool.parallelMap<GroupDistanceReport>(prob.design->numGroups(),
+    std::vector<GroupDistanceReport> fresh =
+        pool.parallelMap<GroupDistanceReport>(static_cast<int>(todo.size()),
                                               analyzeGroup);
+    for (size_t k = 0; k < todo.size(); ++k) {
+        reports[static_cast<size_t>(todo[k])] = std::move(fresh[k]);
+    }
     if (parallelStats != nullptr) parallelStats->merge(pool.stats());
     if (obs::detailEnabled()) {
         long long bits = 0;

@@ -6,6 +6,13 @@
 // vectors. A group violates ("Vio(dst)") when some family's max-min
 // distance spread exceeds the threshold (a fraction — the paper uses 50% —
 // of the group's maximum initial source-to-sink distance).
+//
+// A group's report depends only on its own routed bits and its
+// threshold, so a re-analysis can take the previous reports and a mask of
+// the groups whose routed wires changed, and copy every other report.
+// The flow analyzes three times: the flow/distance stage analyzes every
+// group; refinement's before pass re-analyzes only the groups clustering
+// added bits to, and its after pass only the groups it refined.
 #pragma once
 
 #include <vector>
@@ -36,17 +43,27 @@ struct GroupDistanceReport {
     [[nodiscard]] bool violating() const { return violatingFamilies > 0; }
 };
 
-/// Analyze every group of a routed design. When `fixedThresholds` is
-/// given (group-indexed, -1 = compute), those thresholds are reused —
-/// Table II compares post-refinement violations against the *initial*
-/// thresholds. Groups analyze in parallel (`prob.opts.threads`) with
-/// reports collected by group index, so the output is independent of the
-/// thread count; `parallelStats` accumulates the stage's region stats.
+/// Analyze the groups of a routed design; the reports are indexed by
+/// group. When `fixedThresholds` is given (one entry per group, -1 =
+/// compute), those thresholds are reused — Table II compares
+/// post-refinement violations against the *initial* thresholds. Groups
+/// analyze in parallel (`prob.opts.threads`) with reports collected by
+/// group index, so the output is independent of the thread count;
+/// `parallelStats` accumulates the stage's region stats.
+///
+/// With `previous` and `changed` (both group-indexed), only the groups
+/// flagged in `changed` are analyzed and every other report is copied
+/// from `previous`. The caller guarantees that an unflagged group's
+/// routed bits (indices and wires) and threshold are those `previous`
+/// was computed from; the result then equals a full analysis. Without
+/// them every group is analyzed.
 [[nodiscard]] std::vector<GroupDistanceReport> analyzeDistances(
     const RoutingProblem& prob, const RoutedDesign& routed,
     double thresholdFraction,
     const std::vector<int>* fixedThresholds = nullptr,
-    parallel::RegionStats* parallelStats = nullptr);
+    parallel::RegionStats* parallelStats = nullptr,
+    const std::vector<GroupDistanceReport>* previous = nullptr,
+    const std::vector<char>* changed = nullptr);
 
 /// Number of groups with at least one violating family ("Vio(dst)").
 [[nodiscard]] int countViolatingGroups(

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
+#include <span>
 
 #include "check/audit.hpp"
 #include "check/ilp_audit.hpp"
+#include "core/tight.hpp"
 #include "ilp/branch_and_bound.hpp"
 #include "ilp/model.hpp"
 #include "obs/session.hpp"
@@ -35,68 +37,6 @@ public:
 private:
     std::vector<int> parent_;
 };
-
-/// Edges whose worst-case total demand exceeds capacity; only these need
-/// capacity rows, and only they couple otherwise-independent objects.
-std::map<int, std::vector<int>> constrainedEdges(const RoutingProblem& prob) {
-    // maxUse[edge][object] = max tracks any candidate of the object may
-    // put on the edge.
-    std::map<int, std::map<int, int>> maxUse;
-    for (int i = 0; i < prob.numObjects(); ++i) {
-        for (const RouteCandidate& c : prob.candidates[static_cast<size_t>(i)]) {
-            for (const auto& [edge, amount] : c.edgeUse) {
-                int& slot = maxUse[edge][i];
-                slot = std::max(slot, amount);
-            }
-        }
-    }
-    std::map<int, std::vector<int>> out;
-    for (const auto& [edge, users] : maxUse) {
-        long worst = 0;
-        for (const auto& [obj, amount] : users) worst += amount;
-        if (worst > prob.design->grid.capacity(edge)) {
-            std::vector<int> objs;
-            objs.reserve(users.size());
-            for (const auto& [obj, amount] : users) objs.push_back(obj);
-            out.emplace(edge, std::move(objs));
-        }
-    }
-    return out;
-}
-
-/// Via analogue of constrainedEdges: cells whose worst-case via demand
-/// exceeds the cell's via capacity (empty when the model is disabled).
-std::map<int, std::vector<int>> constrainedViaCells(
-    const RoutingProblem& prob) {
-    std::map<int, std::vector<int>> out;
-    if (!prob.design->grid.viaLimited()) return out;
-    std::map<int, std::map<int, int>> maxUse;
-    for (int i = 0; i < prob.numObjects(); ++i) {
-        for (const RouteCandidate& c : prob.candidates[static_cast<size_t>(i)]) {
-            for (const auto& [cell, amount] : c.viaUse) {
-                int& slot = maxUse[cell][i];
-                slot = std::max(slot, amount);
-            }
-        }
-    }
-    for (const auto& [cell, users] : maxUse) {
-        const int cap = prob.design->grid.viaCapacity(cell);
-        if (cap < 0) continue;
-        long worst = 0;
-        for (const auto& [obj, amount] : users) worst += amount;
-        if (worst > cap) {
-            std::vector<int> objs;
-            objs.reserve(users.size());
-            for (const auto& [obj, amount] : users) objs.push_back(obj);
-            out.emplace(cell, std::move(objs));
-        }
-    }
-    return out;
-}
-
-}  // namespace
-
-namespace {
 
 /// Objective contribution of a component under a given assignment.
 double componentObjective(const RoutingProblem& prob,
@@ -155,9 +95,9 @@ IlpRouteResult solveIlpRouting(const RoutingProblem& prob,
                                       -1);
     }
 
-    const std::map<int, std::vector<int>> tightEdges = constrainedEdges(prob);
-    const std::map<int, std::vector<int>> tightCells =
-        constrainedViaCells(prob);
+    // Only tight edges and via cells need capacity rows (3c), and only
+    // they couple otherwise-independent objects.
+    const TightIndex tight = buildTightIndex(prob);
 
     // Component decomposition: same-group objects interact through pair
     // costs; objects sharing a tight edge or via cell interact through
@@ -168,11 +108,15 @@ IlpRouteResult solveIlpRouting(const RoutingProblem& prob,
             uf.unite(members[0], members[k]);
         }
     }
-    for (const auto& [edge, objs] : tightEdges) {
-        for (size_t k = 1; k < objs.size(); ++k) uf.unite(objs[0], objs[k]);
-    }
-    for (const auto& [cell, objs] : tightCells) {
-        for (size_t k = 1; k < objs.size(); ++k) uf.unite(objs[0], objs[k]);
+    for (const TightElements* el : {&tight.edges, &tight.viaCells}) {
+        for (int k = 0; k < el->size(); ++k) {
+            // Users are sorted by object, so each object joins the first
+            // one's set in object order; repeats are already in it.
+            const std::span<const TightUse> users = el->usersOf(k);
+            for (const TightUse& u : users) {
+                uf.unite(users.front().object, u.object);
+            }
+        }
     }
     // Roots resolved up front: find() path-compresses, so the parallel
     // component solves below must only read the frozen root table.
@@ -251,49 +195,30 @@ IlpRouteResult solveIlpRouting(const RoutingProblem& prob,
             row.emplace_back(sVar.at(i), 1.0);
             model.addRow(std::move(row), ilp::Sense::Equal, 1.0);
         }
-        // (3c): capacity rows on tight edges touched by this component.
-        for (const auto& [edge, users] : tightEdges) {
-            std::vector<std::pair<int, double>> row;
-            for (const int i : users) {
-                if (rootOf[static_cast<size_t>(i)] != root) continue;
-                const auto& cands = prob.candidates[static_cast<size_t>(i)];
-                for (size_t j = 0; j < cands.size(); ++j) {
-                    const auto& use = cands[j].edgeUse;
-                    const auto it = std::lower_bound(
-                        use.begin(), use.end(), std::make_pair(edge, 0));
-                    if (it != use.end() && it->first == edge) {
-                        row.emplace_back(xVar.at({i, static_cast<int>(j)}),
-                                         static_cast<double>(it->second));
-                    }
+        // (3c): capacity rows on the tight edges, then the tight via
+        // cells, touched by this component.
+        const auto addCapacityRows = [&](const TightElements& el,
+                                         const auto& capacityOf) {
+            for (int k = 0; k < el.size(); ++k) {
+                std::vector<std::pair<int, double>> row;
+                for (const TightUse& u : el.usersOf(k)) {
+                    if (rootOf[static_cast<size_t>(u.object)] != root) continue;
+                    row.emplace_back(xVar.at({u.object, u.candidate}),
+                                     static_cast<double>(u.amount));
+                }
+                if (!row.empty()) {
+                    model.addRow(std::move(row), ilp::Sense::LessEqual,
+                                 static_cast<double>(capacityOf(
+                                     el.ids[static_cast<size_t>(k)])));
                 }
             }
-            if (!row.empty()) {
-                model.addRow(std::move(row), ilp::Sense::LessEqual,
-                             static_cast<double>(prob.design->grid.capacity(edge)));
-            }
-        }
-        // Via-capacity rows on tight cells touched by this component.
-        for (const auto& [cell, users] : tightCells) {
-            std::vector<std::pair<int, double>> row;
-            for (const int i : users) {
-                if (rootOf[static_cast<size_t>(i)] != root) continue;
-                const auto& cands = prob.candidates[static_cast<size_t>(i)];
-                for (size_t j = 0; j < cands.size(); ++j) {
-                    const auto& use = cands[j].viaUse;
-                    const auto it = std::lower_bound(
-                        use.begin(), use.end(), std::make_pair(cell, 0));
-                    if (it != use.end() && it->first == cell) {
-                        row.emplace_back(xVar.at({i, static_cast<int>(j)}),
-                                         static_cast<double>(it->second));
-                    }
-                }
-            }
-            if (!row.empty()) {
-                model.addRow(
-                    std::move(row), ilp::Sense::LessEqual,
-                    static_cast<double>(prob.design->grid.viaCapacity(cell)));
-            }
-        }
+        };
+        addCapacityRows(tight.edges, [&](int edge) {
+            return prob.design->grid.capacity(edge);
+        });
+        addCapacityRows(tight.viaCells, [&](int cell) {
+            return prob.design->grid.viaCapacity(cell);
+        });
         // Linearized pair terms: y >= x_ij + x_pq - 1, cost >= 0.
         for (const PairBlock& pb : prob.pairBlocks) {
             if (rootOf[static_cast<size_t>(pb.objA)] != root) continue;

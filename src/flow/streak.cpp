@@ -280,28 +280,48 @@ StreakResult runStreakGuarded(const Design& design,
             const int prePostViolations = result.distanceViolationsAfter;
             const std::vector<char> prePostFlags = result.groupDistanceAfter;
             try {
+                // Groups clustering adds bits to: every other group's
+                // wires are the ones the distance stage analyzed.
+                std::vector<char> clustered(
+                    static_cast<size_t>(design.numGroups()), 0);
                 if (opts.clusteringEnabled) {
+                    const size_t solverBits = result.routed.bits.size();
                     post::clusterAndRoute(result.problem, &result.routed);
+                    for (size_t r = solverBits; r < result.routed.bits.size();
+                         ++r) {
+                        clustered[static_cast<size_t>(
+                            result.routed.bits[r].groupIndex)] = 1;
+                    }
                     STREAK_DEEP_AUDIT(check::auditRoutedDesign(
                         result.problem, result.routed));
                 }
+                // The distance.skipped rung leaves no baseline; then every
+                // group is analyzed.
+                const std::vector<GroupDistanceReport>* baseline =
+                    before.empty() ? nullptr : &before;
+                const std::vector<char>* changed =
+                    baseline == nullptr ? nullptr : &clustered;
                 if (opts.refinementEnabled) {
-                    const post::RefinementResult ref =
-                        post::refineDistances(result.problem, &result.routed);
+                    const post::RefinementResult ref = post::refineDistances(
+                        result.problem, &result.routed, baseline, changed);
                     result.distanceViolationsAfter = ref.violatingGroupsAfter;
                     result.groupDistanceAfter = ref.groupViolatingAfter;
                     stats.merge(ref.parallelStats);
                 } else {
                     // Clustering may add bits; re-evaluate with the initial
-                    // thresholds for a fair "after" number.
-                    std::vector<int> thresholds(before.size(), -1);
+                    // thresholds for a fair "after" number. Without a
+                    // baseline the thresholds derive from the routed
+                    // design, as refineDistances does.
+                    std::vector<int> thresholds(
+                        static_cast<size_t>(design.numGroups()), -1);
                     for (const GroupDistanceReport& r : before) {
                         thresholds[static_cast<size_t>(r.groupIndex)] =
                             r.threshold;
                     }
                     const auto after = analyzeDistances(
                         result.problem, result.routed,
-                        opts.distanceThresholdFraction, &thresholds, &stats);
+                        opts.distanceThresholdFraction, &thresholds, &stats,
+                        baseline, changed);
                     result.distanceViolationsAfter =
                         countViolatingGroups(after);
                     result.groupDistanceAfter.assign(

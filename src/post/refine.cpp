@@ -282,17 +282,19 @@ bool regionsOverlap(const std::vector<geom::Rect>& a,
 
 }  // namespace
 
-RefinementResult refineDistances(const RoutingProblem& prob,
-                                 RoutedDesign* routed) {
+RefinementResult refineDistances(
+    const RoutingProblem& prob, RoutedDesign* routed,
+    const std::vector<GroupDistanceReport>* baseline,
+    const std::vector<char>* changed) {
     STREAK_SPAN("post/refine");
     STREAK_FAULT_POINT("post/refine");
     const StreakOptions& opts = prob.opts;
     RefinementResult result;
 
     // Lines 1-4: locate violating bits/pins and their targets.
-    const std::vector<GroupDistanceReport> before =
-        analyzeDistances(prob, *routed, opts.distanceThresholdFraction,
-                         nullptr, &result.parallelStats);
+    const std::vector<GroupDistanceReport> before = analyzeDistances(
+        prob, *routed, opts.distanceThresholdFraction, nullptr,
+        &result.parallelStats, baseline, changed);
     result.violatingGroupsBefore = countViolatingGroups(before);
     result.thresholds.assign(before.size(), -1);
     for (const GroupDistanceReport& r : before) {
@@ -366,9 +368,15 @@ RefinementResult refineDistances(const RoutingProblem& prob,
             .add(result.addedWirelength);
     }
 
-    const std::vector<GroupDistanceReport> after =
-        analyzeDistances(prob, *routed, opts.distanceThresholdFraction,
-                         &result.thresholds, &result.parallelStats);
+    // Only the refined groups' wires moved; every other group keeps its
+    // report under the same threshold.
+    std::vector<char> refined(before.size(), 0);
+    for (const Task& t : tasks) {
+        refined[static_cast<size_t>(t.rep->groupIndex)] = 1;
+    }
+    const std::vector<GroupDistanceReport> after = analyzeDistances(
+        prob, *routed, opts.distanceThresholdFraction, &result.thresholds,
+        &result.parallelStats, &before, &refined);
     result.violatingGroupsAfter = countViolatingGroups(after);
     result.groupViolatingAfter.assign(after.size(), 0);
     for (const GroupDistanceReport& r : after) {

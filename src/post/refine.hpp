@@ -35,11 +35,21 @@ struct RefinementResult {
 /// per the paper (thresholdFraction of the max initial source-to-sink
 /// distance per group).
 ///
+/// Refinement analyzes distances twice. The "before" pass takes
+/// `baseline`, reports of an earlier analysis without fixed thresholds
+/// (the flow passes its flow/distance reports), and re-analyzes only the
+/// groups flagged in `changed` (the groups clustering added bits to);
+/// without a baseline it analyzes every group. The "after" pass
+/// re-analyzes only the groups that had violations, since no other
+/// group's wires move.
+///
 /// Groups whose detour search regions touch disjoint G-Cell rectangles
 /// refine concurrently (`prob.opts.threads`); conflicting groups are
 /// ordered into waves that preserve the sequential group order, so the
 /// refined design is byte-identical for every thread count.
-RefinementResult refineDistances(const RoutingProblem& prob,
-                                 RoutedDesign* routed);
+RefinementResult refineDistances(
+    const RoutingProblem& prob, RoutedDesign* routed,
+    const std::vector<GroupDistanceReport>* baseline = nullptr,
+    const std::vector<char>* changed = nullptr);
 
 }  // namespace streak::post

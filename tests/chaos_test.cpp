@@ -236,6 +236,31 @@ TEST_F(ChaosSweep, DistanceFaultTakesTheSkipRung) {
               static_cast<size_t>(d.numGroups()));
 }
 
+TEST_F(ChaosSweep, DistanceFaultWithoutRefinementTakesTheSkipRung) {
+    // Without refinement the post stage re-analyzes distances itself.
+    // After the skip rung there are no initial thresholds to reuse, so
+    // they derive from the routed design, with clustering on and off.
+    for (const bool clustering : {true, false}) {
+        SCOPED_TRACE(clustering ? "clustering on" : "clustering off");
+        robust::armFault("distance/analyze", /*hitIndex=*/0);
+        const Design d = gen::generate(chaosSpec(2));
+        StreakOptions opts;
+        opts.postOptimize = true;
+        opts.refinementEnabled = false;
+        opts.clusteringEnabled = clustering;
+        const FlowResult res = runStreak(d, opts);
+        robust::disarmFaults();
+        ASSERT_TRUE(res.ok()) << res.error().describe();
+        const StreakResult& r = res.value();
+        EXPECT_TRUE(reportedRungs(d, opts, r).contains("distance.skipped"));
+        const check::AuditResult audit =
+            check::auditRoutedDesign(r.problem, r.routed);
+        EXPECT_TRUE(audit.ok()) << audit.summary();
+        EXPECT_EQ(r.groupDistanceAfter.size(),
+                  static_cast<size_t>(d.numGroups()));
+    }
+}
+
 TEST_F(ChaosSweep, DistanceSkipPolicyOffTurnsTheFaultIntoExitCode6) {
     robust::armFault("distance/analyze", /*hitIndex=*/0);
     const Design d = gen::generate(chaosSpec(2));

@@ -264,6 +264,30 @@ TEST(FlowObservability, BuildCountersAreThreadCountInvariant) {
     }
 }
 
+TEST(FlowObservability, PdWorkCountersAreThreadCountInvariant) {
+    // One track per edge makes candidates compete, so commits prune.
+    gen::SuiteSpec spec = testutil::congestedMultipinSpec();
+    spec.capacity = 1;
+    const Design d = gen::generate(spec);
+    const auto pdCounters = [](const StreakResult& r) {
+        std::map<std::string, long long> out;
+        for (const auto& [name, value] : r.counters.counters) {
+            if (name.starts_with("solve/pd.")) out.emplace(name, value);
+        }
+        return out;
+    };
+    const std::map<std::string, long long> base =
+        pdCounters(detailedRun(d, 1));
+    for (const char* name : {"solve/pd.recosts", "solve/pd.prune_checks"}) {
+        ASSERT_TRUE(base.contains(name)) << name;
+        EXPECT_GT(base.at(name), 0) << name;
+    }
+    for (const int threads : {2, 8}) {
+        EXPECT_EQ(pdCounters(detailedRun(d, threads)), base)
+            << threads << " threads changed a primal-dual counter";
+    }
+}
+
 TEST(FlowObservability, DistanceAnalysisHasItsOwnSpanAndCounter) {
     const Design d = smallDesign();
     const StreakResult first = detailedRun(d, 1);

@@ -6,7 +6,8 @@
 #   3. sanitizer smoke test         (preset `asan-ubsan`, flow_test +
 #                                    clustering_equivalence_test +
 #                                    problem_build_equivalence_test +
-#                                    topology_equivalence_test)
+#                                    topology_equivalence_test +
+#                                    pd_equivalence_test)
 #   4. ThreadSanitizer              (preset `tsan`, thread pool,
 #                                    determinism and per-run session
 #                                    tests)
@@ -83,6 +84,9 @@ else
     # Topology's sorted edge vector, in-place segment merges and flat
     # CSR wire graph against the hash-set reference.
     ./build-asan/tests/topology_equivalence_test
+    # Incremental Alg. 2 (tight-element index, cached costs) and the
+    # distance-report reuse against the literal loop, over 80 designs.
+    ./build-asan/tests/pd_equivalence_test
 fi
 
 echo "== [4/9] ThreadSanitizer =="
