@@ -76,6 +76,7 @@ struct ComponentOutcome {
     std::vector<std::pair<int, int>> chosen;
     long nodesExplored = 0;
     bool hitTimeLimit = false;
+    double gap = 0.0;
 };
 
 }  // namespace
@@ -251,6 +252,7 @@ IlpRouteResult solveIlpRouting(const RoutingProblem& prob,
         const ilp::Solution sol = ilp::solveIlp(model, bopts, &stats);
         outcome.nodesExplored = stats.nodesExplored;
         outcome.hitTimeLimit = stats.hitLimit;
+        outcome.gap = stats.gap;
         if (!sol.hasSolution()) return outcome;  // warm start (if any) stands
         std::map<int, int> pick;
         for (const int i : objs) pick[i] = -1;
@@ -278,6 +280,7 @@ IlpRouteResult solveIlpRouting(const RoutingProblem& prob,
         [&](int /*comp*/, ComponentOutcome&& outcome) {
             result.nodesExplored += outcome.nodesExplored;
             if (outcome.hitTimeLimit) result.hitTimeLimit = true;
+            result.gap += outcome.gap;
             for (const auto& [obj, cand] : outcome.chosen) {
                 result.solution.chosen[static_cast<size_t>(obj)] = cand;
             }

@@ -19,6 +19,11 @@ struct IlpRouteResult {
     long nodesExplored = 0;
     int components = 0;
     bool hitTimeLimit = false;
+    /// Sum of the components' absolute optimality gaps (ilp::BnbStats::gap,
+    /// measured against the warm start where a component kept it): 0 when
+    /// every component was proven, +inf when one was capped before its
+    /// root LP.
+    double gap = 0.0;
     /// Stats of the per-component parallel solve (`opts.threads` workers).
     parallel::RegionStats parallelStats;
 };

@@ -1,5 +1,6 @@
 #include "flow/report.hpp"
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -180,6 +181,8 @@ Value buildRunReport(const Design& design, const StreakOptions& opts,
     solver.set("pdIterations", result.pdIterations);
     solver.set("ilpNodes", result.ilpNodes);
     solver.set("hitTimeLimit", result.hitTimeLimit);
+    solver.set("ilpGap", std::isfinite(result.ilpGap) ? Value(result.ilpGap)
+                                                      : Value());
     report.set("solver", std::move(solver));
     report.set("robust", robustSection(opts, result));
     report.set("process", processSection());

@@ -152,6 +152,16 @@ void checkReportDoc(const Value& doc, const std::string& where,
     requireField(doc, "design", Kind::Object, where, check);
     requireField(doc, "options", Kind::Object, where, check);
     requireField(doc, "metrics", Kind::Object, where, check);
+    const Value* solver =
+        requireField(doc, "solver", Kind::Object, where, check);
+    // ilpGap joined v1 as an additive key: older reports lack it, and
+    // null marks a run whose gap is unknown.
+    const Value* gap = solver != nullptr ? solver->find("ilpGap") : nullptr;
+    if (gap != nullptr && !gap->isNull() &&
+        (gap->kind() != Kind::Number || !(gap->asNumber() >= 0.0))) {
+        check->fail(where + ":solver: ilpGap is neither a number >= 0 nor "
+                            "null");
+    }
     const Value* robust =
         requireField(doc, "robust", Kind::Object, where, check);
     if (robust != nullptr) {

@@ -9,8 +9,10 @@
 // never a crash.
 //
 //   checkRunReport   streak-run-report v1: header fields, required
-//                    sections (design/options/metrics/robust/process/
-//                    counters/histograms/spans), a "flow/run" root span,
+//                    sections (design/options/metrics/solver/robust/
+//                    process/counters/histograms/spans), the solver's
+//                    ilpGap (a number >= 0 or null; absent from reports
+//                    that predate it), a "flow/run" root span,
 //                    span-tree field types, and — when the document
 //                    carries one or `requireEco` is set — the eco
 //                    section appended by `streak eco --report`.

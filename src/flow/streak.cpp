@@ -186,6 +186,9 @@ StreakResult runStreakGuarded(const Design& design,
                 result.solverSolution = std::move(ilp.solution);
                 result.ilpNodes = ilp.nodesExplored;
                 result.hitTimeLimit = ilp.hitTimeLimit;
+                // The hierarchical cascade proves nothing about the flat
+                // formulation, so only the flat ILP states a gap.
+                if (opts.solver == SolverKind::Ilp) result.ilpGap = ilp.gap;
                 stats.merge(ilp.parallelStats);
             } catch (const robust::StreakException& e) {
                 // Rung: the formal "ILP timeout -> PD result" fallback,

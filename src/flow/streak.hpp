@@ -36,6 +36,7 @@
 // calling thread's gate is: obs::setDetailEnabled(true) before the call.
 #pragma once
 
+#include <limits>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -86,6 +87,11 @@ struct StreakResult {
     bool hitTimeLimit = false;
     int pdIterations = 0;
     long ilpNodes = 0;
+    /// Absolute optimality gap of the flat ILP solve (IlpRouteResult::gap):
+    /// 0 when proven. +inf when unknown: a `pd` or `hilp` run, an ILP
+    /// that fell back to the primal-dual result, or a component capped
+    /// before its root LP.
+    double ilpGap = std::numeric_limits<double>::infinity();
 
     /// Degradation-ladder rungs taken during the run, in stage order
     /// (empty for a clean run); also surfaced in the JSON run report's

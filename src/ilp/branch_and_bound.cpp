@@ -25,8 +25,11 @@ struct Node {
     bool operator<(const Node& o) const { return bound > o.bound; }  // min-heap
 };
 
-/// Model copy with node fixings applied as tight bounds.
-Model applyFixings(const Model& base, const std::vector<std::int8_t>& fixed) {
+/// Model copy with node fixings applied as tight bounds: the model the
+/// deep LP audit checks a node's relaxation against (the relaxation
+/// itself applies the fixings without copying the model).
+[[maybe_unused]] Model applyFixings(const Model& base,
+                                    const std::vector<std::int8_t>& fixed) {
     Model m;
     for (int v = 0; v < base.numVariables(); ++v) {
         double lo = base.lower(v);
@@ -69,10 +72,21 @@ Solution solveIlp(const Model& model, const BnbOptions& opts, BnbStats* stats) {
     long prunedBound = 0;
     long prunedInfeasible = 0;
 
+    // One relaxation per search: the rows are merged once and every node
+    // re-solves them under its own fixings in the same workspace.
+    Relaxation relaxation(model);
     while (!open.empty()) {
         // Tick point: one poll per node (each node pays an LP solve).
         opts.control.checkpoint("bnb/node");
         STREAK_FAULT_POINT("bnb/node");
+        // Best-bound search: once the best open node cannot beat the
+        // incumbent, neither can any other, and the incumbent is proven.
+        // Checked before the limits, so a search that has nothing left
+        // to explore is never reported as cut short.
+        if (open.top().bound >= incumbentObj - opts.gapTolerance &&
+            incumbentObj < kInfinity) {
+            break;
+        }
         if (nodes >= opts.maxNodes || timeUp()) {
             limitHit = true;
             bestOpenBound = open.top().bound;
@@ -80,17 +94,12 @@ Solution solveIlp(const Model& model, const BnbOptions& opts, BnbStats* stats) {
         }
         Node node = open.top();
         open.pop();
-        if (node.bound >= incumbentObj - opts.gapTolerance &&
-            incumbentObj < kInfinity) {
-            break;  // best-bound search: everything else is worse too
-        }
         ++nodes;
 
-        const Model sub = applyFixings(model, node.fixed);
-        const Solution lp = solveLp(sub, opts.control);
+        const Solution lp = relaxation.solve(node.fixed, opts.control);
         // Basis sanity / primal feasibility of every relaxation the tree
-        // trusts for pruning decisions.
-        STREAK_DEEP_AUDIT(check::auditLp(sub, lp));
+        // trusts for pruning decisions, against the fixed model.
+        STREAK_DEEP_AUDIT(check::auditLp(applyFixings(model, node.fixed), lp));
         if (lp.status == SolveStatus::Infeasible) {
             ++prunedInfeasible;
             continue;
@@ -98,7 +107,7 @@ Solution solveIlp(const Model& model, const BnbOptions& opts, BnbStats* stats) {
         if (lp.status == SolveStatus::Unbounded) {
             Solution out;
             out.status = SolveStatus::Unbounded;
-            if (stats) *stats = {nodes, false, -kInfinity};
+            if (stats) *stats = {nodes, false, kInfinity};
             return out;
         }
         provenInfeasible = false;
@@ -148,9 +157,10 @@ Solution solveIlp(const Model& model, const BnbOptions& opts, BnbStats* stats) {
     if (stats) {
         stats->nodesExplored = nodes;
         stats->hitLimit = limitHit;
-        stats->bestBound =
-            limitHit ? bestOpenBound
-                     : (incumbentObj < kInfinity ? incumbentObj : bestOpenBound);
+        // A limit only ends the search while the best open node still
+        // undercuts the incumbent (or none exists); an unsolved root's
+        // open bound is -inf.
+        stats->gap = limitHit ? incumbentObj - bestOpenBound : 0.0;
     }
 
     if (haveIncumbent) {

@@ -28,12 +28,20 @@ struct BnbOptions {
 struct BnbStats {
     long nodesExplored = 0;
     bool hitLimit = false;
-    double bestBound = 0.0;
+    /// Absolute optimality gap: 0 when proven; at a limit, the incumbent
+    /// (or the warm-start bound when no incumbent was found) minus the
+    /// best open node's bound. +inf when neither exists or the root LP
+    /// never ran.
+    double gap = 0.0;
 };
 
 /// Minimize the model with its integer variables restricted to {0, 1}.
 /// Status: Optimal (proven), Feasible (incumbent, limit hit), Infeasible,
-/// or Limit (limit hit before any incumbent).
+/// or Limit (limit hit before any incumbent, or a warm-start bound that
+/// the search proved cannot be beaten). A search whose open nodes are
+/// all dominated by the incumbent is proven even when a limit lands on
+/// that step. Each node's LP relaxation is solved by one ilp::Relaxation
+/// prepared for the whole search.
 [[nodiscard]] Solution solveIlp(const Model& model, const BnbOptions& opts = {},
                                 BnbStats* stats = nullptr);
 

@@ -35,124 +35,280 @@ struct LpTally {
     }
 };
 
-/// Dense bounded-variable primal simplex on the flat row-major tableau
-///   min c^T x   s.t.  A x = b,  0 <= x_j <= u_j
-/// with u_j possibly infinite. Nonbasic variables sit at one of their
-/// bounds; a variable whose cheapest move runs into its opposite bound is
-/// *flipped* there in O(m) without a pivot. Column layout:
-/// [0, nStruct) structural + slack columns, then one artificial per row.
-class BoundedSimplex {
-public:
-    BoundedSimplex(int nStruct, int numRows)
-        : n_(nStruct), m_(numRows), total_(nStruct + numRows),
-          a_(static_cast<size_t>(numRows) *
-                 static_cast<size_t>(nStruct + numRows),
-             0.0),
-          b_(static_cast<size_t>(numRows), 0.0),
-          upper_(static_cast<size_t>(nStruct + numRows),
-                 std::numeric_limits<double>::infinity()),
-          atUpper_(static_cast<size_t>(nStruct + numRows), 0),
-          basis_(static_cast<size_t>(numRows), -1),
-          inBasis_(static_cast<size_t>(nStruct + numRows), 0) {}
+/// One nonzero of a tableau row.
+struct Entry {
+    int col;
+    double value;
+};
 
-    double* row(int r) {
-        return &a_[static_cast<size_t>(r) * static_cast<size_t>(total_)];
+/// A tableau row: its nonzeros in increasing column order.
+using SparseRow = std::vector<Entry>;
+
+/// One nonzero of the entering column.
+struct ColumnEntry {
+    int row;
+    double value;
+};
+
+}  // namespace
+
+/// Sparse bounded-variable primal simplex
+///   min c^T x   s.t.  A x = b,  0 <= x_j <= u_j
+/// with u_j possibly infinite, plus the model it was prepared from.
+/// Nonbasic variables sit at one of their bounds; a variable whose
+/// cheapest move runs into its opposite bound is *flipped* there without
+/// a pivot. Column layout: model variables, then one slack per
+/// inequality row in row order, then one artificial per row.
+///
+/// Every floating-point operation on a nonzero is the one a dense
+/// tableau applies to it, in the same order (tests/lp_dense.cpp keeps
+/// that tableau as the oracle): a dense zero entry only ever has zero
+/// added or subtracted, so leaving it out changes nothing but the sign
+/// of a zero, and no decision reads that sign.
+class Relaxation::Engine {
+public:
+    explicit Engine(const Model& model) : model_(model) {
+        n_ = model.numVariables();
+        const std::vector<Row>& rows = model.rows();
+        m_ = static_cast<int>(rows.size());
+        // Merge each row once: duplicate columns sum in listed order from
+        // 0.0 (as a dense row's `+=` builds them), then sort by column. A
+        // fixing can negate a row but never changes its columns.
+        rowStart_.reserve(static_cast<size_t>(m_) + 1);
+        rowStart_.push_back(0);
+        slackOf_.assign(static_cast<size_t>(m_), -1);
+        std::vector<double> sum(static_cast<size_t>(n_), 0.0);
+        std::vector<std::uint8_t> seen(static_cast<size_t>(n_), 0);
+        std::vector<int> cols;
+        for (int i = 0; i < m_; ++i) {
+            const Row& r = rows[static_cast<size_t>(i)];
+            cols.clear();
+            for (const auto& [v, coef] : r.coeffs) {
+                const size_t sv = static_cast<size_t>(v);
+                if (!seen[sv]) {
+                    seen[sv] = 1;
+                    sum[sv] = 0.0;
+                    cols.push_back(v);
+                }
+                sum[sv] += coef;
+            }
+            std::sort(cols.begin(), cols.end());
+            for (const int v : cols) {
+                const size_t sv = static_cast<size_t>(v);
+                seen[sv] = 0;
+                if (sum[sv] != 0.0) merged_.push_back({v, sum[sv]});  // lint-ok: float-equality
+            }
+            rowStart_.push_back(static_cast<int>(merged_.size()));
+            if (r.sense != Sense::Equal) {
+                slackOf_[static_cast<size_t>(i)] = n_ + numSlack_++;
+            }
+        }
+        nStruct_ = n_ + numSlack_;
+        total_ = nStruct_ + m_;
+
+        phase1Cost_.assign(static_cast<size_t>(total_), 0.0);
+        phase2Cost_.assign(static_cast<size_t>(total_), 0.0);
+        for (int c = nStruct_; c < total_; ++c) {
+            phase1Cost_[static_cast<size_t>(c)] = 1.0;
+        }
+        for (int v = 0; v < n_; ++v) {
+            phase2Cost_[static_cast<size_t>(v)] = model.objectiveCoeff(v);
+        }
+        rows_.resize(static_cast<size_t>(m_));
+        shift_.resize(static_cast<size_t>(n_));
     }
-    void setRhs(int r, double v) { b_[static_cast<size_t>(r)] = v; }
-    void setUpper(int col, double u) { upper_[static_cast<size_t>(col)] = u; }
-    /// Initial basic column for a row (the slack for `<=` rows, else the
-    /// row's artificial).
+
+    Solution solve(std::span<const std::int8_t> fixed,
+                   const robust::Ticket& control) {
+        STREAK_FAULT_POINT("lp/solve");
+        STREAK_REQUIRE(fixed.empty() ||
+                           static_cast<int>(fixed.size()) == n_,
+                       "{} fixings for {} variables", fixed.size(), n_);
+        LpTally tally;
+        tally.solves = 1;
+        control_ = control;
+        pivots_ = 0;
+        boundFlips_ = 0;
+        Solution sol;
+        if (!load(fixed)) {
+            sol.status = SolveStatus::Infeasible;
+            return sol;
+        }
+        sol.status = run();
+        tally.pivots = pivots_;
+        tally.boundFlips = boundFlips_;
+
+        if (sol.status != SolveStatus::Optimal) return sol;
+        sol.values.assign(static_cast<size_t>(n_), 0.0);
+        for (int v = 0; v < n_; ++v) {
+            sol.values[static_cast<size_t>(v)] =
+                x_[static_cast<size_t>(v)] + shift_[static_cast<size_t>(v)];
+        }
+        sol.objective = obj_ + constant_;
+        return sol;
+    }
+
+private:
+    /// Apply the fixings and lay out the initial tableau: lower bounds
+    /// shifted to zero, each row's rhs reduced over its listed
+    /// coefficients, rows whose rhs turns negative negated with their
+    /// sense flipped (so every artificial starts nonnegative), and the
+    /// initial basis (the slack for `<=` rows, else the row's
+    /// artificial). False on contradictory bounds.
+    bool load(std::span<const std::int8_t> fixed) {
+        constant_ = model_.objectiveConstant;
+        upper_.assign(static_cast<size_t>(total_), kInfinity);
+        bool contradictory = false;
+        for (int v = 0; v < n_; ++v) {
+            const size_t sv = static_cast<size_t>(v);
+            double lo = model_.lower(v);
+            double ub = model_.upper(v);
+            if (!fixed.empty() && fixed[sv] >= 0 && model_.isInteger(v)) {
+                lo = ub = static_cast<double>(fixed[sv]);
+            }
+            shift_[sv] = lo;
+            constant_ += model_.objectiveCoeff(v) * lo;
+            if (ub < kInfinity) {
+                const double u = ub - lo;
+                if (u < -kFeasTol) contradictory = true;
+                upper_[sv] = std::max(0.0, u);
+            }
+        }
+        if (contradictory) return false;
+
+        xB_.resize(static_cast<size_t>(m_));
+        basis_.assign(static_cast<size_t>(m_), -1);
+        inBasis_.assign(static_cast<size_t>(total_), 0);
+        atUpper_.assign(static_cast<size_t>(total_), 0);
+        const std::vector<Row>& rows = model_.rows();
+        for (int i = 0; i < m_; ++i) {
+            const size_t si = static_cast<size_t>(i);
+            const Row& r = rows[si];
+            double rhs = r.rhs;
+            for (const auto& [v, coef] : r.coeffs) {
+                rhs -= coef * shift_[static_cast<size_t>(v)];
+            }
+            Sense sense = r.sense;
+            const bool negate = rhs < 0.0;
+            if (negate) {
+                rhs = -rhs;
+                if (sense == Sense::LessEqual) {
+                    sense = Sense::GreaterEqual;
+                } else if (sense == Sense::GreaterEqual) {
+                    sense = Sense::LessEqual;
+                }
+            }
+            xB_[si] = rhs;  // nonbasics all start at their lower bound 0
+            SparseRow& row = rows_[si];
+            row.clear();
+            for (int k = rowStart_[si]; k < rowStart_[si + 1]; ++k) {
+                const Entry& e = merged_[static_cast<size_t>(k)];
+                row.push_back({e.col, negate ? -e.value : e.value});
+            }
+            const int art = nStruct_ + i;
+            const int slack = slackOf_[si];
+            if (sense == Sense::LessEqual) {
+                row.push_back({slack, 1.0});
+                setInitialBasis(i, slack);
+            } else if (sense == Sense::GreaterEqual) {
+                row.push_back({slack, -1.0});
+                setInitialBasis(i, art);
+            } else {
+                setInitialBasis(i, art);
+            }
+            row.push_back({art, 1.0});
+        }
+        return true;
+    }
+
     void setInitialBasis(int r, int col) {
         basis_[static_cast<size_t>(r)] = col;
         inBasis_[static_cast<size_t>(col)] = 1;
     }
 
-    [[nodiscard]] long pivots() const { return pivots_; }
-    [[nodiscard]] long boundFlips() const { return boundFlips_; }
-
-    /// Deadline/cancellation ticket polled every few pivots; a trip
-    /// throws out of the pivot loop.
-    void setControl(const robust::Ticket& control) { control_ = control; }
-
     /// Phase 1 (minimize the artificial sum, pricing *all* columns —
     /// restricting phase-1 pricing could misreport infeasibility) then
     /// phase 2 (structural pricing only, artificials pinned to zero).
-    SolveStatus solve(const std::vector<double>& cost, std::vector<double>* x,
-                      double* obj) {
-        xB_ = b_;  // nonbasics all start at their lower bound 0
-        std::vector<double> phase1(static_cast<size_t>(total_), 0.0);
-        for (int c = n_; c < total_; ++c) phase1[static_cast<size_t>(c)] = 1.0;
-        if (!runSimplex(phase1, total_)) return SolveStatus::Unbounded;
+    SolveStatus run() {
+        if (!runSimplex(phase1Cost_, total_)) return SolveStatus::Unbounded;
         double infeas = 0.0;
         for (int r = 0; r < m_; ++r) {
-            if (basis_[static_cast<size_t>(r)] >= n_) {
+            if (basis_[static_cast<size_t>(r)] >= nStruct_) {
                 infeas += std::max(0.0, xB_[static_cast<size_t>(r)]);
             }
         }
         if (infeas > 1e-6) return SolveStatus::Infeasible;
         driveOutArtificials();
-        return phase2(cost, x, obj);
-    }
 
-private:
-    [[nodiscard]] double valueAt(int r, int c) const {
-        return a_[static_cast<size_t>(r) * static_cast<size_t>(total_) +
-                  static_cast<size_t>(c)];
-    }
-
-    SolveStatus phase2(const std::vector<double>& cost, std::vector<double>* x,
-                       double* obj) {
         // Artificials are pinned at zero (upper bound 0) and excluded
         // from pricing — no big-M cost needed.
-        for (int c = n_; c < total_; ++c) upper_[static_cast<size_t>(c)] = 0.0;
-        std::vector<double> phase2cost(static_cast<size_t>(total_), 0.0);
-        for (int c = 0; c < n_; ++c) {
-            phase2cost[static_cast<size_t>(c)] = cost[static_cast<size_t>(c)];
+        for (int c = nStruct_; c < total_; ++c) {
+            upper_[static_cast<size_t>(c)] = 0.0;
         }
-        if (!runSimplex(phase2cost, n_)) return SolveStatus::Unbounded;
+        if (!runSimplex(phase2Cost_, nStruct_)) return SolveStatus::Unbounded;
 
-        x->assign(static_cast<size_t>(n_), 0.0);
-        for (int j = 0; j < n_; ++j) {
+        x_.assign(static_cast<size_t>(nStruct_), 0.0);
+        for (int j = 0; j < nStruct_; ++j) {
             if (atUpper_[static_cast<size_t>(j)]) {
-                (*x)[static_cast<size_t>(j)] = upper_[static_cast<size_t>(j)];
+                x_[static_cast<size_t>(j)] = upper_[static_cast<size_t>(j)];
             }
         }
         for (int r = 0; r < m_; ++r) {
             const int bc = basis_[static_cast<size_t>(r)];
-            if (bc < n_) {
-                (*x)[static_cast<size_t>(bc)] = xB_[static_cast<size_t>(r)];
+            if (bc < nStruct_) {
+                x_[static_cast<size_t>(bc)] = xB_[static_cast<size_t>(r)];
             }
         }
-        *obj = 0.0;
-        for (int j = 0; j < n_; ++j) {
-            *obj += cost[static_cast<size_t>(j)] * (*x)[static_cast<size_t>(j)];
+        obj_ = 0.0;
+        for (int j = 0; j < nStruct_; ++j) {
+            obj_ += phase2Cost_[static_cast<size_t>(j)] *
+                    x_[static_cast<size_t>(j)];
         }
         return SolveStatus::Optimal;
     }
 
     /// After phase 1, pivot basic artificials onto structural columns
-    /// where possible; rows with no structural pivot are redundant. The
-    /// entering column keeps its current value (0 or its upper bound) and
-    /// the leaving artificial sits at ~0, so no variable actually moves:
+    /// where possible (a row's nonzeros below the artificials, in column
+    /// order); rows with no structural pivot are redundant. The entering
+    /// column keeps its current value (0 or its upper bound) and the
+    /// leaving artificial sits at ~0, so no variable actually moves:
     /// every basic value is preserved and row `r` takes the entering
     /// column's bound value.
     void driveOutArtificials() {
         for (int r = 0; r < m_; ++r) {
             const int leaving = basis_[static_cast<size_t>(r)];
-            if (leaving < n_) continue;
-            for (int c = 0; c < n_; ++c) {
-                if (inBasis_[static_cast<size_t>(c)]) continue;
-                if (std::abs(valueAt(r, c)) <= kPivotTol) continue;
-                const double vc = atUpper_[static_cast<size_t>(c)]
-                                      ? upper_[static_cast<size_t>(c)]
-                                      : 0.0;
-                inBasis_[static_cast<size_t>(leaving)] = 0;
-                inBasis_[static_cast<size_t>(c)] = 1;
-                basis_[static_cast<size_t>(r)] = c;
-                atUpper_[static_cast<size_t>(c)] = 0;
-                pivot(r, c);
-                xB_[static_cast<size_t>(r)] = vc;
+            if (leaving < nStruct_) continue;
+            int entering = -1;
+            for (const Entry& e : rows_[static_cast<size_t>(r)]) {
+                if (e.col >= nStruct_) break;
+                if (inBasis_[static_cast<size_t>(e.col)]) continue;
+                if (std::abs(e.value) <= kPivotTol) continue;
+                entering = e.col;
                 break;
+            }
+            if (entering < 0) continue;
+            const size_t sc = static_cast<size_t>(entering);
+            const double vc = atUpper_[sc] ? upper_[sc] : 0.0;
+            inBasis_[static_cast<size_t>(leaving)] = 0;
+            inBasis_[sc] = 1;
+            basis_[static_cast<size_t>(r)] = entering;
+            atUpper_[sc] = 0;
+            gatherColumn(entering);
+            pivot(r, entering);
+            xB_[static_cast<size_t>(r)] = vc;
+        }
+    }
+
+    /// The nonzeros of column `col`, in row order, into column_.
+    void gatherColumn(int col) {
+        column_.clear();
+        for (int r = 0; r < m_; ++r) {
+            const SparseRow& row = rows_[static_cast<size_t>(r)];
+            const auto it = std::lower_bound(
+                row.begin(), row.end(), col,
+                [](const Entry& e, int c) { return e.col < c; });
+            if (it != row.end() && it->col == col && it->value != 0.0) {  // lint-ok: float-equality
+                column_.push_back({r, it->value});
             }
         }
     }
@@ -169,17 +325,16 @@ private:
             const double cb =
                 cost[static_cast<size_t>(basis_[static_cast<size_t>(r)])];
             if (cb == 0.0) continue;  // lint-ok: float-equality
-            const double* pr = row(r);
-            for (int c = 0; c < total_; ++c) {
-                red_[static_cast<size_t>(c)] -= cb * pr[static_cast<size_t>(c)];
+            for (const Entry& e : rows_[static_cast<size_t>(r)]) {
+                red_[static_cast<size_t>(e.col)] -= cb * e.value;
             }
         }
 
         const long maxIter = 20L * (m_ + static_cast<long>(total_)) + 2000;
         for (long iterations = 0;; ++iterations) {
             if (iterations > maxIter) break;  // stall guard
-            // Tick point: a pivot sweeps O(m * total) entries, so a
-            // strided clock poll is invisible next to the work.
+            // Tick point: polled every 64 iterations, a clock read stays
+            // invisible next to the pricing and elimination work.
             if ((iterations & 63) == 0) control_.checkpoint("lp/pivot");
             const bool useBland = iterations > maxIter / 2;
 
@@ -204,23 +359,26 @@ private:
             }
             if (entering < 0) return true;  // optimal
 
-            // Ratio test. The entering variable moves off its bound by
-            // t >= 0; basic variable in row r changes by -dir * a_re * t
-            // where dir = +1 leaving the lower bound, -1 the upper.
+            // Ratio test over the entering column's nonzeros (a zero
+            // entry neither blocks nor moves). The entering variable
+            // moves off its bound by t >= 0; basic variable in row r
+            // changes by -dir * a_re * t where dir = +1 leaving the lower
+            // bound, -1 the upper.
+            gatherColumn(entering);
             const double dir = fromUpper ? -1.0 : 1.0;
             const double uEnter = upper_[static_cast<size_t>(entering)];
             int leavingRow = -1;
             bool leavingToUpper = false;
             double bestT = std::numeric_limits<double>::infinity();
-            for (int r = 0; r < m_; ++r) {
-                const double delta = dir * valueAt(r, entering);
-                const size_t sr = static_cast<size_t>(r);
+            for (const ColumnEntry& ce : column_) {
+                const double delta = dir * ce.value;
+                const size_t sr = static_cast<size_t>(ce.row);
                 if (delta > kEps) {  // this basic decreases toward 0
                     const double t = xB_[sr] / delta;
                     if (leavingRow < 0 || t < bestT - kEps ||
                         (t < bestT + kEps &&
                          basis_[sr] < basis_[static_cast<size_t>(leavingRow)])) {
-                        leavingRow = r;
+                        leavingRow = ce.row;
                         leavingToUpper = false;
                         bestT = t;
                     }
@@ -232,7 +390,7 @@ private:
                     if (leavingRow < 0 || t < bestT - kEps ||
                         (t < bestT + kEps &&
                          basis_[sr] < basis_[static_cast<size_t>(leavingRow)])) {
-                        leavingRow = r;
+                        leavingRow = ce.row;
                         leavingToUpper = true;
                         bestT = t;
                     }
@@ -241,11 +399,11 @@ private:
 
             if (uEnter <= bestT) {
                 // Bound flip: the entering variable reaches its opposite
-                // bound before any basic blocks. O(m), no pivot.
+                // bound before any basic blocks. No pivot.
                 if (!std::isfinite(uEnter)) return false;  // unbounded
-                for (int r = 0; r < m_; ++r) {
-                    xB_[static_cast<size_t>(r)] -=
-                        dir * valueAt(r, entering) * uEnter;
+                for (const ColumnEntry& ce : column_) {
+                    xB_[static_cast<size_t>(ce.row)] -=
+                        dir * ce.value * uEnter;
                 }
                 atUpper_[static_cast<size_t>(entering)] = fromUpper ? 0 : 1;
                 ++boundFlips_;
@@ -256,8 +414,8 @@ private:
 
             // Move the basics, settle the leaving variable on its bound,
             // then pivot the entering column into the basis.
-            for (int r = 0; r < m_; ++r) {
-                xB_[static_cast<size_t>(r)] -= dir * valueAt(r, entering) * t;
+            for (const ColumnEntry& ce : column_) {
+                xB_[static_cast<size_t>(ce.row)] -= dir * ce.value * t;
             }
             const int leaving = basis_[static_cast<size_t>(leavingRow)];
             const size_t sl = static_cast<size_t>(leaving);
@@ -277,185 +435,103 @@ private:
         return true;
     }
 
-    /// Row elimination making column `col` the `row`-th unit vector.
-    /// Updates the reduced-cost row when present. Does NOT touch xB_:
-    /// basic values are maintained directly by the callers (b_ only
-    /// tracks the canonical all-nonbasics-at-zero rhs).
-    void pivot(int row_, int col) {
+    /// Make column `col` (gathered in column_) the `pivotRow`-th unit
+    /// vector: scale the pivot row, merge it into every other row with
+    /// an entry in the column, and update the reduced-cost row. Basic
+    /// values are maintained by the callers.
+    void pivot(int pivotRow, int col) {
         ++pivots_;
-        double* prow = row(row_);
-        const double pv = prow[static_cast<size_t>(col)];
+        SparseRow& prow = rows_[static_cast<size_t>(pivotRow)];
+        double pv = 0.0;
+        for (const ColumnEntry& ce : column_) {
+            if (ce.row == pivotRow) pv = ce.value;
+        }
         STREAK_ASSERT(std::abs(pv) > kEps,
                       "pivot on near-zero element {} at row {}, column {}",
-                      pv, row_, col);
-        for (int c = 0; c < total_; ++c) prow[static_cast<size_t>(c)] /= pv;
-        b_[static_cast<size_t>(row_)] /= pv;
-        for (int r = 0; r < m_; ++r) {
-            if (r == row_) continue;
-            double* rr = row(r);
-            const double factor = rr[static_cast<size_t>(col)];
-            if (factor == 0.0) continue;  // lint-ok: float-equality
-            for (int c = 0; c < total_; ++c) {
-                rr[static_cast<size_t>(c)] -=
-                    factor * prow[static_cast<size_t>(c)];
-            }
-            rr[static_cast<size_t>(col)] = 0.0;  // fight round-off drift
-            b_[static_cast<size_t>(r)] -= factor * b_[static_cast<size_t>(row_)];
+                      pv, pivotRow, col);
+        for (Entry& e : prow) e.value /= pv;
+        for (const ColumnEntry& ce : column_) {
+            if (ce.row != pivotRow) eliminate(ce.row, prow, ce.value, col);
         }
-        if (!red_.empty()) {
-            const double factor = red_[static_cast<size_t>(col)];
-            if (factor != 0.0) {  // lint-ok: float-equality
-                for (int c = 0; c < total_; ++c) {
-                    red_[static_cast<size_t>(c)] -=
-                        factor * prow[static_cast<size_t>(c)];
-                }
-                red_[static_cast<size_t>(col)] = 0.0;
+        const double factor = red_[static_cast<size_t>(col)];
+        if (factor != 0.0) {  // lint-ok: float-equality
+            for (const Entry& e : prow) {
+                red_[static_cast<size_t>(e.col)] -= factor * e.value;
             }
+            red_[static_cast<size_t>(col)] = 0.0;
         }
     }
 
-    int n_;      // structural + slack columns
-    int m_;      // rows
-    int total_;  // n_ + one artificial per row
-    std::vector<double> a_;   // flat row-major tableau, width total_
-    std::vector<double> b_;   // canonical rhs (all nonbasics at 0)
-    std::vector<double> xB_;  // actual basic values (bounds-aware)
+    /// row -= factor * prow by a merge of the two column lists. An entry
+    /// only in the pivot row becomes 0.0 - factor * p; column `col`
+    /// leaves the row (the pivot makes it exactly zero) and so does any
+    /// entry that cancels to zero.
+    void eliminate(int r, const SparseRow& prow, double factor, int col) {
+        SparseRow& row = rows_[static_cast<size_t>(r)];
+        scratch_.clear();
+        auto a = row.begin();
+        auto p = prow.begin();
+        while (a != row.end() || p != prow.end()) {
+            if (p == prow.end() || (a != row.end() && a->col < p->col)) {
+                scratch_.push_back(*a++);
+                continue;
+            }
+            const bool both = a != row.end() && a->col == p->col;
+            const double v = (both ? a->value : 0.0) - factor * p->value;
+            if (p->col != col && v != 0.0) {  // lint-ok: float-equality
+                scratch_.push_back({p->col, v});
+            }
+            if (both) ++a;
+            ++p;
+        }
+        row.swap(scratch_);  // the old buffer becomes the next scratch
+    }
+
+    const Model& model_;
+    int n_ = 0;         // model variables
+    int m_ = 0;         // rows
+    int numSlack_ = 0;  // inequality rows
+    int nStruct_ = 0;   // n_ + numSlack_
+    int total_ = 0;     // nStruct_ + one artificial per row
+    // Prepared once: the merged, column-sorted model rows (CSR), each
+    // inequality row's slack column, and the two phase cost rows.
+    std::vector<Entry> merged_;
+    std::vector<int> rowStart_;
+    std::vector<int> slackOf_;
+    std::vector<double> phase1Cost_;
+    std::vector<double> phase2Cost_;
+    // Per-solve workspace; every buffer keeps its capacity.
+    std::vector<SparseRow> rows_;
+    SparseRow scratch_;
+    std::vector<ColumnEntry> column_;
+    std::vector<double> shift_;
+    std::vector<double> xB_;  // basic values (bounds-aware)
     std::vector<double> red_;
     std::vector<double> upper_;
     std::vector<std::uint8_t> atUpper_;
     std::vector<int> basis_;
     std::vector<std::uint8_t> inBasis_;
+    std::vector<double> x_;
+    double constant_ = 0.0;
+    double obj_ = 0.0;
     long pivots_ = 0;
     long boundFlips_ = 0;
     robust::Ticket control_;  // idle unless the caller passed one
 };
 
-/// Shift-to-zero-lower-bound preprocessing. Rows keep their original
-/// order; rhs-negative rows are scaled by -1 (sense flipped) so every
-/// artificial starts nonnegative. Column layout: structural, then one
-/// slack per inequality row in row order, then one artificial per row.
-struct PreparedLp {
-    int n = 0;         // model variables
-    int numSlack = 0;  // inequality rows
-    int m = 0;         // rows
-    double constant = 0.0;
-    std::vector<double> shift;
-    std::vector<double> upper;  // shifted upper bound per variable
-    struct NormRow {
-        std::vector<std::pair<int, double>> coeffs;
-        Sense sense;
-        double rhs;
-    };
-    std::vector<NormRow> rows;
-    bool contradictoryBounds = false;
-};
+Relaxation::Relaxation(const Model& model)
+    : engine_(std::make_unique<Engine>(model)) {}
 
-PreparedLp prepare(const Model& model) {
-    PreparedLp p;
-    p.n = model.numVariables();
-    p.constant = model.objectiveConstant;
-    p.shift.assign(static_cast<size_t>(p.n), 0.0);
-    p.upper.assign(static_cast<size_t>(p.n), kInfinity);
-    for (int v = 0; v < p.n; ++v) {
-        const double lo = model.lower(v);
-        p.shift[static_cast<size_t>(v)] = lo;
-        p.constant += model.objectiveCoeff(v) * lo;
-        const double ub = model.upper(v);
-        if (ub < kInfinity) {
-            const double u = ub - lo;
-            if (u < -kFeasTol) p.contradictoryBounds = true;
-            p.upper[static_cast<size_t>(v)] = std::max(0.0, u);
-        }
-    }
-    p.rows.reserve(model.rows().size());
-    for (const Row& r : model.rows()) {
-        PreparedLp::NormRow nr{r.coeffs, r.sense, r.rhs};
-        for (const auto& [v, coef] : nr.coeffs) {
-            nr.rhs -= coef * p.shift[static_cast<size_t>(v)];
-        }
-        if (nr.rhs < 0.0) {
-            nr.rhs = -nr.rhs;
-            for (auto& [v, coef] : nr.coeffs) coef = -coef;
-            if (nr.sense == Sense::LessEqual) {
-                nr.sense = Sense::GreaterEqual;
-            } else if (nr.sense == Sense::GreaterEqual) {
-                nr.sense = Sense::LessEqual;
-            }
-        }
-        p.rows.push_back(std::move(nr));
-    }
-    p.m = static_cast<int>(p.rows.size());
-    for (const PreparedLp::NormRow& r : p.rows) {
-        if (r.sense != Sense::Equal) ++p.numSlack;
-    }
-    return p;
+Relaxation::~Relaxation() = default;
+
+Solution Relaxation::solve(std::span<const std::int8_t> fixed,
+                           const robust::Ticket& control) {
+    return engine_->solve(fixed, control);
 }
-
-/// Build the bounded tableau from a prepared model, with the initial
-/// basis (the slack for `<=` rows, else the row's artificial).
-void buildBounded(const PreparedLp& p, BoundedSimplex* s) {
-    const int nStruct = p.n + p.numSlack;
-    int slackCol = p.n;
-    for (int i = 0; i < p.m; ++i) {
-        const PreparedLp::NormRow& r = p.rows[static_cast<size_t>(i)];
-        double* row = s->row(i);
-        for (const auto& [v, coef] : r.coeffs) {
-            row[static_cast<size_t>(v)] += coef;
-        }
-        s->setRhs(i, r.rhs);
-        const int art = nStruct + i;
-        row[static_cast<size_t>(art)] = 1.0;
-        if (r.sense == Sense::LessEqual) {
-            row[static_cast<size_t>(slackCol)] = 1.0;
-            s->setInitialBasis(i, slackCol++);
-        } else if (r.sense == Sense::GreaterEqual) {
-            row[static_cast<size_t>(slackCol++)] = -1.0;
-            s->setInitialBasis(i, art);
-        } else {
-            s->setInitialBasis(i, art);
-        }
-    }
-    for (int v = 0; v < p.n; ++v) {
-        s->setUpper(v, p.upper[static_cast<size_t>(v)]);
-    }
-}
-
-}  // namespace
 
 Solution solveLp(const Model& model, const robust::Ticket& control) {
-    STREAK_FAULT_POINT("lp/solve");
-    LpTally tally;
-    tally.solves = 1;
-    const PreparedLp p = prepare(model);
-    Solution sol;
-    if (p.contradictoryBounds) {
-        sol.status = SolveStatus::Infeasible;
-        return sol;
-    }
-    const int nStruct = p.n + p.numSlack;
-
-    std::vector<double> cost(static_cast<size_t>(nStruct), 0.0);
-    for (int v = 0; v < p.n; ++v) {
-        cost[static_cast<size_t>(v)] = model.objectiveCoeff(v);
-    }
-
-    BoundedSimplex simplex(nStruct, p.m);
-    simplex.setControl(control);
-    buildBounded(p, &simplex);
-    std::vector<double> x;
-    double obj = 0.0;
-    sol.status = simplex.solve(cost, &x, &obj);
-    tally.pivots = simplex.pivots();
-    tally.boundFlips = simplex.boundFlips();
-
-    if (sol.status != SolveStatus::Optimal) return sol;
-    sol.values.assign(static_cast<size_t>(p.n), 0.0);
-    for (int v = 0; v < p.n; ++v) {
-        sol.values[static_cast<size_t>(v)] =
-            x[static_cast<size_t>(v)] + p.shift[static_cast<size_t>(v)];
-    }
-    sol.objective = obj + p.constant;
-    return sol;
+    Relaxation relaxation(model);
+    return relaxation.solve({}, control);
 }
 
 }  // namespace streak::ilp

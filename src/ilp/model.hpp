@@ -1,8 +1,8 @@
 // A small linear / 0-1 integer programming model.
 //
 // This is the in-house substitute for the commercial ILP solver the paper
-// uses (GUROBI): a plain dense model description consumed by the simplex
-// LP solver (lp.hpp) and the branch-and-bound ILP solver
+// uses (GUROBI): a plain model description with sparse rows, consumed by
+// the simplex LP solver (lp.hpp) and the branch-and-bound ILP solver
 // (branch_and_bound.hpp).
 #pragma once
 

@@ -1,6 +1,9 @@
 // End-to-end integration tests of the Streak flow on generated designs.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "flow/report.hpp"
 #include "flow/streak.hpp"
 #include "gen/generator.hpp"
 #include "test_util.hpp"
@@ -44,6 +47,37 @@ TEST(Flow, IlpEndToEnd) {
     const StreakResult r = runStreak(d, opts).value();
     EXPECT_GT(r.metrics.routability, 0.7);
     EXPECT_EQ(r.metrics.totalOverflow, 0);
+}
+
+TEST(Flow, UncappedFlatIlpReportsAZeroGap) {
+    const Design d = gen::generate(tinySpec());
+    StreakOptions opts;
+    opts.solver = SolverKind::Ilp;
+    opts.ilpTimeLimitSeconds = 60.0;
+    for (const int threads : {1, 2, 8}) {
+        opts.threads = threads;
+        const StreakResult r = runStreak(d, opts).value();
+        ASSERT_FALSE(r.hitTimeLimit) << threads << " threads";
+        EXPECT_EQ(r.ilpGap, 0.0) << threads << " threads";
+        const obs::json::Value report = flow::buildRunReport(d, opts, r);
+        const obs::json::Value* gap = report.find("solver")->find("ilpGap");
+        ASSERT_NE(gap, nullptr);
+        ASSERT_EQ(gap->kind(), obs::json::Kind::Number);
+        EXPECT_EQ(gap->asNumber(), 0.0) << threads << " threads";
+    }
+    // The primal-dual solver and the hierarchical cascade prove nothing
+    // about formulation (3): their reports carry a null gap.
+    opts.threads = 1;
+    for (const SolverKind solver :
+         {SolverKind::PrimalDual, SolverKind::IlpHierarchical}) {
+        opts.solver = solver;
+        const StreakResult r = runStreak(d, opts).value();
+        EXPECT_FALSE(std::isfinite(r.ilpGap));
+        EXPECT_TRUE(flow::buildRunReport(d, opts, r)
+                        .find("solver")
+                        ->find("ilpGap")
+                        ->isNull());
+    }
 }
 
 TEST(Flow, IlpObjectiveNotWorseThanPd) {

@@ -201,6 +201,89 @@ Model selectionModel(int groups, int seedOffset) {
     return m;
 }
 
+/// NodeLimitReportsFeasibleOrLimit's chain: `length` binaries with
+/// 2x_i + 2x_{i+1} <= 3 and slightly different costs, so the LP optimum
+/// is fractional and the search branches.
+Model chainModel(int length) {
+    Model m;
+    std::vector<int> v;
+    for (int i = 0; i < length; ++i) {
+        v.push_back(m.addVariable(-1.0 - 0.01 * i, true));
+    }
+    for (int i = 0; i + 1 < length; ++i) {
+        m.addRow({{v[static_cast<size_t>(i)], 2.0},
+                  {v[static_cast<size_t>(i + 1)], 2.0}},
+                 Sense::LessEqual, 3.0);
+    }
+    return m;
+}
+
+TEST(SolveIlp, ProvenOptimumAtTheNodeLimitIsNotALimitHit) {
+    // With maxNodes equal to an unlimited search's node count, the limit
+    // lands exactly on the step where every open node is dominated: the
+    // search is complete, so the result is proven, not cut short.
+    for (int length = 4; length <= 14; ++length) {
+        const Model m = chainModel(length);
+        BnbStats full;
+        const Solution unlimited = solveIlp(m, {}, &full);
+        ASSERT_EQ(unlimited.status, SolveStatus::Optimal) << "length " << length;
+        BnbOptions opts;
+        opts.maxNodes = full.nodesExplored;
+        BnbStats stats;
+        const Solution s = solveIlp(m, opts, &stats);
+        EXPECT_EQ(s.status, SolveStatus::Optimal) << "length " << length;
+        EXPECT_FALSE(stats.hitLimit) << "length " << length;
+        EXPECT_EQ(stats.nodesExplored, full.nodesExplored) << "length " << length;
+        EXPECT_EQ(stats.gap, 0.0) << "length " << length;
+        EXPECT_EQ(s.objective, unlimited.objective) << "length " << length;
+    }
+}
+
+TEST(SolveIlp, CappedSearchGapBracketsTheOptimum) {
+    const Model m = chainModel(12);
+    const double optimum = exhaustiveOptimum(m);
+    BnbStats full;
+    ASSERT_EQ(solveIlp(m, {}, &full).status, SolveStatus::Optimal);
+    EXPECT_EQ(full.gap, 0.0);
+    int capped = 0;
+    for (long cap = 0; cap < full.nodesExplored; ++cap) {
+        BnbOptions opts;
+        opts.maxNodes = cap;
+        BnbStats stats;
+        const Solution s = solveIlp(m, opts, &stats);
+        if (!s.hasSolution()) {
+            // No incumbent and no warm start: nothing to measure against.
+            EXPECT_EQ(stats.gap, kInfinity) << "cap " << cap;
+            continue;
+        }
+        if (s.status == SolveStatus::Optimal) continue;
+        ++capped;
+        ASSERT_EQ(s.status, SolveStatus::Feasible) << "cap " << cap;
+        EXPECT_TRUE(stats.hitLimit) << "cap " << cap;
+        EXPECT_GT(stats.gap, 0.0) << "cap " << cap;
+        EXPECT_LE(s.objective - stats.gap, optimum + kTol) << "cap " << cap;
+        EXPECT_GE(s.objective, optimum - kTol) << "cap " << cap;
+    }
+    EXPECT_GT(capped, 0) << "no cap left an unproven incumbent";
+}
+
+TEST(SolveIlp, GapIsInfiniteWhenTheRootNeverRan) {
+    BnbOptions opts;
+    opts.maxNodes = 0;
+    BnbStats stats;
+    const Solution s = solveIlp(chainModel(6), opts, &stats);
+    EXPECT_EQ(s.status, SolveStatus::Limit);
+    EXPECT_TRUE(stats.hitLimit);
+    EXPECT_EQ(stats.gap, kInfinity);
+
+    // A warm-start bound is not a returnable solution, but with no root
+    // LP nothing bounds it from below either.
+    opts.initialUpperBound = -1.0;
+    EXPECT_EQ(solveIlp(chainModel(6), opts, &stats).status,
+              SolveStatus::Limit);
+    EXPECT_EQ(stats.gap, kInfinity);
+}
+
 TEST(SolveIlp, SelectionModelsMatchExhaustive) {
     for (int trial = 0; trial < 6; ++trial) {
         const Model m = selectionModel(2 + trial % 4, trial);

@@ -144,6 +144,47 @@ TEST_F(ReportCheck, MistypedSectionIsAProblem) {
     EXPECT_TRUE(anyProblemMentions(result, "wrong type"));
 }
 
+TEST_F(ReportCheck, IlpGapIsANonNegativeNumberOrNull) {
+    const json::Value doc = parseDoc(text());
+    // The fixture routes with the primal-dual solver: no gap to state.
+    ASSERT_NE(doc.find("solver"), nullptr);
+    const json::Value* gap = doc.find("solver")->find("ilpGap");
+    ASSERT_NE(gap, nullptr);
+    EXPECT_TRUE(gap->isNull());
+
+    const auto withGap = [&](json::Value value) {
+        json::Object solver = doc.find("solver")->asObject();
+        solver.set("ilpGap", std::move(value));
+        return flow::checkRunReport(
+            withKey(doc, "solver", json::Value(std::move(solver))), "report");
+    };
+    EXPECT_TRUE(withGap(json::Value(0.0)).ok());
+    EXPECT_TRUE(withGap(json::Value(12.5)).ok());
+    EXPECT_TRUE(withGap(json::Value()).ok());
+    for (json::Value bad : {json::Value(-0.5), json::Value("0"),
+                            json::Value(false)}) {
+        const flow::CheckResult result = withGap(std::move(bad));
+        EXPECT_FALSE(result.ok());
+        EXPECT_TRUE(anyProblemMentions(result, "ilpGap"));
+    }
+
+    // Reports written before the key existed are still valid v1; the
+    // section itself is required.
+    json::Object bare = doc.find("solver")->asObject();
+    json::Object without;
+    for (const auto& [k, v] : bare.items()) {
+        if (k != "ilpGap") without.set(k, v);
+    }
+    EXPECT_TRUE(flow::checkRunReport(
+                    withKey(doc, "solver", json::Value(std::move(without))),
+                    "report")
+                    .ok());
+    const flow::CheckResult missing =
+        flow::checkRunReport(withoutKey(doc, "solver"), "report");
+    EXPECT_FALSE(missing.ok());
+    EXPECT_TRUE(anyProblemMentions(missing, "\"solver\""));
+}
+
 TEST_F(ReportCheck, RouteReportFailsWhenEcoIsRequired) {
     // `streak eco --report` appends the eco section; a plain route report
     // must fail under --eco semantics and pass without them.

@@ -7,7 +7,8 @@
 #                                    clustering_equivalence_test +
 #                                    problem_build_equivalence_test +
 #                                    topology_equivalence_test +
-#                                    pd_equivalence_test)
+#                                    pd_equivalence_test +
+#                                    lp_kernel_equivalence_test)
 #   4. ThreadSanitizer              (preset `tsan`, thread pool,
 #                                    determinism and per-run session
 #                                    tests)
@@ -87,6 +88,9 @@ else
     # Incremental Alg. 2 (tight-element index, cached costs) and the
     # distance-report reuse against the literal loop, over 80 designs.
     ./build-asan/tests/pd_equivalence_test
+    # The sparse LP rows, their merges and the reused relaxation
+    # workspace against the dense tableau, bit for bit.
+    ./build-asan/tests/lp_kernel_equivalence_test
 fi
 
 echo "== [4/9] ThreadSanitizer =="

@@ -7,7 +7,7 @@
 // spawning a process):
 //
 //   default    streak-run-report v1 — header fields, required sections
-//              (design/options/metrics/robust/process/counters/
+//              (design/options/metrics/solver/robust/process/counters/
 //              histograms/spans), a "flow/run" root span; with --eco the
 //              eco section `streak eco --report` appends is required,
 //              not merely validated when present. The optional second
