@@ -109,19 +109,14 @@ void BM_MazeRoute(benchmark::State& state) {
 }
 BENCHMARK(BM_MazeRoute);
 
-/// Before/after pair for the maze-search kernel: Arg(0) = full-grid
-/// Dijkstra (the legacy search), Arg(1) = A* + bounding window with an
-/// epoch-stamped shared scratch. Same nets, identical routed trees.
+/// The maze-search kernel: A* + bounding window over an epoch-stamped
+/// scratch shared across nets and iterations.
 void BM_MazeSearchKernel(benchmark::State& state) {
-    const bool fast = state.range(0) != 0;
     grid::RoutingGrid g(64, 64, 6, 12);
-    route::MazeOptions opts;
-    opts.useAstar = fast;
-    opts.useWindow = fast;
     route::SearchState scratch;
     for (auto _ : state) {
         grid::EdgeUsage usage(g);
-        route::MazeRouter router(&usage, opts);
+        route::MazeRouter router(&usage);
         benchmark::DoNotOptimize(
             router.route({{4, 4}, {58, 50}, {30, 60}}, 0, &scratch));
         benchmark::DoNotOptimize(
@@ -130,7 +125,7 @@ void BM_MazeSearchKernel(benchmark::State& state) {
             router.route({{2, 30}, {61, 33}, {31, 2}, {33, 62}}, 0, &scratch));
     }
 }
-BENCHMARK(BM_MazeSearchKernel)->Arg(0)->Arg(1);
+BENCHMARK(BM_MazeSearchKernel);
 
 /// A Streak-shaped LP relaxation: per-group selection rows (Equal 1)
 /// over candidate variables plus one shared capacity row — the structure

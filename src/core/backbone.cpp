@@ -10,8 +10,6 @@ std::vector<steiner::Topology> generateBackbones(const SignalGroup& group,
     const Bit& rep = group.bits[static_cast<size_t>(repBit)];
     steiner::EnumerateOptions eopts;
     eopts.maxCandidates = opts.maxBackbones;
-    eopts.bendPenalty = opts.bendPenalty;
-    eopts.useSteinerPoints = opts.useSteinerPoints;
     return steiner::enumerateTopologies(rep.pins, rep.driver, eopts);
 }
 

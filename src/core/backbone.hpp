@@ -16,10 +16,10 @@
 
 namespace streak {
 
+/// Backbones are ranked by wl + lambda * bends with the default
+/// steiner::EnumerateOptions lambda, Steiner-point trees included.
 struct BackboneOptions {
     int maxBackbones = 4;
-    int bendPenalty = 2;  // lambda in wl + lambda * bends ranking
-    bool useSteinerPoints = true;
 };
 
 /// Enumerate backbone candidates for `object` of `group`. At least one

@@ -46,7 +46,7 @@ double componentObjective(const RoutingProblem& prob,
     for (const int i : objs) {
         const int j = chosen[static_cast<size_t>(i)];
         if (j < 0) {
-            total += prob.opts.nonRoutePenaltyM;
+            total += kNonRoutePenaltyM;
         } else {
             total += prob.candidates[static_cast<size_t>(i)]
                                     [static_cast<size_t>(j)].cost;
@@ -183,8 +183,7 @@ IlpRouteResult solveIlpRouting(const RoutingProblem& prob,
                 xVar[{i, static_cast<int>(j)}] =
                     model.addVariable(cands[j].cost, /*integer=*/true);
             }
-            sVar[i] = model.addVariable(prob.opts.nonRoutePenaltyM,
-                                        /*integer=*/false);
+            sVar[i] = model.addVariable(kNonRoutePenaltyM, /*integer=*/false);
         }
         // (3b): sum_j x_ij + s_i = 1.
         for (const int i : objs) {

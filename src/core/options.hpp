@@ -6,7 +6,6 @@
 
 #include "core/backbone.hpp"
 #include "robust/control.hpp"
-#include "robust/recovery.hpp"
 
 namespace streak {
 
@@ -16,6 +15,11 @@ enum class SolverKind {
     IlpHierarchical,  // two-stage topology-then-layering ILP (future-work
                       // divide-and-conquer extension; see hier_ilp.hpp)
 };
+
+/// M: penalty for a non-routed object (3a). Dominates any cost.
+inline constexpr double kNonRoutePenaltyM = 1e6;
+/// Pair penalty when two objects share no RC at all (< M).
+inline constexpr double kNoSharePenalty = 1e3;
 
 struct StreakOptions {
     BackboneOptions backbone;
@@ -29,13 +33,11 @@ struct StreakOptions {
     /// layers waste via stacks).
     double layerAdjacencyWeight = 1.0;
 
-    // --- formulation (3) weights ---
-    /// M: penalty for a non-routed object (3a). Must dominate any cost.
-    double nonRoutePenaltyM = 1e6;
+    // --- formulation (3) pair weights (M and the no-share penalty are
+    // the constants above). Both must be >= 0: the ILP linearizes the
+    // pair terms assuming no pair cost is negative. ---
     /// Scale of the irregularity term 1/Ratio - 1 between group mates.
     double irregularityWeight = 50.0;
-    /// Pair penalty when two objects share no RC at all (< M).
-    double noSharePenalty = 1e3;
     /// Penalty per layer of difference between the trunk layers of two
     /// group mates ("...if the RCs are shared but the routed layers are
     /// not adjacent, a penalty proportional to the layer difference").
@@ -65,16 +67,15 @@ struct StreakOptions {
     // --- robustness (DESIGN.md "Robustness") ---
     /// Wall-clock budget for the whole run; <= 0 disables the deadline.
     /// When it expires, the active stage unwinds at its next tick point
-    /// and the flow degrades per `recovery` (or returns a structured
-    /// DeadlineExpired error when no fallback exists). A run that never
-    /// hits the deadline is byte-identical to an unbudgeted one.
+    /// and the flow takes the degradation ladder's rung for that stage
+    /// (or returns a structured DeadlineExpired error when no fallback
+    /// exists). A run that never hits the deadline is byte-identical to
+    /// an unbudgeted one.
     double deadlineSeconds = 0.0;
     /// Optional external cancellation: share this token with whatever
     /// owns the run and call requestCancel() to unwind at the next tick.
     /// Cancellation is never absorbed by the degradation ladder.
     std::shared_ptr<robust::CancelToken> cancel;
-    /// Per-stage fallback switches for the degradation ladder.
-    robust::RecoveryPolicy recovery;
     /// Internal: armed by runStreak() from deadlineSeconds + cancel and
     /// carried down to every hot loop via the options copies the stages
     /// already receive. Leave default-constructed (idle) when calling

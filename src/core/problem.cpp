@@ -79,7 +79,7 @@ std::vector<PairBlock> buildGroupPairBlocks(const RoutingProblem& prob,
                     }
                     double c = 0.0;
                     if (ratio <= 0.0) {
-                        c = opts.noSharePenalty;
+                        c = kNoSharePenalty;
                     } else {
                         c = opts.irregularityWeight * (1.0 / ratio - 1.0);
                     }

@@ -10,7 +10,7 @@ double solutionObjective(const RoutingProblem& prob,
     for (int i = 0; i < prob.numObjects(); ++i) {
         const int j = chosen[static_cast<size_t>(i)];
         if (j < 0) {
-            total += prob.opts.nonRoutePenaltyM;
+            total += kNonRoutePenaltyM;
         } else {
             total += prob.candidates[static_cast<size_t>(i)]
                                     [static_cast<size_t>(j)].cost;

@@ -116,15 +116,26 @@ std::string validateOptions(const StreakOptions& opts) {
     const std::pair<const char*, double> reals[] = {
         {"viaWeight", opts.viaWeight},
         {"layerAdjacencyWeight", opts.layerAdjacencyWeight},
-        {"nonRoutePenaltyM", opts.nonRoutePenaltyM},
         {"irregularityWeight", opts.irregularityWeight},
-        {"noSharePenalty", opts.noSharePenalty},
         {"pairLayerWeight", opts.pairLayerWeight},
         {"ilpTimeLimitSeconds", opts.ilpTimeLimitSeconds},
         {"distanceThresholdFraction", opts.distanceThresholdFraction},
     };
     for (const auto& [name, value] : reals) {
         if (!std::isfinite(value)) return std::string(name) + " is not finite";
+    }
+    // A negative pair weight can make a pair cost negative, and the ILP
+    // router's linearization y >= x_ij + x_pq - 1 (which skips cells with
+    // c <= 0) would then optimize a different objective from Alg. 2.
+    const std::pair<const char*, double> pairWeights[] = {
+        {"irregularityWeight", opts.irregularityWeight},
+        {"pairLayerWeight", opts.pairLayerWeight},
+    };
+    for (const auto& [name, value] : pairWeights) {
+        if (value < 0.0) {
+            return std::string(name) + " = " + std::to_string(value) +
+                   " is negative";
+        }
     }
     return {};
 }

@@ -27,9 +27,9 @@ struct ValidationIssue {
 [[nodiscard]] bool isRoutable(const std::vector<ValidationIssue>& issues);
 
 /// Range check of the options a run reads: at least one backbone and one
-/// layer pair, no negative thread count or detour shift, and finite
-/// weights and limits. Empty when every option is in range; otherwise
-/// names the first offending option.
+/// layer pair, no negative thread count or detour shift, finite weights
+/// and limits, and non-negative pair weights. Empty when every option is
+/// in range; otherwise names the first offending option.
 [[nodiscard]] std::string validateOptions(const StreakOptions& opts);
 
 }  // namespace streak

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <map>
@@ -59,10 +58,6 @@ void putU64(std::string* b, std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
         b->push_back(static_cast<char>((v >> (8 * i)) & 0xffU));
     }
-}
-
-void putI64(std::string* b, std::int64_t v) {
-    putU64(b, static_cast<std::uint64_t>(v));
 }
 
 void putF64(std::string* b, double v) {
@@ -141,10 +136,6 @@ public:
         return v;
     }
 
-    [[nodiscard]] std::int64_t i64() {
-        return static_cast<std::int64_t>(u64());
-    }
-
     [[nodiscard]] double f64() { return std::bit_cast<double>(u64()); }
 
     /// A count that prefixes `minElemBytes`-sized elements; bounded by the
@@ -185,9 +176,7 @@ StreakOptions semanticOptions(const StreakOptions& opts) {
     s.maxLayerPairs = opts.maxLayerPairs;
     s.viaWeight = opts.viaWeight;
     s.layerAdjacencyWeight = opts.layerAdjacencyWeight;
-    s.nonRoutePenaltyM = opts.nonRoutePenaltyM;
     s.irregularityWeight = opts.irregularityWeight;
-    s.noSharePenalty = opts.noSharePenalty;
     s.pairLayerWeight = opts.pairLayerWeight;
     s.solver = opts.solver;
     s.ilpTimeLimitSeconds = opts.ilpTimeLimitSeconds;
@@ -220,14 +209,10 @@ void writeGrid(std::string* b, const grid::RoutingGrid& grid) {
 
 void writeOptions(std::string* b, const StreakOptions& opts) {
     putI32(b, opts.backbone.maxBackbones);
-    putI32(b, opts.backbone.bendPenalty);
-    putU8(b, opts.backbone.useSteinerPoints ? 1 : 0);
     putI32(b, opts.maxLayerPairs);
     putF64(b, opts.viaWeight);
     putF64(b, opts.layerAdjacencyWeight);
-    putF64(b, opts.nonRoutePenaltyM);
     putF64(b, opts.irregularityWeight);
-    putF64(b, opts.noSharePenalty);
     putF64(b, opts.pairLayerWeight);
     putI32(b, static_cast<int>(opts.solver));
     putF64(b, opts.ilpTimeLimitSeconds);
@@ -302,14 +287,10 @@ grid::RoutingGrid readGrid(Reader* r) {
 
 void readOptions(Reader* r, StreakOptions* opts) {
     opts->backbone.maxBackbones = r->i32();
-    opts->backbone.bendPenalty = r->i32();
-    opts->backbone.useSteinerPoints = r->u8() != 0;
     opts->maxLayerPairs = r->i32();
     opts->viaWeight = r->f64();
     opts->layerAdjacencyWeight = r->f64();
-    opts->nonRoutePenaltyM = r->f64();
     opts->irregularityWeight = r->f64();
-    opts->noSharePenalty = r->f64();
     opts->pairLayerWeight = r->f64();
     const int solver = r->i32();
     if (solver < 0 || solver > 2) r->fail("unknown solver kind");
@@ -448,7 +429,6 @@ Checkpoint makeCheckpoint(const Design& design, const StreakOptions& opts,
     Checkpoint c;
     c.design = std::make_unique<Design>(design);
     c.opts = semanticOptions(opts);
-    c.chosen = result.solverSolution.chosen;
     c.bits = result.routed.bits;
     for (const auto& [objIdx, member] : result.routed.unroutedMembers) {
         const RoutingObject& obj =
@@ -469,11 +449,6 @@ Checkpoint makeCheckpoint(const Design& design, const StreakOptions& opts,
     }
     c.groupDistanceBefore = result.groupDistanceBefore;
     c.groupDistanceAfter = result.groupDistanceAfter;
-    c.metrics = result.metrics;
-    c.distanceViolationsBefore = result.distanceViolationsBefore;
-    c.distanceViolationsAfter = result.distanceViolationsAfter;
-    c.pdIterations = result.pdIterations;
-    c.hitTimeLimit = result.hitTimeLimit;
     return c;
 }
 
@@ -513,8 +488,6 @@ void writeCheckpoint(const Checkpoint& ckpt, std::ostream& os) {
         }
     }
     writeOptions(&buf, ckpt.opts);
-    putU32(&buf, static_cast<std::uint32_t>(ckpt.chosen.size()));
-    for (const int c : ckpt.chosen) putI32(&buf, c);
     putU32(&buf, static_cast<std::uint32_t>(ckpt.bits.size()));
     for (const RoutedBit& b : ckpt.bits) {
         putI32(&buf, b.groupIndex);
@@ -531,18 +504,6 @@ void writeCheckpoint(const Checkpoint& ckpt, std::ostream& os) {
     putPairs(&buf, ckpt.viaUsagePairs);
     putFlags(&buf, ckpt.groupDistanceBefore);
     putFlags(&buf, ckpt.groupDistanceAfter);
-    putI32(&buf, ckpt.metrics.totalBits);
-    putI32(&buf, ckpt.metrics.routedBits);
-    putF64(&buf, ckpt.metrics.routability);
-    putI64(&buf, ckpt.metrics.wirelength);
-    putF64(&buf, ckpt.metrics.avgRegularity);
-    putI64(&buf, ckpt.metrics.totalOverflow);
-    putI32(&buf, ckpt.metrics.overflowedEdges);
-    putI64(&buf, ckpt.metrics.totalViaOverflow);
-    putI32(&buf, ckpt.distanceViolationsBefore);
-    putI32(&buf, ckpt.distanceViolationsAfter);
-    putI32(&buf, ckpt.pdIterations);
-    putU8(&buf, ckpt.hitTimeLimit ? 1 : 0);
 
     putU64(&buf, fnv1a(std::string_view(buf)));
     os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
@@ -636,13 +597,6 @@ Checkpoint readCheckpointBuffer(std::string_view data) {
         c.design->groups.push_back(std::move(group));
     }
     readOptions(&p, &c.opts);
-    const std::uint32_t numChosen = p.count(4, "chosen");
-    c.chosen.reserve(numChosen);
-    for (std::uint32_t i = 0; i < numChosen; ++i) {
-        const int v = p.i32();
-        if (v < -1) p.fail("chosen candidate index out of range");
-        c.chosen.push_back(v);
-    }
     const std::uint32_t numBits = p.count(7 * 4 + 4 + 4 + 4, "routed bit");
     c.bits.reserve(numBits);
     for (std::uint32_t i = 0; i < numBits; ++i) {
@@ -686,23 +640,7 @@ Checkpoint readCheckpointBuffer(std::string_view data) {
     };
     c.groupDistanceBefore = readFlagList("distance flag");
     c.groupDistanceAfter = readFlagList("distance flag");
-    c.metrics.totalBits = p.i32();
-    c.metrics.routedBits = p.i32();
-    c.metrics.routability = p.f64();
-    c.metrics.wirelength = p.i64();
-    c.metrics.avgRegularity = p.f64();
-    c.metrics.totalOverflow = p.i64();
-    c.metrics.overflowedEdges = p.i32();
-    c.metrics.totalViaOverflow = p.i64();
-    c.distanceViolationsBefore = p.i32();
-    c.distanceViolationsAfter = p.i32();
-    c.pdIterations = p.i32();
-    c.hitTimeLimit = p.u8() != 0;
     if (p.remaining() != 0) p.fail("trailing bytes after payload");
-    if (!std::isfinite(c.metrics.routability) ||
-        !std::isfinite(c.metrics.avgRegularity)) {
-        p.fail("non-finite metric");
-    }
 
     validateCheckpoint(&p, c);
     return c;

@@ -2,10 +2,10 @@
 //
 // A checkpoint freezes everything an incremental ECO re-route needs to
 // treat untouched groups as solved: the full design (grid capacities
-// included), the semantic option subset the run used, the solver's
-// chosen[] artifact, every routed bit with its topology and trunk
-// layers, the per-edge/per-cell usage, the per-group distance flags and
-// the headline metrics.
+// included), the semantic option subset the run used, every routed bit
+// with its topology and trunk layers, the unrouted bits, the
+// per-edge/per-cell usage and the per-group distance flags. Nothing
+// else: the re-route recomputes metrics and violation counts from these.
 //
 // On disk the format is a fixed 8-byte magic ("STRKECO\n"), a u32
 // format version, a length-prefixed informational JSON header, a
@@ -28,7 +28,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/metrics.hpp"
 #include "core/options.hpp"
 #include "core/signal.hpp"
 #include "core/solution.hpp"
@@ -36,7 +35,7 @@
 
 namespace streak::eco {
 
-inline constexpr int kCheckpointVersion = 2;
+inline constexpr int kCheckpointVersion = 3;
 inline constexpr const char* kCheckpointSchema = "streak-eco-checkpoint";
 
 /// In-memory image of a routed-state checkpoint. Owns its Design (the
@@ -44,20 +43,18 @@ inline constexpr const char* kCheckpointSchema = "streak-eco-checkpoint";
 struct Checkpoint {
     std::unique_ptr<Design> design;
     /// Semantic option subset of the original run (solver, weights, post
-    /// switches, threads). Runtime-only knobs — deadline, cancellation,
-    /// recovery policy — are not serialized and stay default.
+    /// switches, threads). Runtime-only knobs — deadline, cancellation —
+    /// are not serialized and stay default.
     StreakOptions opts;
-    /// Solver artifact: selected candidate per routing object (-1 =
-    /// unrouted). Kept for round-trips and diagnostics; the ECO re-route
-    /// does not consume it. Empty for checkpoints made from ECO output.
-    std::vector<int> chosen;
     /// Routed bits with global group indices, in the original run's
     /// emission order (per-group relative order is what equivalence
     /// stitching relies on).
     std::vector<RoutedBit> bits;
     /// Unrouted bits as (groupIndex, bitIndex) pairs, sorted.
     std::vector<std::pair<int, int>> unroutedBits;
-    /// Nonzero per-edge track usage as sorted (edgeId, tracks) pairs.
+    /// Nonzero per-edge track usage as sorted (edgeId, tracks) pairs. The
+    /// reader checks it (and viaUsagePairs) against a recompute from the
+    /// stored topologies.
     std::vector<std::pair<int, int>> usagePairs;
     /// Nonzero per-cell via usage; empty unless the grid's via model is
     /// enabled.
@@ -66,16 +63,11 @@ struct Checkpoint {
     /// pre-flag checkpoints; treated as all-clean).
     std::vector<char> groupDistanceBefore;
     std::vector<char> groupDistanceAfter;
-    Metrics metrics;
-    int distanceViolationsBefore = 0;
-    int distanceViolationsAfter = 0;
-    int pdIterations = 0;
-    bool hitTimeLimit = false;
 };
 
 /// The option subset a checkpoint round-trips: everything that changes
 /// the routed result, nothing that only shapes one process's run
-/// (deadline, cancellation, recovery policy, control ticket).
+/// (deadline, cancellation, control ticket).
 [[nodiscard]] StreakOptions semanticOptions(const StreakOptions& opts);
 
 /// Freeze a finished flow run. Copies the design; maps the result's

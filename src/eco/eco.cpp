@@ -302,11 +302,6 @@ Checkpoint makeCheckpoint(const EcoResult& eco, const StreakOptions& opts) {
     }
     c.groupDistanceBefore = eco.groupDistanceBefore;
     c.groupDistanceAfter = eco.groupDistanceAfter;
-    c.metrics = eco.metrics;
-    c.distanceViolationsBefore = eco.distanceViolationsBefore;
-    c.distanceViolationsAfter = eco.distanceViolationsAfter;
-    c.pdIterations = eco.pdIterations;
-    c.hitTimeLimit = eco.hitTimeLimit;
     return c;
 }
 

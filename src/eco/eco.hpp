@@ -103,8 +103,6 @@ struct EcoResult {
                                int threadsOverride = -1);
 
 /// Freeze an ECO result so another delta batch can chain on top of it.
-/// The solver `chosen` artifact is dropped (object indices are
-/// run-local); nothing downstream consumes it.
 [[nodiscard]] Checkpoint makeCheckpoint(const EcoResult& eco,
                                         const StreakOptions& opts);
 

@@ -193,10 +193,7 @@ StreakResult runStreakGuarded(const Design& design,
             } catch (const robust::StreakException& e) {
                 // Rung: the formal "ILP timeout -> PD result" fallback,
                 // now also covering deadline expiry and injected faults.
-                if (!haveWarm || !ladderMayAbsorb(e.error()) ||
-                    !opts.recovery.ilpFallbackToPd) {
-                    throw;
-                }
+                if (!haveWarm || !ladderMayAbsorb(e.error())) throw;
                 recordDegradation(&result, stage::kSolve, "solve.ilp_to_pd",
                                   e.error());
                 absorbedDeadline(e.error());
@@ -229,7 +226,6 @@ StreakResult runStreakGuarded(const Design& design,
         obs::SpanScope span(stage::kDistance);
         parallel::RegionStats stats;
         const auto skipRung = [&](const robust::StreakError& cause) {
-            if (!opts.recovery.distanceSkipOnFailure) robust::raise(cause);
             recordDegradation(&result, stage::kDistance, "distance.skipped",
                               cause);
             before.clear();
@@ -336,10 +332,7 @@ StreakResult runStreakGuarded(const Design& design,
                 }
             } catch (const robust::StreakException& e) {
                 // Rung: restore the last valid solution.
-                if (!ladderMayAbsorb(e.error()) ||
-                    !opts.recovery.postRollback) {
-                    throw;
-                }
+                if (!ladderMayAbsorb(e.error())) throw;
                 recordDegradation(&result, stage::kPost, "post.rolled_back",
                                   e.error());
                 absorbedDeadline(e.error());

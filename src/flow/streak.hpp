@@ -19,11 +19,10 @@
 // exception — every failure comes back as the structured StreakError
 // arm of FlowResult. Recoverable mid-stage failures (deadline share
 // expired, injected faults) are absorbed by a per-stage degradation
-// ladder when StreakOptions::recovery allows: the flow falls back to
-// the cheaper engine or the last valid partial solution, records a
-// `robust/degraded.<rung>` counter plus a span event, and lists the
-// rung in StreakResult::degradations. Degraded output still passes the
-// deep auditors.
+// ladder: the flow falls back to the cheaper engine or the last valid
+// partial solution, records a `robust/degraded.<rung>` counter plus a
+// span event, and lists the rung in StreakResult::degradations.
+// Degraded output still passes the deep auditors.
 //
 // Observability (DESIGN.md "Observability"): every run records into an
 // obs::Session of its own, so two runs — back to back or on two threads

@@ -17,6 +17,8 @@ namespace streak::ilp {
 namespace {
 
 constexpr double kIntTol = 1e-6;
+/// Absolute incumbent-vs-bound gap considered proven optimal.
+constexpr double kGapTolerance = 1e-6;
 
 struct Node {
     double bound;                    // parent LP bound (lower bound)
@@ -83,7 +85,7 @@ Solution solveIlp(const Model& model, const BnbOptions& opts, BnbStats* stats) {
         // incumbent, neither can any other, and the incumbent is proven.
         // Checked before the limits, so a search that has nothing left
         // to explore is never reported as cut short.
-        if (open.top().bound >= incumbentObj - opts.gapTolerance &&
+        if (open.top().bound >= incumbentObj - kGapTolerance &&
             incumbentObj < kInfinity) {
             break;
         }
@@ -111,7 +113,7 @@ Solution solveIlp(const Model& model, const BnbOptions& opts, BnbStats* stats) {
             return out;
         }
         provenInfeasible = false;
-        if (lp.objective >= incumbentObj - opts.gapTolerance) {
+        if (lp.objective >= incumbentObj - kGapTolerance) {
             ++prunedBound;
             continue;
         }

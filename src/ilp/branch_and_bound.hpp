@@ -12,8 +12,6 @@ namespace streak::ilp {
 struct BnbOptions {
     double timeLimitSeconds = 60.0;
     long maxNodes = 1000000;
-    /// Absolute incumbent-vs-bound gap considered proven optimal.
-    double gapTolerance = 1e-6;
     /// Known upper bound from a warm-start solution (e.g. a primal-dual
     /// result): nodes at or above it are pruned, so the search only looks
     /// for strictly better solutions. +inf disables.

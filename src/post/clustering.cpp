@@ -239,7 +239,7 @@ private:
                 if (!b.routed()) c += base_[cb];
                 const double r = ratio(i, ja, j, jb);
                 c += r > 0.0 ? opts_.irregularityWeight * (1.0 / r - 1.0)
-                             : opts_.noSharePenalty;
+                             : kNoSharePenalty;
                 if (c < best) {
                     best = c;
                     *bestA = ja;

@@ -40,21 +40,20 @@ private:
     std::atomic<bool> cancelled_{false};
 };
 
-/// Wall-clock budget armed at construction. budgetSeconds <= 0 means
-/// "no deadline" (never expires).
+/// Wall-clock budget armed at construction. A budget of <= 0 seconds
+/// means "no deadline" (never expires).
 class Deadline {
 public:
-    explicit Deadline(double budgetSeconds) : budgetSeconds_(budgetSeconds) {}
+    explicit Deadline(double seconds) : budget_(seconds) {}
 
-    [[nodiscard]] bool armed() const { return budgetSeconds_ > 0.0; }
+    [[nodiscard]] bool armed() const { return budget_ > 0.0; }
     [[nodiscard]] bool expired() const {
-        return armed() && watch_.seconds() > budgetSeconds_;
+        return armed() && watch_.seconds() > budget_;
     }
-    [[nodiscard]] double budgetSeconds() const { return budgetSeconds_; }
 
 private:
     obs::Stopwatch watch_;
-    double budgetSeconds_ = 0.0;
+    double budget_ = 0.0;
 };
 
 enum class Trip { None, Cancelled, DeadlineExpired };

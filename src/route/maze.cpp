@@ -22,7 +22,6 @@ struct SearchTally {
     long long pops = 0;
     long long pushes = 0;
     long long windowGrowths = 0;
-    long long windowFallbacks = 0;
 
     ~SearchTally() {
         if (!obs::detailEnabled()) return;
@@ -30,7 +29,6 @@ struct SearchTally {
         sess.counter("route/maze.pops").add(pops);
         sess.counter("route/maze.pushes").add(pushes);
         sess.counter("route/maze.window_growths").add(windowGrowths);
-        sess.counter("route/maze.window_fallbacks").add(windowFallbacks);
     }
 };
 
@@ -110,7 +108,7 @@ std::optional<RoutedNet> MazeRouter::route(const std::vector<geom::Point>& pins,
     const auto edgeCost = [&](int edge) -> double {
         if (usage_->remaining(edge) < 1) {
             if (!opts_.allowOverflow || g.capacity(edge) == 0) return kInf;
-            return opts_.overflowCost;
+            return kOverflowCost;
         }
         const double cap = std::max(1, g.capacity(edge));
         const double ratio = static_cast<double>(usage_->usage(edge)) / cap;
@@ -138,13 +136,10 @@ std::optional<RoutedNet> MazeRouter::route(const std::vector<geom::Point>& pins,
     });
 
     // Admissible per-step lower bounds for the heuristic. Wire edges cost
-    // 1 + congestionPenalty * ratio^2 >= 1 (>= overflowCost on overflow
+    // 1 + congestionPenalty * ratio^2 >= 1 (kOverflowCost > 1 on overflow
     // when allowed), vias cost exactly viaCost; the guards keep the bound
     // valid for pathological option values too.
-    double wireMin = opts_.congestionPenalty < 0.0 ? 0.0 : 1.0;
-    if (opts_.allowOverflow) {
-        wireMin = std::min(wireMin, std::max(0.0, opts_.overflowCost));
-    }
+    const double wireMin = opts_.congestionPenalty < 0.0 ? 0.0 : 1.0;
     const double viaMin = std::max(0.0, opts_.viaCost);
 
     // Edges committed so far for this net (rolled back on failure).
@@ -167,7 +162,6 @@ std::optional<RoutedNet> MazeRouter::route(const std::vector<geom::Point>& pins,
         if (inTree(nodeId(tp.x, tp.y, 0))) continue;
 
         const auto heur = [&](int x, int y, int l) -> double {
-            if (!opts_.useAstar) return 0.0;
             const int dx = std::abs(x - tp.x);
             const int dy = std::abs(y - tp.y);
             int vias = 0;
@@ -182,7 +176,8 @@ std::optional<RoutedNet> MazeRouter::route(const std::vector<geom::Point>& pins,
         };
 
         // Search window: tree bbox ∪ sink, inflated by a margin that
-        // doubles until the in-window result is provably grid-optimal.
+        // doubles until the in-window result is provably grid-optimal or
+        // the clamped window spans the grid.
         int bx0 = tp.x;
         int bx1 = tp.x;
         int by0 = tp.y;
@@ -194,25 +189,18 @@ std::optional<RoutedNet> MazeRouter::route(const std::vector<geom::Point>& pins,
             by1 = std::max(by1, nodeY(n));
         }
 
-        long margin =
-            opts_.useWindow ? std::max(1L, static_cast<long>(opts_.windowMargin))
-                            : 0;
-        bool fullGrid = !opts_.useWindow;
+        long margin = std::max(1L, static_cast<long>(opts_.windowMargin));
         int reached = -1;
         for (;;) {
-            Window win{0, 0, W - 1, H - 1};
-            if (!fullGrid) {
-                win.x0 = static_cast<int>(std::max(0L, bx0 - margin));
-                win.y0 = static_cast<int>(std::max(0L, by0 - margin));
-                win.x1 = static_cast<int>(
-                    std::min(static_cast<long>(W - 1), bx1 + margin));
-                win.y1 = static_cast<int>(
-                    std::min(static_cast<long>(H - 1), by1 + margin));
-                if (win.x0 == 0 && win.y0 == 0 && win.x1 == W - 1 &&
-                    win.y1 == H - 1) {
-                    fullGrid = true;
-                }
-            }
+            const Window win{
+                static_cast<int>(std::max(0L, bx0 - margin)),
+                static_cast<int>(std::max(0L, by0 - margin)),
+                static_cast<int>(
+                    std::min(static_cast<long>(W - 1), bx1 + margin)),
+                static_cast<int>(
+                    std::min(static_cast<long>(H - 1), by1 + margin))};
+            const bool fullGrid = win.x0 == 0 && win.y0 == 0 &&
+                                  win.x1 == W - 1 && win.y1 == H - 1;
 
             if (state->searchEpoch_ == std::numeric_limits<int>::max()) {
                 std::fill(state->stamp_.begin(), state->stamp_.end(), 0);
@@ -337,10 +325,6 @@ std::optional<RoutedNet> MazeRouter::route(const std::vector<geom::Point>& pins,
             }
             ++tally.windowGrowths;
             margin *= 2;
-            if (margin > static_cast<long>(W) + static_cast<long>(H)) {
-                fullGrid = true;
-                ++tally.windowFallbacks;
-            }
         }
 
         if (reached < 0) {

@@ -6,7 +6,8 @@
 // from nearly-full edges. Full edges are hard-avoided.
 //
 // Two hot-path optimizations over the naive Dijkstra formulation, both
-// exact (DESIGN.md "Performance" for the arguments):
+// exact (DESIGN.md "Performance" for the arguments; the plain Dijkstra
+// search is the oracle in tests/route_test.cpp):
 //
 //   A* heuristic       admissible+consistent lower bound (Manhattan wire
 //                      distance plus the minimum via count forced by the
@@ -14,14 +15,15 @@
 //                      (f, g, node) pop ordering and a canonical
 //                      equal-cost parent rule, so the routed tree is a
 //                      pure function of the cost field — byte-identical
-//                      whether the heuristic is on or off
+//                      to the plain Dijkstra search
 //   search window      search restricted to the bounding box of the
 //                      partial tree plus the sink, inflated by a margin
 //                      that doubles until the window-optimal path is
 //                      *provably* grid-optimal (found cost strictly
 //                      below the best f-value pruned at the window
-//                      boundary) — never changes the outcome of a
-//                      routable sink, and unreachable sinks still fail
+//                      boundary) or the window spans the grid — never
+//                      changes the outcome of a routable sink, and
+//                      unreachable sinks still fail
 //
 // Per-search state (distance / parent labels, the heap) lives in an
 // epoch-stamped SearchState scratch object that is reused across sinks
@@ -39,25 +41,19 @@
 
 namespace streak::route {
 
+/// Cost of one wire edge past its capacity when MazeOptions::allowOverflow
+/// keeps full edges usable.
+inline constexpr double kOverflowCost = 8.0;
+
 struct MazeOptions {
     double viaCost = 2.0;
     /// Extra cost multiplier as an edge approaches capacity:
     /// cost *= 1 + congestionPenalty * (usage / capacity)^2.
     double congestionPenalty = 4.0;
-    /// When true, full edges stay usable at `overflowCost` instead of
+    /// When true, full edges stay usable at kOverflowCost instead of
     /// being forbidden — models a hand design that overshoots capacity in
     /// hotspots (the Fig. 11(a)/12(a) behaviour) rather than detouring.
     bool allowOverflow = false;
-    double overflowCost = 8.0;
-
-    /// Guide the search with the admissible distance heuristic. Off
-    /// means h = 0, i.e. plain Dijkstra — same result, more heap pops
-    /// (kept as the oracle for tests and before/after benches).
-    bool useAstar = true;
-    /// Restrict each sink search to a bounding-box window around the
-    /// partial tree and the sink, growing it until provably optimal.
-    /// Off searches the full grid directly (the oracle / "before" mode).
-    bool useWindow = true;
     /// Initial window inflation margin in G-Cells; each retry doubles it.
     int windowMargin = 8;
 
@@ -88,7 +84,7 @@ private:
     friend class MazeRouter;
 
     struct HeapEntry {
-        double f;  // g + heuristic (== g when A* is off)
+        double f;  // g + heuristic
         double g;  // cost from the tree
         int node;
     };

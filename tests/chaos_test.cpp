@@ -130,20 +130,6 @@ TEST_F(ChaosSweep, SolveStageFaultDegradesToThePdResult) {
     EXPECT_GT(r.metrics.routedBits, 0);
 }
 
-TEST_F(ChaosSweep, RecoveryPolicyOffTurnsTheRungIntoAnError)
-{
-    robust::armFault("ilp/solve", /*hitIndex=*/0);
-    const Design d = gen::generate(chaosSpec(1));
-    StreakOptions opts;
-    opts.solver = SolverKind::Ilp;
-    opts.ilpTimeLimitSeconds = 2.0;
-    opts.recovery.ilpFallbackToPd = false;
-    const FlowResult res = runStreak(d, opts);
-    ASSERT_FALSE(res.ok());
-    EXPECT_EQ(res.error().kind, robust::ErrorKind::FaultInjected);
-    EXPECT_EQ(res.error().stage, stage::kSolve);
-}
-
 /// The rung strings the run report's "robust" section lists for a run.
 std::set<std::string> reportedRungs(const Design& d,
                                     const StreakOptions& opts,
@@ -198,26 +184,6 @@ TEST_F(ChaosSweep, PostRefineFaultTakesTheRollbackRung) {
     EXPECT_TRUE(rungSeen) << "no suite reached the refinement wave loop";
 }
 
-TEST_F(ChaosSweep, PostRollbackPolicyOffTurnsTheFaultIntoExitCode6) {
-    bool errorSeen = false;
-    for (int suite = 1; suite <= 7 && !errorSeen; ++suite) {
-        robust::armFault("post/refine", /*hitIndex=*/0);
-        const Design d = gen::generate(chaosSpec(suite));
-        StreakOptions opts;
-        opts.postOptimize = true;
-        opts.recovery.postRollback = false;
-        const FlowResult res = runStreak(d, opts);
-        if (!res.ok()) {
-            errorSeen = true;
-            EXPECT_EQ(res.error().kind, robust::ErrorKind::FaultInjected);
-            EXPECT_EQ(res.error().stage, stage::kPost);
-            EXPECT_EQ(robust::exitCodeFor(res.error().kind), 6);
-        }
-        robust::disarmFaults();
-    }
-    EXPECT_TRUE(errorSeen) << "no suite reached the refinement wave loop";
-}
-
 TEST_F(ChaosSweep, DistanceFaultTakesTheSkipRung) {
     robust::armFault("distance/analyze", /*hitIndex=*/0);
     const Design d = gen::generate(chaosSpec(2));
@@ -259,19 +225,6 @@ TEST_F(ChaosSweep, DistanceFaultWithoutRefinementTakesTheSkipRung) {
         EXPECT_EQ(r.groupDistanceAfter.size(),
                   static_cast<size_t>(d.numGroups()));
     }
-}
-
-TEST_F(ChaosSweep, DistanceSkipPolicyOffTurnsTheFaultIntoExitCode6) {
-    robust::armFault("distance/analyze", /*hitIndex=*/0);
-    const Design d = gen::generate(chaosSpec(2));
-    StreakOptions opts;
-    opts.postOptimize = true;
-    opts.recovery.distanceSkipOnFailure = false;
-    const FlowResult res = runStreak(d, opts);
-    ASSERT_FALSE(res.ok());
-    EXPECT_EQ(res.error().kind, robust::ErrorKind::FaultInjected);
-    EXPECT_EQ(res.error().stage, stage::kDistance);
-    EXPECT_EQ(robust::exitCodeFor(res.error().kind), 6);
 }
 
 TEST(ChaosDeadline, ImmediateDeadlineFailsStructurally) {

@@ -60,7 +60,7 @@ double baseCost(const steiner::Topology& t, const StreakOptions& opts) {
 bool fits(const grid::EdgeUsage& usage, const steiner::Topology& t, int h,
           int v) {
     const grid::RoutingGrid& grid = usage.grid();
-    for (const steiner::UnitEdge& e : t.wire()) {  // analyze-ok: unordered-iteration (all-of check; order cannot escape)
+    for (const steiner::UnitEdge& e : t.wire()) {
         const int layer = e.horizontal ? h : v;
         if (!grid.validEdge(layer, e.at.x, e.at.y)) return false;
         if (usage.remaining(grid.edgeId(layer, e.at.x, e.at.y)) < 1) {
@@ -77,7 +77,7 @@ bool fits(const grid::EdgeUsage& usage, const steiner::Topology& t, int h,
 
 void commit(grid::EdgeUsage* usage, const steiner::Topology& t, int h, int v) {
     const grid::RoutingGrid& grid = usage->grid();
-    for (const steiner::UnitEdge& e : t.wire()) {  // analyze-ok: unordered-iteration (commutative usage adds)
+    for (const steiner::UnitEdge& e : t.wire()) {
         const int layer = e.horizontal ? h : v;
         usage->add(grid.edgeId(layer, e.at.x, e.at.y), 1);
     }
@@ -188,7 +188,7 @@ post::ClusteringResult clusterAndRoute(const RoutingProblem& prob,
                     const double ratio = regularityRatio(ta, tb);
                     c += ratio > 0.0
                              ? opts.irregularityWeight * (1.0 / ratio - 1.0)
-                             : opts.noSharePenalty;
+                             : kNoSharePenalty;
                     if (c < best) {
                         best = c;
                         *bestA = ja;

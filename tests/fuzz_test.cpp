@@ -207,7 +207,8 @@ TEST(CheckpointFuzz, VersionSkewIsRejectedEvenWithAValidChecksum) {
     // Patch the u32 format version (offset 8, little-endian) and repair
     // the trailing FNV-1a so the rejection is the version check itself,
     // not a checksum side effect. Both directions: a file from a newer
-    // writer, and an older one (v1 still carried the LP engine options).
+    // writer, and an older one (v2 still carried the solver artifact,
+    // the metrics and four option fields v3 dropped).
     for (const int version :
          {eco::kCheckpointVersion + 1, eco::kCheckpointVersion - 1}) {
         std::string buf = tinyCheckpointBuffer();

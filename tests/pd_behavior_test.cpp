@@ -20,7 +20,7 @@ TEST(PdBehavior, ObjectWithoutCandidatesIsSkippedNotCrashed) {
     const PdResult r = solvePrimalDual(prob);
     for (const int c : r.solution.chosen) EXPECT_EQ(c, -1);
     EXPECT_DOUBLE_EQ(r.solution.objective,
-                     prob.opts.nonRoutePenaltyM * prob.numObjects());
+                     kNonRoutePenaltyM * prob.numObjects());
 }
 
 TEST(PdBehavior, PairCostSteersLayerAgreement) {

@@ -132,7 +132,7 @@ std::vector<std::pair<int, int>> computeEdgeUse(
     int hLayer, int vLayer) {
     std::map<int, int> use;
     for (const steiner::Topology& t : bits) {
-        for (const steiner::UnitEdge& e : t.wire()) {  // analyze-ok: unordered-iteration (counting into an ordered map)
+        for (const steiner::UnitEdge& e : t.wire()) {
             const int layer = e.horizontal ? hLayer : vLayer;
             if (grid.validEdge(layer, e.at.x, e.at.y)) {
                 ++use[grid.edgeId(layer, e.at.x, e.at.y)];
@@ -274,7 +274,7 @@ std::vector<PairBlock> groupPairBlocks(
                     const double ratio = it->second;
                     double c = 0.0;
                     if (ratio <= 0.0) {
-                        c = opts.noSharePenalty;
+                        c = kNoSharePenalty;
                     } else {
                         c = opts.irregularityWeight * (1.0 / ratio - 1.0);
                     }

@@ -366,6 +366,14 @@ TEST(FlowRobustness, OutOfRangeOptionsAreInvalidInput) {
     StreakOptions nanWeight;
     nanWeight.viaWeight = std::numeric_limits<double>::quiet_NaN();
     expectInvalid(nanWeight, "viaWeight");
+    // A negative pair weight can make a pair cost negative, which the
+    // ILP's pair linearization does not model.
+    StreakOptions negativeIrregularity;
+    negativeIrregularity.irregularityWeight = -1.0;
+    expectInvalid(negativeIrregularity, "irregularityWeight");
+    StreakOptions negativeLayer;
+    negativeLayer.pairLayerWeight = -0.5;
+    expectInvalid(negativeLayer, "pairLayerWeight");
 
     EXPECT_EQ(validateOptions(StreakOptions{}), "");
     EXPECT_TRUE(runStreak(d, StreakOptions{}).ok());

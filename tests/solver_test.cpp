@@ -172,7 +172,7 @@ TEST(SolutionObjective, CountsMAndPairTerms) {
     const RoutingProblem prob = buildProblem(d, opts);
     std::vector<int> allUnrouted(static_cast<size_t>(prob.numObjects()), -1);
     EXPECT_DOUBLE_EQ(solutionObjective(prob, allUnrouted),
-                     opts.nonRoutePenaltyM * prob.numObjects());
+                     kNonRoutePenaltyM * prob.numObjects());
 }
 
 TEST(Materialize, EveryBitRoutedOrListed) {

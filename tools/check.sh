@@ -8,7 +8,8 @@
 #                                    problem_build_equivalence_test +
 #                                    topology_equivalence_test +
 #                                    pd_equivalence_test +
-#                                    lp_kernel_equivalence_test)
+#                                    lp_kernel_equivalence_test +
+#                                    route_test)
 #   4. ThreadSanitizer              (preset `tsan`, thread pool,
 #                                    determinism and per-run session
 #                                    tests)
@@ -91,6 +92,9 @@ else
     # The sparse LP rows, their merges and the reused relaxation
     # workspace against the dense tableau, bit for bit.
     ./build-asan/tests/lp_kernel_equivalence_test
+    # The maze router's A* and growing windows against the plain
+    # Dijkstra oracle, edge for edge.
+    ./build-asan/tests/route_test
 fi
 
 echo "== [4/9] ThreadSanitizer =="

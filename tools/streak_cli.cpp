@@ -35,10 +35,10 @@
 //                          RESIZECAPACITY, '#' comments
 //   --threads=<n>          override the checkpoint's thread count (the
 //                          result is identical for every value)
-//   --cold                 also re-route the mutated design from scratch
-//                          and report incremental-vs-cold timing
-//   --cold-check           with --cold: verify the incremental result is
-//                          byte-identical to the cold one (exit 1 if not)
+//   --cold-check           also re-route the mutated design from scratch,
+//                          report incremental-vs-cold timing and verify
+//                          the incremental result is byte-identical to
+//                          the cold one (exit 1 if not)
 //   --report=<file.json>   write the run report (streak-run-report schema
 //                          plus an "eco" section); turns on detail
 //                          instrumentation for the run
@@ -161,7 +161,7 @@ int usage() {
                  " [--no-clustering] [--no-refinement] [--backbones=K]"
                  " [--heatmap=FILE] [--report=FILE.json] [--trace=FILE.json]"
                  " [--deadline=SEC] [--checkpoint=FILE] [--quiet]\n"
-              << "  streak eco <ckpt> --deltas=FILE [--threads=N] [--cold]"
+              << "  streak eco <ckpt> --deltas=FILE [--threads=N]"
                  " [--cold-check] [--report=FILE.json] [--save=FILE]"
                  " [--quiet]\n"
               << "\n"
@@ -384,7 +384,6 @@ int cmdEco(int argc, char** argv) {
     std::string reportPath;
     std::string savePath;
     int threads = -1;
-    bool cold = false;
     bool coldCheck = false;
     bool quiet = false;
     for (int i = 3; i < argc; ++i) {
@@ -396,10 +395,7 @@ int cmdEco(int argc, char** argv) {
             deltasPath = value("--deltas=");
         } else if (arg.rfind("--threads=", 0) == 0) {
             threads = intValue(value("--threads="), "--threads");
-        } else if (arg == "--cold") {
-            cold = true;
         } else if (arg == "--cold-check") {
-            cold = true;
             coldCheck = true;
         } else if (arg.rfind("--report=", 0) == 0) {
             reportPath = value("--report=");
@@ -453,7 +449,7 @@ int cmdEco(int argc, char** argv) {
               << r.metrics.totalOverflow << '\n';
 
     double coldSeconds = -1.0;
-    if (cold) {
+    if (coldCheck) {
         watch.restart();
         const FlowResult coldFlow = runStreak(*r.design, effective);
         coldSeconds = watch.seconds();
@@ -471,15 +467,13 @@ int cmdEco(int argc, char** argv) {
                       << "x)";
         }
         std::cout << '\n';
-        if (coldCheck) {
-            std::string diff;
-            if (!eco::equivalent(r, coldFlow.value(), &diff)) {
-                std::cerr << "streak: eco/cold mismatch: " << diff << '\n';
-                return 1;
-            }
-            std::cout << "cold-check: incremental result is byte-identical"
-                         " to the cold re-route\n";
+        std::string diff;
+        if (!eco::equivalent(r, coldFlow.value(), &diff)) {
+            std::cerr << "streak: eco/cold mismatch: " << diff << '\n';
+            return 1;
         }
+        std::cout << "cold-check: incremental result is byte-identical"
+                     " to the cold re-route\n";
     }
 
     if (!reportPath.empty()) {
