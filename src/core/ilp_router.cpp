@@ -84,6 +84,8 @@ struct ComponentOutcome {
 IlpRouteResult solveIlpRouting(const RoutingProblem& prob,
                                double timeLimitSeconds,
                                const RoutingSolution* warmStart) {
+    // One deadline for the whole stage, measured from here.
+    const obs::Stopwatch stage;
     IlpRouteResult result;
     if (warmStart != nullptr) {
         STREAK_REQUIRE(static_cast<int>(warmStart->chosen.size()) ==
@@ -144,25 +146,6 @@ IlpRouteResult solveIlpRouting(const RoutingProblem& prob,
                      [&](const auto& a, const auto& b) {
                          return weightOf(a.second) < weightOf(b.second);
                      });
-
-    // Deterministic time-budget split: each component owns a share of the
-    // wall-clock budget proportional to its candidate count. Unlike the
-    // old "whatever is left on the clock" scheme this does not depend on
-    // how fast earlier components happened to solve, so any thread count
-    // (and any execution order) sees the same caps.
-    std::vector<double> budget(components.size(), 0.0);
-    {
-        double totalWeight = 0.0;
-        for (const auto& [root, objs] : components) {
-            totalWeight += static_cast<double>(weightOf(objs)) + 1.0;
-        }
-        for (size_t c = 0; c < components.size(); ++c) {
-            budget[c] = timeLimitSeconds *
-                        (static_cast<double>(weightOf(components[c].second)) +
-                         1.0) /
-                        totalWeight;
-        }
-    }
 
     const auto solveComponent = [&](int comp) {
         // Worker-side span: nests under the owning region's span through
@@ -240,8 +223,14 @@ IlpRouteResult solveIlpRouting(const RoutingProblem& prob,
         // every capacity row a valid candidate demand.
         STREAK_DEEP_AUDIT(check::auditIlpModel(model));
 
+        // A component may search until the stage deadline, so the time
+        // that components finished early left over goes to the ones still
+        // running. The clock only decides where a capped search stops:
+        // a component that finishes in time is proven whatever the
+        // thread count or the order components ran in.
         ilp::BnbOptions bopts;
-        bopts.timeLimitSeconds = budget[static_cast<size_t>(comp)];
+        bopts.timeLimitSeconds =
+            std::max(0.0, timeLimitSeconds - stage.seconds());
         bopts.control = prob.opts.control;
         if (warmStart != nullptr) {
             bopts.initialUpperBound =

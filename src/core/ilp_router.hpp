@@ -34,10 +34,12 @@ struct IlpRouteResult {
 /// a component short — mirroring how a commercial solver's MIP start
 /// behaves under the paper's 3600 s cap.
 ///
-/// Components solve in parallel (`prob.opts.threads`); the shared time
-/// budget is split deterministically across components in proportion to
-/// their candidate counts, so — as long as no component exhausts its
-/// share — the result is byte-identical for every thread count.
+/// Components solve in parallel (`prob.opts.threads`) under one stage
+/// deadline: each component may search until `timeLimitSeconds` after
+/// the call began, so time that finished components left is not lost.
+/// A run that meets the deadline proves every component, and its result
+/// is byte-identical for every thread count; only a run that hits the
+/// limit depends on how far each capped search got.
 [[nodiscard]] IlpRouteResult solveIlpRouting(
     const RoutingProblem& prob, double timeLimitSeconds,
     const RoutingSolution* warmStart = nullptr);

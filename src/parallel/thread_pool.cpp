@@ -61,34 +61,38 @@ int resolveThreads(int requested) {
     return requested >= 1 ? requested : hardwareThreads();
 }
 
-/// Worker state: one job at a time, dispatched by an atomic task index.
-struct ThreadPool::Impl {
-    std::mutex mutex;
-    std::condition_variable wake;   // workers wait here between jobs
-    std::condition_variable done;   // the owner waits here during a job
+namespace {
 
-    // Current job (valid while busyWorkers > 0 or generation just bumped).
-    const std::function<void(int)>* fn = nullptr;
-    int taskCount = 0;
+/// One parallel region: the task function, the owner's context that
+/// workers adopt, and per-index result slots. It lives on the owner's
+/// stack for the duration of the region, so nothing of it outlives the
+/// region in the worker set.
+struct Region {
+    Region(const std::function<void(int)>& task, int n,
+           const robust::Ticket& ticket)
+        : fn(task),
+          taskCount(n),
+          control(ticket),
+          session(obs::session()),
+          parentSpan(session.tracer().currentSpan()),
+          errors(static_cast<size_t>(n)),
+          taskSeconds(static_cast<size_t>(n), 0.0) {}
+
+    const std::function<void(int)>& fn;
+    const int taskCount;
+    // Deadline/cancellation ticket polled before each task (idle when
+    // the pool owner never called setControl).
+    const robust::Ticket& control;
     // Session and span that were current on the owning thread when the
     // region started; workers adopt both so spans opened (and counters
     // flushed) inside tasks land in the owner's session, attached under
     // the owner's span.
-    obs::Session* session = nullptr;
-    int parentSpan = -1;
+    obs::Session& session;
+    const int parentSpan;
     std::atomic<int> nextTask{0};
     std::atomic<bool> failed{false};
-    // Deadline/cancellation ticket for the current job (idle when the
-    // pool owner never called setControl).
-    robust::Ticket control;
     std::vector<std::exception_ptr> errors;  // per task index
     std::vector<double> taskSeconds;         // per task index
-
-    long generation = 0;   // bumped per job so workers never re-run one
-    int busyWorkers = 0;   // workers still draining the current job
-    bool shutdown = false;
-
-    std::vector<std::thread> workers;
 
     /// Pull-and-run loop shared by workers and the owning thread. Each
     /// task's result lands in per-index slots, so completion order never
@@ -111,7 +115,7 @@ struct ThreadPool::Impl {
             }
             const auto start = std::chrono::steady_clock::now();
             try {
-                (*fn)(i);
+                fn(i);
             } catch (...) {
                 errors[static_cast<size_t>(i)] = std::current_exception();
                 failed.store(true, std::memory_order_relaxed);
@@ -119,35 +123,132 @@ struct ThreadPool::Impl {
             taskSeconds[static_cast<size_t>(i)] = secondsSince(start);
         }
     }
+};
 
-    /// `track` is the worker's 1-based index: its span track id in the
-    /// trace (0 is the owning thread).
+}  // namespace
+
+/// Worker threads that run one region at a time for the pool that owns
+/// the set. Between pools the set waits, idle, in its thread's list.
+class WorkerSet {
+public:
+    /// The next set in the idle list this one waits in (null while a
+    /// pool owns it). A link, so handing a set back never allocates.
+    std::unique_ptr<WorkerSet> nextIdle;
+
+    WorkerSet() = default;
+    WorkerSet(const WorkerSet&) = delete;
+    WorkerSet& operator=(const WorkerSet&) = delete;
+
+    ~WorkerSet() {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            shutdown_ = true;
+        }
+        wake_.notify_all();
+        for (std::thread& w : workers_) w.join();
+    }
+
+    /// Start `count` workers; worker t records on trace track t + 1 (0
+    /// is the owning thread). If a spawn throws, the destructor joins
+    /// the workers already started.
+    void spawn(int count) {
+        workers_.reserve(static_cast<size_t>(count));
+        for (int t = 0; t < count; ++t) {
+            workers_.emplace_back([this, t] { workerLoop(t + 1); });
+        }
+    }
+
+    [[nodiscard]] int size() const { return static_cast<int>(workers_.size()); }
+
+    /// Run `region` with the calling thread participating. Every task
+    /// index is claimed through Region::nextTask, so once the caller's
+    /// drain() returns, unfinished tasks can only be held by workers
+    /// that joined the region: close it, then wait for those alone.
+    void run(Region& region) {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            STREAK_REQUIRE(
+                open_ == nullptr,
+                "parallel regions must not nest (pool of {} threads)",
+                size() + 1);
+            open_ = &region;
+            ++generation_;
+        }
+        wake_.notify_all();
+        region.drain();
+        std::unique_lock<std::mutex> lock(mutex_);
+        open_ = nullptr;
+        done_.wait(lock, [&] { return joined_ == 0; });
+    }
+
+private:
     void workerLoop(int track) {
         long seenGeneration = 0;
         for (;;) {
-            int jobParentSpan = -1;
-            obs::Session* jobSession = nullptr;
+            Region* region = nullptr;
             {
-                std::unique_lock<std::mutex> lock(mutex);
-                wake.wait(lock, [&] {
-                    return shutdown || generation != seenGeneration;
+                std::unique_lock<std::mutex> lock(mutex_);
+                wake_.wait(lock, [&] {
+                    return shutdown_ || generation_ != seenGeneration;
                 });
-                if (shutdown) return;
-                seenGeneration = generation;
-                jobParentSpan = parentSpan;
-                jobSession = session;
+                if (shutdown_) return;
+                seenGeneration = generation_;
+                // Woke after the owner closed the region: it is over.
+                if (open_ == nullptr) continue;
+                region = open_;
+                ++joined_;
             }
             {
-                const obs::WorkerBind ctx(*jobSession, jobParentSpan, track);
-                drain();
+                const obs::WorkerBind ctx(region->session, region->parentSpan,
+                                          track);
+                region->drain();
             }
-            {
-                std::lock_guard<std::mutex> lock(mutex);
-                if (--busyWorkers == 0) done.notify_all();
-            }
+            std::lock_guard<std::mutex> lock(mutex_);
+            if (--joined_ == 0) done_.notify_one();
         }
     }
+
+    std::mutex mutex_;
+    std::condition_variable wake_;  // workers wait here between regions
+    std::condition_variable done_;  // the owner waits here to close one
+    Region* open_ = nullptr;        // the region workers may still join
+    long generation_ = 0;           // bumped per region: none runs twice
+    int joined_ = 0;                // workers inside the open region
+    bool shutdown_ = false;
+    std::vector<std::thread> workers_;
 };
+
+namespace {
+
+// Set once the thread's idle list is destroyed: a pool that outlives it
+// (a static or later thread_local one) joins its own workers instead.
+thread_local bool tlIdleGone = false;
+
+/// Worker sets handed back by destroyed pools of the calling thread,
+/// waiting for its next pool. The thread's exit destroys the list, and
+/// with it joins every idle worker.
+struct IdleSets {
+    std::unique_ptr<WorkerSet> first;
+    ~IdleSets() { tlIdleGone = true; }
+};
+thread_local IdleSets tlIdle;
+
+/// An idle set of `size` workers from the calling thread, or a new one.
+std::unique_ptr<WorkerSet> borrowWorkers(int size) {
+    for (std::unique_ptr<WorkerSet>* link = &tlIdle.first; *link != nullptr;
+         link = &(*link)->nextIdle) {
+        if ((*link)->size() == size) {
+            std::unique_ptr<WorkerSet> set = std::move(*link);
+            *link = std::move(set->nextIdle);
+            return set;
+        }
+    }
+    auto set = std::make_unique<WorkerSet>();
+    set->spawn(size);
+    return set;
+}
+
+}  // namespace
 
 ThreadPool::ThreadPool(int threads)
     : threads_(threads < 1 ? 1 : threads) {
@@ -155,13 +256,9 @@ ThreadPool::ThreadPool(int threads)
 }
 
 ThreadPool::~ThreadPool() {
-    if (impl_ == nullptr) return;
-    {
-        std::lock_guard<std::mutex> lock(impl_->mutex);
-        impl_->shutdown = true;
-    }
-    impl_->wake.notify_all();
-    for (std::thread& w : impl_->workers) w.join();
+    if (workers_ == nullptr || tlIdleGone) return;
+    workers_->nextIdle = std::move(tlIdle.first);
+    tlIdle.first = std::move(workers_);
 }
 
 void ThreadPool::runSerial(int n, const std::function<void(int)>& fn) {
@@ -181,64 +278,34 @@ void ThreadPool::runParallel(int n, const std::function<void(int)>& fn) {
     // Gated region span: tasks that open spans (e.g. per-component ILP
     // solves) nest under it across every worker track.
     STREAK_SPAN("parallel/region");
-    if (impl_ == nullptr) {
-        impl_ = std::make_unique<Impl>();
-        impl_->workers.reserve(static_cast<size_t>(threads_ - 1));
-        for (int t = 0; t < threads_ - 1; ++t) {
-            impl_->workers.emplace_back(
-                [this, t] { impl_->workerLoop(t + 1); });
-        }
-    }
-    Impl& im = *impl_;
-    STREAK_REQUIRE(im.fn == nullptr,
-                   "parallel regions must not nest (pool of {} threads)",
-                   threads_);
-    im.fn = &fn;
-    im.taskCount = n;
-    im.control = control_;
-    im.session = &obs::session();
-    im.parentSpan = im.session->tracer().currentSpan();
-    im.nextTask.store(0, std::memory_order_relaxed);
-    im.failed.store(false, std::memory_order_relaxed);
-    im.errors.assign(static_cast<size_t>(n), nullptr);
-    im.taskSeconds.assign(static_cast<size_t>(n), 0.0);
-
+    if (workers_ == nullptr) workers_ = borrowWorkers(threads_ - 1);
+    Region region(fn, n, control_);
     const auto start = std::chrono::steady_clock::now();
-    {
-        std::lock_guard<std::mutex> lock(im.mutex);
-        im.busyWorkers = static_cast<int>(im.workers.size());
-        ++im.generation;
-    }
-    im.wake.notify_all();
-    im.drain();  // the owning thread participates
-    {
-        std::unique_lock<std::mutex> lock(im.mutex);
-        im.done.wait(lock, [&] { return im.busyWorkers == 0; });
-    }
-    im.fn = nullptr;
+    workers_->run(region);
 
     ++stats_.regions;
     stats_.tasks += n;
     stats_.wallSeconds += secondsSince(start);
-    for (const double s : im.taskSeconds) stats_.taskSeconds += s;
+    for (const double s : region.taskSeconds) stats_.taskSeconds += s;
 
     // Rethrow the lowest-index failure so error behaviour is as
     // deterministic as success behaviour; failures beyond the first are
     // tallied (never silently dropped) and noted in the message.
-    size_t firstError = im.errors.size();
+    const std::vector<std::exception_ptr>& errors = region.errors;
+    size_t firstError = errors.size();
     long suppressed = 0;
-    for (size_t i = 0; i < im.errors.size(); ++i) {
-        if (im.errors[i] == nullptr) continue;
-        if (firstError == im.errors.size()) {
+    for (size_t i = 0; i < errors.size(); ++i) {
+        if (errors[i] == nullptr) continue;
+        if (firstError == errors.size()) {
             firstError = i;
         } else {
             ++suppressed;
         }
     }
-    if (firstError == im.errors.size()) return;
-    if (suppressed == 0) std::rethrow_exception(im.errors[firstError]);
+    if (firstError == errors.size()) return;
+    if (suppressed == 0) std::rethrow_exception(errors[firstError]);
     obs::session().counter("parallel/exceptions_suppressed").add(suppressed);
-    rethrowWithSuppressedNote(im.errors[firstError], suppressed);
+    rethrowWithSuppressedNote(errors[firstError], suppressed);
 }
 
 void ThreadPool::parallelFor(int n, const std::function<void(int)>& fn) {

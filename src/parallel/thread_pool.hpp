@@ -17,12 +17,19 @@
 // count — `threads = 1` is the exact legacy sequential path (tasks run
 // inline on the calling thread, no workers are ever spawned).
 //
-// Pools are cheap to create (workers spawn lazily on the first parallel
-// region that needs them) and are intended to live for the duration of
-// one flow stage. Exceptions thrown by tasks are captured and the one
-// with the lowest index is rethrown on the calling thread after the
-// region drains, keeping failure behaviour index-deterministic too;
-// when several tasks failed, the extra failures are tallied in the
+// A pool is a handle on a set of worker threads, and pools are cheap to
+// create because those threads are reused: on its first parallel region
+// a pool borrows an idle worker set of its size from its calling thread
+// (spawning one only when none is idle) and its destructor hands the set
+// back, so back-to-back flow stages on one thread share their workers.
+// A thread's idle sets are joined when the thread exits. A region waits
+// only for the workers that joined it: once the calling thread finds no
+// unclaimed task, a worker that had not woken yet skips the region.
+//
+// Exceptions thrown by tasks are captured and the one with the lowest
+// index is rethrown on the calling thread after the region drains,
+// keeping failure behaviour index-deterministic too; when several tasks
+// failed, the extra failures are tallied in the
 // `parallel/exceptions_suppressed` counter and noted in the rethrown
 // message so they are never silently dropped. A pool given a
 // robust::Ticket (setControl) additionally polls it before each task,
@@ -41,8 +48,10 @@
 namespace streak::parallel {
 
 /// Accumulated cost of the parallel regions run through one pool (or one
-/// flow stage): wall time of the regions vs. summed task time. The ratio
-/// estimates the achieved speedup without needing a serial rerun.
+/// flow stage): wall time of the regions vs. summed task time. Their
+/// ratio is the region's concurrency, not its speedup: it says how many
+/// tasks were in flight on average, not how much faster than one thread
+/// the stage ran.
 struct RegionStats {
     int threads = 1;         ///< pool size the regions ran with
     int regions = 0;         ///< number of parallelFor/Map invocations
@@ -50,11 +59,12 @@ struct RegionStats {
     double wallSeconds = 0.0;  ///< summed wall-clock time of the regions
     double taskSeconds = 0.0;  ///< summed per-task execution time
 
-    /// taskSeconds / wallSeconds: ~1.0 when serial, approaches the pool
-    /// size under perfect scaling. Strictly this measures *concurrency*
-    /// (mean tasks in flight): with more threads than cores, descheduled
-    /// time inflates per-task wall time, so oversubscribed runs report
-    /// concurrency rather than true speedup.
+    /// taskSeconds / wallSeconds: the mean number of tasks in flight
+    /// (~1.0 when serial, at most the pool size). This is *concurrency*,
+    /// not speedup: it never sees what a second thread costs (waking a
+    /// worker, tasks slowed by sharing a core), so a stage that runs
+    /// slower on two threads than on one can still read above 1. Only a
+    /// one-thread rerun measures speedup (bench/parallel_scaling).
     [[nodiscard]] double speedupEstimate() const {
         return wallSeconds > 0.0 ? taskSeconds / wallSeconds : 1.0;
     }
@@ -76,12 +86,17 @@ struct RegionStats {
 /// std::thread::hardware_concurrency with a floor of 1.
 [[nodiscard]] int hardwareThreads();
 
+/// Worker threads plus the region they run (defined in thread_pool.cpp).
+class WorkerSet;
+
 class ThreadPool {
 public:
     /// A pool of `threads` workers (clamped to >= 1; the calling thread
-    /// counts as one worker, so `threads = 4` spawns 3 OS threads).
-    /// Workers are spawned lazily by the first region with > 1 task.
+    /// counts as one worker, so `threads = 4` uses 3 OS threads). The
+    /// workers are borrowed (or spawned) by the first region with > 1
+    /// task and owned by this pool alone until it is destroyed.
     explicit ThreadPool(int threads);
+    /// Hands the worker set back to the calling thread's idle list.
     ~ThreadPool();
 
     ThreadPool(const ThreadPool&) = delete;
@@ -123,15 +138,13 @@ public:
     [[nodiscard]] const RegionStats& stats() const { return stats_; }
 
 private:
-    struct Impl;
-
     void runSerial(int n, const std::function<void(int)>& fn);
     void runParallel(int n, const std::function<void(int)>& fn);
 
     int threads_;
     RegionStats stats_;
     robust::Ticket control_;
-    std::unique_ptr<Impl> impl_;  // created lazily with the workers
+    std::unique_ptr<WorkerSet> workers_;  // borrowed by the first region
 };
 
 }  // namespace streak::parallel

@@ -80,6 +80,23 @@ TEST(Flow, UncappedFlatIlpReportsAZeroGap) {
     }
 }
 
+TEST(Flow, CappedIlpSearchesUntilTheStageDeadline) {
+    // Full-size synth5 cannot be proven within a second. The cap is one
+    // deadline for the whole solve stage, so the components still
+    // searching inherit the time the finished ones left, and the stage
+    // runs until the limit rather than stopping at one component's share.
+    const Design d = gen::generate(gen::synthSpec(5));
+    StreakOptions opts;
+    opts.solver = SolverKind::Ilp;
+    opts.ilpTimeLimitSeconds = 1.0;
+    for (const int threads : {1, 2}) {
+        opts.threads = threads;
+        const StreakResult r = runStreak(d, opts).value();
+        EXPECT_TRUE(r.hitTimeLimit) << threads << " threads";
+        EXPECT_GE(r.solveSeconds(), 0.9) << threads << " threads";
+    }
+}
+
 TEST(Flow, IlpObjectiveNotWorseThanPd) {
     const Design d = gen::generate(tinySpec());
     StreakOptions opts;

@@ -116,9 +116,9 @@ TEST(IlpRouter, DecomposesIndependentComponents) {
 }
 
 TEST(IlpRouter, ZeroCandidateComponentLeavesObjectUnrouted) {
-    // A component whose objects have no candidates at all must not break
-    // the budget split (its weight is 0) or the model build: the object
-    // simply stays unrouted (slack = 1) and everything else solves.
+    // A component whose objects have no candidates at all (weight 0, so
+    // it sorts first) must not break the model build: the object simply
+    // stays unrouted (slack = 1) and everything else solves.
     const Design d = simpleDesign();
     RoutingProblem prob = buildProblem(d, StreakOptions{});
     prob.candidates[0].clear();
@@ -145,9 +145,9 @@ TEST(IlpRouter, SingleComponentOwnsTheWholeBudget) {
 }
 
 TEST(IlpRouter, ExpiredBudgetKeepsTheWarmStart) {
-    // timeLimitSeconds = 0: every component's deterministic budget share
-    // is already spent, so branch-and-bound must immediately fall back
-    // to the warm start — a valid (degraded) solution, never a crash.
+    // timeLimitSeconds = 0: the stage deadline has already passed when
+    // each component starts, so branch-and-bound must immediately fall
+    // back to the warm start — a valid (degraded) solution, never a crash.
     const Design d = simpleDesign();
     const RoutingProblem prob = buildProblem(d, StreakOptions{});
     const PdResult warm = solvePrimalDual(prob);

@@ -9,7 +9,7 @@
 #                                    topology_equivalence_test +
 #                                    pd_equivalence_test +
 #                                    lp_kernel_equivalence_test +
-#                                    route_test)
+#                                    route_test + thread_pool_test)
 #   4. ThreadSanitizer              (preset `tsan`, thread pool,
 #                                    determinism and per-run session
 #                                    tests)
@@ -95,6 +95,9 @@ else
     # The maze router's A* and growing windows against the plain
     # Dijkstra oracle, edge for edge.
     ./build-asan/tests/route_test
+    # Worker sets outlive the pools that borrow them and are torn down
+    # at thread exit; ASan checks those lifetimes.
+    ./build-asan/tests/thread_pool_test
 fi
 
 echo "== [4/9] ThreadSanitizer =="

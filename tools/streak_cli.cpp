@@ -71,9 +71,9 @@
 //                            time is recorded but never compared
 //   --quiet                  only the verdict summary line
 //
-// The stage table's "speedup" column estimates per-stage parallel
-// speedup (task seconds / wall seconds); it is printed only when the
-// run used more than one thread.
+// The stage table's "concurrency" column is each stage's task seconds
+// over its wall seconds: the mean number of tasks in flight, not a
+// speedup. It is printed only when the run used more than one thread.
 //
 // Exit codes: 0 success (possibly degraded), 1 unexpected error, 2 bad
 // usage (including a malformed numeric value), 3 invalid input (including
@@ -165,7 +165,7 @@ int usage() {
                  " [--cold-check] [--report=FILE.json] [--save=FILE]"
                  " [--quiet]\n"
               << "\n"
-                 "route prints a per-stage table; its speedup column"
+                 "route prints a per-stage table; its concurrency column"
                  " (task seconds / wall seconds) appears only for"
                  " multi-threaded runs.\n"
                  "exit codes: 0 ok, 1 unexpected, 2 usage, 3 invalid input,"
@@ -297,21 +297,21 @@ int cmdRoute(int argc, char** argv) {
               << r.distanceViolationsAfter << ", overflow "
               << r.metrics.totalOverflow << '\n';
     if (!quiet) {
-        // A single-threaded run has nothing to speed up — every stage
-        // would print "1.00x" noise — so the column only appears for
+        // A single-threaded run has no concurrency — every stage would
+        // print "1.00" noise — so the column only appears for
         // multi-threaded runs.
-        const bool showSpeedup = r.threadsUsed > 1;
-        const auto speedup = [](const parallel::RegionStats& s) {
+        const bool showConcurrency = r.threadsUsed > 1;
+        const auto concurrency = [](const parallel::RegionStats& s) {
             if (s.regions == 0) return std::string("-");
-            return io::Table::fixed(s.speedupEstimate(), 2) + "x";
+            return io::Table::fixed(s.speedupEstimate(), 2);
         };
         std::vector<std::string> header{"stage", "seconds"};
-        if (showSpeedup) header.push_back("speedup");
+        if (showConcurrency) header.push_back("concurrency");
         io::Table t(header);
         const auto addStage = [&](std::string name, std::string seconds,
                                   const parallel::RegionStats& stats) {
             std::vector<std::string> row{std::move(name), std::move(seconds)};
-            if (showSpeedup) row.push_back(speedup(stats));
+            if (showConcurrency) row.push_back(concurrency(stats));
             t.addRow(row);
         };
         addStage("build (identify+candidates)",
