@@ -7,10 +7,12 @@
 #include <benchmark/benchmark.h>
 
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/identify.hpp"
+#include "core/problem.hpp"
 #include "core/regularity.hpp"
 #include "core/similarity.hpp"
 #include "gen/generator.hpp"
@@ -69,6 +71,37 @@ void BM_EnumerateTopologies_Lambda(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_EnumerateTopologies_Lambda)->Arg(0)->Arg(2)->Arg(8);
+
+/// One wire-graph query (the argument picks it: 0 graph(), 1
+/// viaPoints(), 2 structure(), 3 isTree(), 4 sourceToSinkDistances())
+/// over every equivalent bit topology of full-size synth5. The problem
+/// is built once, outside the timed loop.
+void BM_TopologyQueries(benchmark::State& state) {
+    const Design d = gen::makeSynth(5);
+    StreakOptions opts;
+    opts.threads = 1;
+    const RoutingProblem prob = buildProblem(d, opts);
+    std::vector<const steiner::Topology*> topos;
+    for (const std::vector<BackboneShape>& shapes : prob.shapes) {
+        for (const BackboneShape& shape : shapes) {
+            for (const steiner::Topology& t : shape.bitTopologies) topos.push_back(&t);
+        }
+    }
+    const auto query = state.range(0);
+    for (auto _ : state) {
+        for (const steiner::Topology* t : topos) {
+            switch (query) {
+                case 0: benchmark::DoNotOptimize(t->graph()); break;
+                case 1: benchmark::DoNotOptimize(t->viaPoints()); break;
+                case 2: benchmark::DoNotOptimize(t->structure()); break;
+                case 3: benchmark::DoNotOptimize(t->isTree()); break;
+                default: benchmark::DoNotOptimize(t->sourceToSinkDistances());
+            }
+        }
+    }
+    state.SetLabel(std::to_string(topos.size()) + " topologies");
+}
+BENCHMARK(BM_TopologyQueries)->DenseRange(0, 4)->ArgName("query");
 
 void BM_SimilarityVector(benchmark::State& state) {
     Bit bit;

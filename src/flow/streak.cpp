@@ -212,7 +212,10 @@ StreakResult runStreakGuarded(const Design& design,
         STREAK_DEEP_AUDIT(
             check::auditSolution(result.problem, result.solverSolution));
 
-        result.routed = materialize(result.problem, result.solverSolution);
+        {
+            STREAK_SPAN("solve/materialize");
+            result.routed = materialize(result.problem, result.solverSolution);
+        }
         STREAK_DEEP_AUDIT(
             check::auditRoutedDesign(result.problem, result.routed));
     });
@@ -275,7 +278,10 @@ StreakResult runStreakGuarded(const Design& design,
         } else if (opts.postOptimize) {
             // Snapshot for rollback: post optimization mutates `routed`
             // in place, and a half-applied post pass is worse than none.
-            const RoutedDesign prePost = result.routed;
+            const RoutedDesign prePost = [&] {
+                STREAK_SPAN("post/snapshot");
+                return result.routed;
+            }();
             const int prePostViolations = result.distanceViolationsAfter;
             const std::vector<char> prePostFlags = result.groupDistanceAfter;
             try {
@@ -346,6 +352,7 @@ StreakResult runStreakGuarded(const Design& design,
         STREAK_DEEP_AUDIT(
             check::auditRoutedDesign(result.problem, result.routed));
 
+        STREAK_SPAN("post/evaluate");
         result.metrics = evaluate(result.problem, result.routed);
     });
     if (obs::detailEnabled()) recordEdgeUtilization(result.routed);

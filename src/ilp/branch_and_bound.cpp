@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -50,7 +51,9 @@ struct Node {
 Solution solveIlp(const Model& model, const BnbOptions& opts, BnbStats* stats) {
     STREAK_SPAN("ilp/bnb");
     const obs::Stopwatch watch;
-    const auto timeUp = [&] { return watch.seconds() > opts.timeLimitSeconds; };
+    const std::function<bool()> timeUp = [&] {
+        return watch.seconds() > opts.timeLimitSeconds;
+    };
 
     Solution incumbent;
     incumbent.status = SolveStatus::Limit;
@@ -94,11 +97,19 @@ Solution solveIlp(const Model& model, const BnbOptions& opts, BnbStats* stats) {
             bestOpenBound = open.top().bound;
             break;
         }
+        // The limit can also pass inside the node's LP, which then stops
+        // at its next tick. The node stays open: it is the best open
+        // node, so the gap is measured against its bound.
         Node node = open.top();
+        const Solution lp = relaxation.solve(node.fixed, opts.control, timeUp);
+        if (lp.status == SolveStatus::Limit) {
+            limitHit = true;
+            bestOpenBound = node.bound;
+            break;
+        }
         open.pop();
         ++nodes;
 
-        const Solution lp = relaxation.solve(node.fixed, opts.control);
         // Basis sanity / primal feasibility of every relaxation the tree
         // trusts for pruning decisions, against the fixed model.
         STREAK_DEEP_AUDIT(check::auditLp(applyFixings(model, node.fixed), lp));

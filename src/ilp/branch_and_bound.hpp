@@ -10,6 +10,10 @@
 namespace streak::ilp {
 
 struct BnbOptions {
+    /// Wall-clock limit on the search, polled before every node and at
+    /// every tick of a node's LP (each 64 simplex iterations). Reaching
+    /// it ends the search with the incumbent and the gap to the best
+    /// open node.
     double timeLimitSeconds = 60.0;
     long maxNodes = 1000000;
     /// Known upper bound from a warm-start solution (e.g. a primal-dual

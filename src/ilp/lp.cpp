@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -119,7 +120,8 @@ public:
     }
 
     Solution solve(std::span<const std::int8_t> fixed,
-                   const robust::Ticket& control) {
+                   const robust::Ticket& control,
+                   const std::function<bool()>& timeUp) {
         STREAK_FAULT_POINT("lp/solve");
         STREAK_REQUIRE(fixed.empty() ||
                            static_cast<int>(fixed.size()) == n_,
@@ -127,6 +129,7 @@ public:
         LpTally tally;
         tally.solves = 1;
         control_ = control;
+        timeUp_ = timeUp ? &timeUp : nullptr;
         pivots_ = 0;
         boundFlips_ = 0;
         Solution sol;
@@ -230,7 +233,10 @@ private:
     /// restricting phase-1 pricing could misreport infeasibility) then
     /// phase 2 (structural pricing only, artificials pinned to zero).
     SolveStatus run() {
-        if (!runSimplex(phase1Cost_, total_)) return SolveStatus::Unbounded;
+        if (const SolveStatus s = runSimplex(phase1Cost_, total_);
+            s != SolveStatus::Optimal) {
+            return s;
+        }
         double infeas = 0.0;
         for (int r = 0; r < m_; ++r) {
             if (basis_[static_cast<size_t>(r)] >= nStruct_) {
@@ -245,7 +251,10 @@ private:
         for (int c = nStruct_; c < total_; ++c) {
             upper_[static_cast<size_t>(c)] = 0.0;
         }
-        if (!runSimplex(phase2Cost_, nStruct_)) return SolveStatus::Unbounded;
+        if (const SolveStatus s = runSimplex(phase2Cost_, nStruct_);
+            s != SolveStatus::Optimal) {
+            return s;
+        }
 
         x_.assign(static_cast<size_t>(nStruct_), 0.0);
         for (int j = 0; j < nStruct_; ++j) {
@@ -316,9 +325,9 @@ private:
     /// Bounded-variable primal simplex with the given cost vector,
     /// pricing columns [0, pricingLimit). Deterministic Dantzig rule
     /// (largest violation, smallest index on ties) with a Bland-style
-    /// smallest-index fallback after maxIter/2. Returns false on
-    /// unboundedness.
-    bool runSimplex(const std::vector<double>& cost, int pricingLimit) {
+    /// smallest-index fallback after maxIter/2. Returns Optimal when the
+    /// phase ends, Unbounded, or Limit when timeUp_ stopped it.
+    SolveStatus runSimplex(const std::vector<double>& cost, int pricingLimit) {
         // Canonicalize the reduced-cost row against the current basis.
         red_ = cost;
         for (int r = 0; r < m_; ++r) {
@@ -335,7 +344,15 @@ private:
             if (iterations > maxIter) break;  // stall guard
             // Tick point: polled every 64 iterations, a clock read stays
             // invisible next to the pricing and elimination work.
-            if ((iterations & 63) == 0) control_.checkpoint("lp/pivot");
+            // The search's time limit skips iteration 0: branch and bound
+            // polls it before every node, and most node LPs end within
+            // 64 iterations, so they read no clock for it.
+            if ((iterations & 63) == 0) {
+                control_.checkpoint("lp/pivot");
+                if (iterations > 0 && timeUp_ != nullptr && (*timeUp_)()) {
+                    return SolveStatus::Limit;
+                }
+            }
             const bool useBland = iterations > maxIter / 2;
 
             // Entering: nonbasic at lower with negative reduced cost, or
@@ -357,7 +374,7 @@ private:
                     best = violation;
                 }
             }
-            if (entering < 0) return true;  // optimal
+            if (entering < 0) return SolveStatus::Optimal;
 
             // Ratio test over the entering column's nonzeros (a zero
             // entry neither blocks nor moves). The entering variable
@@ -400,7 +417,7 @@ private:
             if (uEnter <= bestT) {
                 // Bound flip: the entering variable reaches its opposite
                 // bound before any basic blocks. No pivot.
-                if (!std::isfinite(uEnter)) return false;  // unbounded
+                if (!std::isfinite(uEnter)) return SolveStatus::Unbounded;
                 for (const ColumnEntry& ce : column_) {
                     xB_[static_cast<size_t>(ce.row)] -=
                         dir * ce.value * uEnter;
@@ -409,7 +426,7 @@ private:
                 ++boundFlips_;
                 continue;
             }
-            if (leavingRow < 0) return false;  // unbounded
+            if (leavingRow < 0) return SolveStatus::Unbounded;
             const double t = std::max(0.0, bestT);
 
             // Move the basics, settle the leaving variable on its bound,
@@ -432,7 +449,7 @@ private:
             pivot(leavingRow, entering);
             xB_[static_cast<size_t>(leavingRow)] = fromUpper ? uEnter - t : t;
         }
-        return true;
+        return SolveStatus::Optimal;
     }
 
     /// Make column `col` (gathered in column_) the `pivotRow`-th unit
@@ -517,6 +534,7 @@ private:
     long pivots_ = 0;
     long boundFlips_ = 0;
     robust::Ticket control_;  // idle unless the caller passed one
+    const std::function<bool()>* timeUp_ = nullptr;  // the caller's; read only in solve()
 };
 
 Relaxation::Relaxation(const Model& model)
@@ -525,13 +543,14 @@ Relaxation::Relaxation(const Model& model)
 Relaxation::~Relaxation() = default;
 
 Solution Relaxation::solve(std::span<const std::int8_t> fixed,
-                           const robust::Ticket& control) {
-    return engine_->solve(fixed, control);
+                           const robust::Ticket& control,
+                           const std::function<bool()>& timeUp) {
+    return engine_->solve(fixed, control, timeUp);
 }
 
 Solution solveLp(const Model& model, const robust::Ticket& control) {
     Relaxation relaxation(model);
-    return relaxation.solve({}, control);
+    return relaxation.solve({}, control, {});
 }
 
 }  // namespace streak::ilp

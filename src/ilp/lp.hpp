@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 
@@ -45,9 +46,13 @@ public:
 
     /// Solve as a *continuous* LP with integer variable v fixed to
     /// fixed[v] (0 or 1) wherever fixed[v] >= 0; an empty span fixes
-    /// nothing. Same contract as solveLp.
+    /// nothing. Same contract as solveLp, plus a soft limit: `timeUp`,
+    /// when set, is polled at the same ticks as `control`, and once it
+    /// returns true the solve stops there with status Limit (a search's
+    /// time limit ends the search; a `control` trip unwinds it).
     [[nodiscard]] Solution solve(std::span<const std::int8_t> fixed = {},
-                                 const robust::Ticket& control = {});
+                                 const robust::Ticket& control = {},
+                                 const std::function<bool()>& timeUp = {});
 
 private:
     class Engine;

@@ -255,7 +255,10 @@ std::vector<geom::Rect> groupSearchRegion(const StreakOptions& opts,
         if (pins.empty()) continue;
         geom::Rect box{pins.front(), pins.front()};
         for (const geom::Point p : pins) box.expand(p);
-        for (const geom::Point p : bit.topo.sortedWirePoints()) box.expand(p);
+        for (const steiner::UnitEdge& e : bit.topo.wire()) {
+            box.expand(e.at);
+            box.expand(e.other());
+        }
         // Each violation applies at most one detour of shift
         // <= maxDetourShift, and a later connection may sit on wire a
         // previous detour already displaced — so the reachable region

@@ -265,7 +265,7 @@ std::vector<Topology> enumerateTopologies(const std::vector<geom::Point>& pins,
     for (Topology& t : raw) t = pruneToTree(t);
 
     // Dedupe by wire shape, then rank by wl + lambda * bends, with each
-    // cost computed once (bendCount() builds the wire graph).
+    // cost computed once (bendCount() walks every wire end).
     std::vector<std::pair<int, Topology>> ranked;
     std::unordered_set<std::uint64_t> seen;
     for (Topology& t : raw) {

@@ -1,7 +1,9 @@
 #include "steiner/topology.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "check/assert.hpp"
 
@@ -34,14 +36,95 @@ Run runOf(const geom::Segment& seg) {
     return {c.a, c.horizontal(), c.length()};
 }
 
-/// One end of wire edge `key / 2`: its `at` end for even keys, its
-/// other() end for odd ones.
-struct EdgeEnd {
-    geom::Point p;
-    int key = 0;
+/// Calls `f(p, key, horizontal)` for every end of every edge of the
+/// sorted wire, in (point, key) order. Key 2k is edge k's `at` end and
+/// key 2k + 1 its other() end; `horizontal` is edge k's orientation.
+///
+/// No sort is needed: three streams are each in that order already —
+/// the `at` ends in wire order, and the far ends of the horizontal and
+/// of the vertical edges, each in wire order (a unit shift keeps the
+/// order, and no two edges of one orientation share a far end). At a
+/// shared point the streams tie-break by edge index without comparing
+/// keys: a point's left edge sorts before its down edge, and both
+/// before the up and right edges it is the `at` end of.
+template <typename F>
+void forEachEnd(const std::vector<UnitEdge>& wire, F&& f) {
+    const auto size = static_cast<int>(wire.size());
+    // The first edge of the given orientation after edge k, or size.
+    const auto next = [&](int k, bool horizontal) {
+        for (++k; k < size && wire[static_cast<size_t>(k)].horizontal != horizontal;
+             ++k) {
+        }
+        return k;
+    };
+    // A drained stream's end sorts after every lattice point.
+    constexpr geom::Point kDrained{std::numeric_limits<int>::max(),
+                                   std::numeric_limits<int>::max()};
+    const auto atEnd = [&](int k) {
+        return k < size ? wire[static_cast<size_t>(k)].at : kDrained;
+    };
+    const auto farEnd = [&](int k) {
+        return k < size ? wire[static_cast<size_t>(k)].other() : kDrained;
+    };
+    int a = 0;
+    int h = next(-1, true);
+    int v = next(-1, false);
+    geom::Point pa = atEnd(a);
+    geom::Point ph = farEnd(h);
+    geom::Point pv = farEnd(v);
+    for (int n = 2 * size; n > 0; --n) {
+        geom::Point p;
+        int key = 0;
+        bool horizontal = false;
+        if (ph <= pv && ph <= pa) {
+            p = ph;
+            key = 2 * h + 1;
+            horizontal = true;
+            h = next(h, true);
+            ph = farEnd(h);
+        } else if (pv <= pa) {
+            p = pv;
+            key = 2 * v + 1;
+            v = next(v, false);
+            pv = farEnd(v);
+        } else {
+            p = pa;
+            key = 2 * a;
+            horizontal = wire[static_cast<size_t>(a)].horizontal;
+            pa = atEnd(++a);
+        }
+        f(p, key, horizontal);
+    }
+}
 
-    friend auto operator<=>(const EdgeEnd&, const EdgeEnd&) = default;
+/// One wire point as forEachPoint reports it.
+struct PointCensus {
+    geom::Point p;
+    int degree = 0;           // wire edges ending here
+    bool horizontal = false;  // one of them is horizontal
+    bool vertical = false;    // one of them is vertical
+
+    /// Horizontal and vertical wire meet here (WireGraph::isVia).
+    [[nodiscard]] bool via() const { return horizontal && vertical; }
 };
+
+/// Calls `f(census)` for every wire point in lexicographic order: the
+/// degree and incidence graph() would give the point, from one walk over
+/// the merged ends, with no graph built.
+template <typename F>
+void forEachPoint(const std::vector<UnitEdge>& wire, F&& f) {
+    PointCensus c;
+    forEachEnd(wire, [&](geom::Point p, int /*key*/, bool horizontal) {
+        if (c.degree > 0 && c.p != p) {
+            f(c);
+            c = {};
+        }
+        c.p = p;
+        ++c.degree;
+        (horizontal ? c.horizontal : c.vertical) = true;
+    });
+    if (c.degree > 0) f(c);
+}
 
 }  // namespace
 
@@ -110,13 +193,8 @@ bool Topology::hasEdge(const UnitEdge& e) const {
 
 std::vector<geom::Point> Topology::sortedWirePoints() const {
     std::vector<geom::Point> points;
-    points.reserve(wire_.size() * 2);
-    for (const UnitEdge& e : wire_) {
-        points.push_back(e.at);
-        points.push_back(e.other());
-    }
-    std::sort(points.begin(), points.end());
-    points.erase(std::unique(points.begin(), points.end()), points.end());
+    points.reserve(wire_.size() + 1);
+    forEachPoint(wire_, [&](const PointCensus& c) { points.push_back(c.p); });
     return points;
 }
 
@@ -144,40 +222,30 @@ std::vector<int> WireGraph::distancesFrom(int source) const {
 }
 
 WireGraph Topology::graph() const {
-    // Every edge end, sorted: the ends group by point, and within a point
-    // follow the sorted edge order.
-    std::vector<EdgeEnd> ends;
-    ends.reserve(wire_.size() * 2);
-    for (size_t k = 0; k < wire_.size(); ++k) {
-        const int key = static_cast<int>(2 * k);
-        ends.push_back({wire_[k].at, key});
-        ends.push_back({wire_[k].other(), key + 1});
-    }
-    std::sort(ends.begin(), ends.end());
-
+    // The edge ends in (point, edge index) order group by point; each
+    // end's neighbour is the other end of its edge, whose point index is
+    // known once every end has been placed.
+    const size_t ends = wire_.size() * 2;
     WireGraph g;
-    g.points_.reserve(ends.size());
-    g.offsets_.reserve(ends.size() + 1);
-    g.incidence_.reserve(ends.size());
-    std::vector<int> pointOfEnd(ends.size());
-    for (size_t j = 0; j < ends.size(); ++j) {
-        const EdgeEnd& end = ends[j];
-        if (g.points_.empty() || g.points_.back() != end.p) {
-            g.points_.push_back(end.p);
-            g.offsets_.push_back(static_cast<int>(j));
+    g.points_.reserve(ends);
+    g.offsets_.reserve(ends + 1);
+    g.incidence_.reserve(ends);
+    g.neighbours_.reserve(ends);
+    std::vector<int> pointOfEnd(ends);
+    forEachEnd(wire_, [&](geom::Point p, int key, bool horizontal) {
+        if (g.points_.empty() || g.points_.back() != p) {
+            g.points_.push_back(p);
+            g.offsets_.push_back(static_cast<int>(g.neighbours_.size()));
             g.incidence_.push_back(0);
         }
-        pointOfEnd[static_cast<size_t>(end.key)] =
+        pointOfEnd[static_cast<size_t>(key)] =
             static_cast<int>(g.points_.size()) - 1;
-        g.incidence_.back() |= wire_[static_cast<size_t>(end.key / 2)].horizontal
-                                   ? WireGraph::kHorizontal
-                                   : WireGraph::kVertical;
-    }
-    g.offsets_.push_back(static_cast<int>(ends.size()));
-    g.neighbours_.reserve(ends.size());
-    for (const EdgeEnd& end : ends) {
-        g.neighbours_.push_back(pointOfEnd[static_cast<size_t>(end.key ^ 1)]);
-    }
+        g.incidence_.back() |=
+            horizontal ? WireGraph::kHorizontal : WireGraph::kVertical;
+        g.neighbours_.push_back(key ^ 1);  // the far end's key, for now
+    });
+    g.offsets_.push_back(static_cast<int>(ends));
+    for (int& q : g.neighbours_) q = pointOfEnd[static_cast<size_t>(q)];
     return g;
 }
 
@@ -208,18 +276,16 @@ bool Topology::isTree() const {
 }
 
 int Topology::bendCount() const {
-    const WireGraph g = graph();
     int bends = 0;
-    for (int i = 0; i < g.size(); ++i) bends += g.isVia(i) ? 1 : 0;
+    forEachPoint(wire_, [&](const PointCensus& c) { bends += c.via() ? 1 : 0; });
     return bends;
 }
 
 std::vector<geom::Point> Topology::viaPoints() const {
-    const WireGraph g = graph();
     std::vector<geom::Point> vias;
-    for (int i = 0; i < g.size(); ++i) {
-        if (g.isVia(i)) vias.push_back(g.points()[static_cast<size_t>(i)]);
-    }
+    forEachPoint(wire_, [&](const PointCensus& c) {
+        if (c.via()) vias.push_back(c.p);
+    });
     return vias;
 }
 
@@ -244,7 +310,6 @@ std::vector<int> Topology::sourceToSinkDistances() const {
 }
 
 TopoStructure Topology::structure() const {
-    const WireGraph g = graph();
     TopoStructure st;
 
     // Pins by location; the first index wins where pins coincide.
@@ -255,29 +320,25 @@ TopoStructure Topology::structure() const {
     }
     std::sort(pinAt.begin(), pinAt.end());
 
-    // Feature nodes in lexicographic order: a merge of the wire points and
+    // Feature nodes in lexicographic order: a merge of the wire census and
     // the pin locations, keeping pins, junctions, stub ends and bends.
-    const std::vector<geom::Point>& pts = g.points();
-    size_t w = 0;
     size_t q = 0;
-    while (w < pts.size() || q < pinAt.size()) {
-        geom::Point p = w < pts.size() ? pts[w] : pinAt[q].first;
-        if (q < pinAt.size() && pinAt[q].first < p) p = pinAt[q].first;
-        int degree = 0;
-        bool via = false;
-        if (w < pts.size() && pts[w] == p) {
-            const auto i = static_cast<int>(w++);
-            degree = g.degree(i);
-            via = g.isVia(i);
-        }
+    const auto visit = [&](geom::Point p, int degree, bool via) {
         int pinIndex = -1;
         if (q < pinAt.size() && pinAt[q].first == p) {
             pinIndex = pinAt[q].second;
             while (q < pinAt.size() && pinAt[q].first == p) ++q;
         }
-        if (pinIndex < 0 && degree == 2 && !via) continue;
+        if (pinIndex < 0 && degree == 2 && !via) return;
         st.nodes.push_back({p, pinIndex, degree, degree == 2 && via});
-    }
+    };
+    forEachPoint(wire_, [&](const PointCensus& c) {
+        while (q < pinAt.size() && pinAt[q].first < c.p) {
+            visit(pinAt[q].first, 0, false);
+        }
+        visit(c.p, c.degree, c.via());
+    });
+    while (q < pinAt.size()) visit(pinAt[q].first, 0, false);
 
     const auto nodeAt = [&](geom::Point p) {
         const auto it = std::lower_bound(

@@ -64,8 +64,8 @@ struct TopoStructure {
 /// wire's lattice points in lexicographic order, each point's neighbours
 /// as CSR lists, and each point's horizontal / vertical incidence. A
 /// point's neighbours are listed in sorted-edge order (the order of the
-/// wire edges that touch it), so every traversal over them is
-/// reproducible.
+/// wire edges that touch it), which on the lattice is left, down, up,
+/// right, whichever exist; so every traversal over them is reproducible.
 class WireGraph {
 public:
     [[nodiscard]] const std::vector<geom::Point>& points() const { return points_; }
@@ -138,8 +138,15 @@ public:
     /// Total wire-length (number of unit edges).
     [[nodiscard]] int wirelength() const { return static_cast<int>(wire_.size()); }
 
-    /// The wire as a flat graph. Built per call: topologies are shared
-    /// read-only across pool tasks, so nothing is cached inside them.
+    /// The wire as a flat graph, built per call in one linear pass: the
+    /// edges' `at` ends and the far ends of the horizontal and of the
+    /// vertical edges are three streams already in (point, edge index)
+    /// order, so merging them groups the ends by point with no sort.
+    /// Topologies are shared read-only across pool tasks, so nothing is
+    /// cached inside them. Queries that read only each point's degree
+    /// and orientations (sortedWirePoints, bendCount, viaPoints and
+    /// structure's feature nodes) walk the merged ends without building
+    /// the graph.
     [[nodiscard]] WireGraph graph() const;
 
     /// True if the wire plus pins form one connected component covering

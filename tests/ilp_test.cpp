@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "ilp/lp.hpp"
+#include "obs/trace.hpp"
 
 namespace streak::ilp {
 namespace {
@@ -265,6 +266,25 @@ TEST(SolveIlp, CappedSearchGapBracketsTheOptimum) {
         EXPECT_GE(s.objective, optimum - kTol) << "cap " << cap;
     }
     EXPECT_GT(capped, 0) << "no cap left an unproven incumbent";
+}
+
+TEST(SolveIlp, TimeLimitStopsInsideANodeLp) {
+    // The root LP of a 16 000-binary chain takes about 2.4 s on a 4-vCPU
+    // x86-64 host, far beyond a 50 ms limit. The limit must stop the
+    // search inside that LP, within one 64-iteration simplex tick,
+    // instead of after it.
+    const Model m = chainModel(16000);
+    BnbOptions opts;
+    opts.timeLimitSeconds = 0.05;
+    BnbStats stats;
+    const obs::Stopwatch watch;
+    const Solution s = solveIlp(m, opts, &stats);
+    const double seconds = watch.seconds();
+    EXPECT_EQ(s.status, SolveStatus::Limit);
+    EXPECT_TRUE(stats.hitLimit);
+    EXPECT_EQ(stats.nodesExplored, 0);  // the root LP never finished
+    EXPECT_EQ(stats.gap, kInfinity);
+    EXPECT_LT(seconds, 0.5);
 }
 
 TEST(SolveIlp, GapIsInfiniteWhenTheRootNeverRan) {

@@ -6,8 +6,9 @@
 // structure, the wire hash), plus the hash-adjacency versions of
 // pruneToTree and the Elmore delay walk. The production code must match
 // it field for field, and the delays bit for bit, on seeded random
-// wires, on add/remove sequences, and on every backbone, equivalent
-// topology, rectified raw tree and post-refine routed bit of synth1-7.
+// wires, on lattice meshes, on add/remove sequences, and on every
+// backbone, equivalent topology, rectified raw tree and post-refine
+// routed bit of synth1-7.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -409,6 +410,8 @@ struct Coverage {
     long driverOffWire = 0;  // with wire present
     long bareSinglePin = 0;  // one pin, no wire
     long vias = 0;
+    long fourWay = 0;   // a point with all four neighbours
+    long sharedAt = 0;  // a horizontal and a vertical edge share an `at` end
 };
 
 std::string str(Point p) {
@@ -558,6 +561,15 @@ std::vector<std::string> differences(const Topology& t,
     }
     if (ref.pins.size() == 1 && ref.wire.empty()) ++cov->bareSinglePin;
     if (!vias.empty()) ++cov->vias;
+    if (std::any_of(adj.begin(), adj.end(),
+                    [](const auto& kv) { return kv.second.size() == 4; })) {
+        ++cov->fourWay;
+    }
+    if (std::any_of(ref.wire.begin(), ref.wire.end(), [&](const UnitEdge& e) {
+            return e.horizontal && ref.wire.contains({e.at, false});
+        })) {
+        ++cov->sharedAt;
+    }
     return diffs;
 }
 
@@ -674,6 +686,72 @@ TEST(TopologyEquivalence, RandomWiresMatchTheHashSetReference) {
     EXPECT_GT(cov.driverOffWire, 0);
     EXPECT_GT(cov.bareSinglePin, 0);
     EXPECT_GT(cov.vias, 0);
+}
+
+/// A lattice mesh of 4-6 by 4-6 cells with up to three unit edges cut
+/// out. It has at least nine interior points, and a cut spoils at most
+/// two of them, so every mesh keeps both ties graph() must order at one
+/// point: a point's four edge ends, and a vertical and a horizontal edge
+/// with the same `at` end.
+std::pair<Topology, reference::Wire> meshWire(std::mt19937* rng) {
+    std::uniform_int_distribution<int> cells(4, 6);
+    std::uniform_int_distribution<int> origin(-3, 8);
+    const int w = cells(*rng);
+    const int h = cells(*rng);
+    const Point o{origin(*rng), origin(*rng)};
+    std::vector<geom::Segment> segs;
+    for (int y = 0; y <= h; ++y) segs.push_back({{o.x, o.y + y}, {o.x + w, o.y + y}});
+    for (int x = 0; x <= w; ++x) segs.push_back({{o.x + x, o.y}, {o.x + x, o.y + h}});
+
+    std::uniform_int_distribution<int> dx(0, w);
+    std::uniform_int_distribution<int> dy(0, h);
+    const int numPins = std::uniform_int_distribution<int>(1, 6)(*rng);
+    std::vector<Point> pins;
+    for (int k = 0; k < numPins; ++k) {
+        const bool onMesh = std::bernoulli_distribution(0.8)(*rng);
+        pins.push_back(onMesh ? Point{o.x + dx(*rng), o.y + dy(*rng)}
+                              : Point{o.x - 2, o.y + dy(*rng)});
+    }
+    const int driver = std::uniform_int_distribution<int>(0, numPins - 1)(*rng);
+
+    Topology t(pins, driver);
+    reference::Wire ref{pins, driver, {}};
+    for (const geom::Segment& s : segs) {
+        t.addSegment(s);
+        ref.addSegment(s);
+    }
+    const int cuts = std::uniform_int_distribution<int>(0, 3)(*rng);
+    for (int k = 0; k < cuts; ++k) {
+        const bool horizontal = std::bernoulli_distribution(0.5)(*rng);
+        const int x = std::uniform_int_distribution<int>(0, horizontal ? w - 1 : w)(*rng);
+        const int y = std::uniform_int_distribution<int>(0, horizontal ? h : h - 1)(*rng);
+        const Point a{o.x + x, o.y + y};
+        const geom::Segment cut{a, horizontal ? Point{a.x + 1, a.y} : Point{a.x, a.y + 1}};
+        t.removeSegment(cut);
+        ref.removeSegment(cut);
+    }
+    return {std::move(t), std::move(ref)};
+}
+
+TEST(TopologyEquivalence, LatticeMeshesMatch) {
+    std::mt19937 rng(1706);
+    Coverage cov;
+    long mismatches = 0;
+    for (int i = 0; i < 300; ++i) {
+        const auto [t, ref] = meshWire(&rng);
+        const std::vector<std::string> diffs = differences(t, ref, &cov);
+        if (diffs.empty()) continue;
+        ++mismatches;
+        if (mismatches <= 5) {
+            ADD_FAILURE() << "mesh " << i << ": " << diffs.front();
+        }
+    }
+    std::cout << cov.inputs << " meshes: " << cov.fourWay
+              << " with a four-way point, " << cov.sharedAt
+              << " with a shared `at` end, " << cov.stubs << " with stubs\n";
+    EXPECT_EQ(mismatches, 0);
+    EXPECT_GT(cov.fourWay, 0);
+    EXPECT_GT(cov.sharedAt, 0);
 }
 
 TEST(TopologyEquivalence, AddRemoveSequencesMatchAnEdgeSet) {
