@@ -13,7 +13,6 @@
 
 #include "bench_util.hpp"
 #include "io/table.hpp"
-#include "obs/trace.hpp"
 
 int main() {
     using namespace streak;
@@ -22,8 +21,6 @@ int main() {
                      "ILP:Route", "ILP:WL", "ILP:Reg", "ILP:CPU(s)",
                      "PD:Route", "PD:WL", "PD:Reg", "PD:CPU(s)"});
 
-    obs::setDetailEnabled(true);  // the JSON log carries the counters
-    bench::JsonLog log("table1_compare");
     double manR = 0, ilpR = 0, pdR = 0, ilpReg = 0, pdReg = 0;
     long manWl = 0, ilpWl = 0, pdWl = 0;
     for (int i = 1; i <= 7; ++i) {
@@ -35,8 +32,6 @@ int main() {
         const StreakResult ilp = runStreak(d, opts).value();
         opts.solver = SolverKind::PrimalDual;
         const StreakResult pd = runStreak(d, opts).value();
-        log.add(d, "ilp", ilp);
-        log.add(d, "pd", pd);
 
         table.addRow({d.name, std::to_string(d.numGroups()),
                       std::to_string(d.numNets()), std::to_string(d.maxPins()),
@@ -78,6 +73,5 @@ int main() {
 
     std::cout << "== Table I: manual vs ILP vs primal-dual ==\n";
     table.print(std::cout);
-    log.write();
     return 0;
 }

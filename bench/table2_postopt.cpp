@@ -11,7 +11,6 @@
 
 #include "bench_util.hpp"
 #include "io/table.hpp"
-#include "obs/trace.hpp"
 
 namespace {
 
@@ -25,14 +24,12 @@ struct Totals {
 };
 
 void runSide(const streak::Design& d, streak::SolverKind solver,
-             streak::io::Table* table, Totals* totals,
-             streak::bench::JsonLog* log) {
+             streak::io::Table* table, Totals* totals) {
     using namespace streak;
     StreakOptions opts = bench::baseOptions();
     opts.solver = solver;
     opts.postOptimize = true;
     const StreakResult r = runStreak(d, opts).value();
-    log->add(d, solver == SolverKind::Ilp ? "ilp+post" : "pd+post", r);
     table->addRow({d.name,
                    std::to_string(r.distanceViolationsBefore),
                    std::to_string(r.distanceViolationsAfter),
@@ -65,13 +62,11 @@ int main() {
                         "Avg(Reg)", "CPU(s)"});
     io::Table pdTable({"Bench", "Vio(dst)", "Vio(dst)'", "Route", "WL",
                        "Avg(Reg)", "CPU(s)"});
-    obs::setDetailEnabled(true);  // the JSON log carries the counters
-    bench::JsonLog log("table2_postopt");
     Totals ilpTotals, pdTotals;
     for (int i = 1; i <= 7; ++i) {
         const Design d = gen::makeSynth(i);
-        runSide(d, SolverKind::Ilp, &ilpTable, &ilpTotals, &log);
-        runSide(d, SolverKind::PrimalDual, &pdTable, &pdTotals, &log);
+        runSide(d, SolverKind::Ilp, &ilpTable, &ilpTotals);
+        runSide(d, SolverKind::PrimalDual, &pdTable, &pdTotals);
     }
     addAverage(&ilpTable, ilpTotals);
     addAverage(&pdTable, pdTotals);
@@ -86,6 +81,5 @@ int main() {
               << io::Table::fixed(double(pdTotals.wl) / ilpTotals.wl, 4)
               << ", Avg(Reg) "
               << io::Table::fixed(pdTotals.reg / ilpTotals.reg, 4) << '\n';
-    log.write();
     return 0;
 }

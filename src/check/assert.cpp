@@ -11,7 +11,6 @@ namespace {
 
 int parseLevel(const char* text) {
     const std::string s(text);
-    if (s == "off" || s == "0") return 0;
     if (s == "cheap" || s == "1") return 1;
     if (s == "deep" || s == "2") return 2;
     return -1;
@@ -22,7 +21,7 @@ int initialLevel() {
         const int parsed = parseLevel(env);
         if (parsed >= 0) return parsed;
         std::cerr << "streak: ignoring unrecognized STREAK_CHECKS value '"
-                  << env << "' (want off|cheap|deep)\n";
+                  << env << "' (want cheap|deep)\n";
     }
     return kCompiledLevel;
 }

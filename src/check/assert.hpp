@@ -7,15 +7,14 @@
 //   STREAK_ASSERT(cond, "fmt", ...)     internal consistency, cheap to test
 //   STREAK_INVARIANT(cond, "fmt", ...)  expensive structural invariant
 //
-// The compile-time level is the STREAK_CHECKS macro (0 = off, 1 = cheap,
-// 2 = deep; CMake option STREAK_CHECKS=off|cheap|deep, default cheap).
-// REQUIRE and ASSERT fire whenever the compiled level is at least cheap.
-// INVARIANT — and the STREAK_DEEP_AUDIT hook used at stage boundaries —
-// additionally need the *runtime* level to be deep: the runtime level
-// defaults to the compiled level and can be raised or lowered through the
-// STREAK_CHECKS environment variable or check::setRuntimeLevel(), so a
-// cheap production build can still run its deep auditors under a test
-// harness. Compiling with STREAK_CHECKS=0 removes every check.
+// The compile-time level is the STREAK_CHECKS macro (1 = cheap, 2 = deep;
+// CMake option STREAK_CHECKS=cheap|deep, default cheap). REQUIRE and
+// ASSERT always fire. INVARIANT — and the STREAK_DEEP_AUDIT hook used at
+// stage boundaries — fire only when the *runtime* level is deep: the
+// runtime level defaults to the compiled level and can be raised or
+// lowered through the STREAK_CHECKS environment variable or
+// check::setRuntimeLevel(), so a cheap production build can still run its
+// deep auditors under a test harness.
 //
 // Messages use a tiny "{}" formatter; the format string must be a string
 // literal:
@@ -39,23 +38,20 @@
 
 namespace streak::check {
 
-enum class Level : int { Off = 0, Cheap = 1, Deep = 2 };
+enum class Level : int { Cheap = 1, Deep = 2 };
 
 inline constexpr int kCompiledLevel = STREAK_CHECKS;
+static_assert(kCompiledLevel == 1 || kCompiledLevel == 2,
+              "STREAK_CHECKS must be 1 (cheap) or 2 (deep)");
 
-/// Effective runtime level: env STREAK_CHECKS (off/cheap/deep or 0/1/2)
-/// read once, else the compiled level; overridable via setRuntimeLevel.
+/// Effective runtime level: env STREAK_CHECKS (cheap/deep or 1/2) read
+/// once, else the compiled level; overridable via setRuntimeLevel.
 [[nodiscard]] Level runtimeLevel();
 void setRuntimeLevel(Level level);
 
-/// True when deep checks should execute: the build retains checks and the
-/// runtime level is Deep.
+/// True when deep checks should execute: the runtime level is Deep.
 [[nodiscard]] inline bool deepChecksEnabled() {
-    if constexpr (kCompiledLevel == 0) {
-        return false;
-    } else {
-        return runtimeLevel() >= Level::Deep;
-    }
+    return runtimeLevel() >= Level::Deep;
 }
 
 namespace detail {
@@ -156,8 +152,6 @@ void enforce(const AuditResult& result, const char* expr, const char* file,
         }                                                                    \
     } while (false)
 
-#if STREAK_CHECKS >= 1
-
 #define STREAK_ASSERT(cond, ...) STREAK_CHECK_IMPL_("assertion", cond, __VA_ARGS__)
 #define STREAK_REQUIRE(cond, ...) \
     STREAK_CHECK_IMPL_("precondition", cond, __VA_ARGS__)
@@ -177,12 +171,3 @@ void enforce(const AuditResult& result, const char* expr, const char* file,
                                      __LINE__);                              \
         }                                                                    \
     } while (false)
-
-#else  // STREAK_CHECKS == 0: compile the condition away (unevaluated).
-
-#define STREAK_ASSERT(cond, ...) ((void)sizeof(!(cond)))
-#define STREAK_REQUIRE(cond, ...) ((void)sizeof(!(cond)))
-#define STREAK_INVARIANT(cond, ...) ((void)sizeof(!(cond)))
-#define STREAK_DEEP_AUDIT(auditExpr) ((void)0)
-
-#endif

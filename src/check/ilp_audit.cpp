@@ -50,7 +50,7 @@ AuditResult auditIlpModel(const ilp::Model& model) {
                 (row.sense == ilp::Sense::LessEqual && row.rhs < 0.0) ||
                 (row.sense == ilp::Sense::GreaterEqual && row.rhs > 0.0) ||
                 (row.sense == ilp::Sense::Equal &&
-                 row.rhs != 0.0);  // lint-ok: float-eq (exact emptiness test)
+                 row.rhs != 0.0);  // analyze-ok: float-equality (exact emptiness test)
             if (impossible) {
                 r.addf("row {}: empty but unsatisfiable (rhs {})", i, row.rhs);
             }

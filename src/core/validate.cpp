@@ -95,6 +95,32 @@ bool isRoutable(const std::vector<ValidationIssue>& issues) {
     return true;
 }
 
+std::string validatePins(const Design& design) {
+    const grid::RoutingGrid& grid = design.grid;
+    for (const SignalGroup& group : design.groups) {
+        for (const Bit& bit : group.bits) {
+            const auto where = [&] {
+                return "group '" + group.name + "' bit '" + bit.name + "'";
+            };
+            if (bit.pins.empty()) return where() + " has no pins";
+            if (bit.driver < 0 || bit.driver >= bit.numPins()) {
+                return where() + " driver index " +
+                       std::to_string(bit.driver) + " is out of range [0, " +
+                       std::to_string(bit.numPins()) + ")";
+            }
+            for (const geom::Point p : bit.pins) {
+                if (!grid.contains(p)) {
+                    return where() + " pin (" + std::to_string(p.x) + "," +
+                           std::to_string(p.y) + ") lies outside the " +
+                           std::to_string(grid.width()) + "x" +
+                           std::to_string(grid.height()) + " grid";
+                }
+            }
+        }
+    }
+    return {};
+}
+
 std::string validateOptions(const StreakOptions& opts) {
     struct Minimum {
         const char* name;

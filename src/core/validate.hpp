@@ -1,6 +1,8 @@
 // Design and option lint: structural checks a routing run assumes.
-// Returns human-readable findings instead of throwing so front ends (CLI,
-// file loader, checkpoint reader, runStreak) can report them.
+// Returns human-readable findings instead of throwing so front ends can
+// report them: `streak info` prints validateDesign's findings, and
+// runStreak rejects a run whose options or pins fail validateOptions or
+// validatePins.
 #pragma once
 
 #include <string>
@@ -25,6 +27,13 @@ struct ValidationIssue {
 
 /// True if no Error-severity issue is present.
 [[nodiscard]] bool isRoutable(const std::vector<ValidationIssue>& issues);
+
+/// The pin checks every stage relies on: each bit has at least one pin,
+/// its driver index names one of them, and every pin lies on the grid.
+/// One pass over the pins that allocates nothing unless a bit fails.
+/// Empty when the design passes; otherwise names the first offending
+/// bit. Single-pin bits and empty groups pass.
+[[nodiscard]] std::string validatePins(const Design& design);
 
 /// Range check of the options a run reads: at least one backbone and one
 /// layer pair, no negative thread count or detour shift, finite weights

@@ -22,13 +22,6 @@ namespace {
 
 constexpr char kMagic[8] = {'S', 'T', 'R', 'K', 'E', 'C', 'O', '\n'};
 
-// Sanity caps for hostile input: generous for any realistic design, tight
-// enough that a fuzzed count can never drive a giant allocation.
-constexpr int kMaxDim = 8192;
-constexpr int kMaxLayers = 64;
-constexpr int kMaxCapacity = 1 << 20;
-constexpr long kMaxEdges = 1L << 28;
-
 [[nodiscard]] std::uint64_t fnv1a(std::string_view data) {
     std::uint64_t h = 14695981039346656037ULL;
     for (const char c : data) {
@@ -246,28 +239,20 @@ grid::RoutingGrid readGrid(Reader* r) {
     const int height = r->i32();
     const int numLayers = r->i32();
     const int defaultCap = r->i32();
-    if (width < 2 || width > kMaxDim || height < 2 || height > kMaxDim) {
-        r->fail("grid dimensions out of range");
-    }
-    if (numLayers < 2 || numLayers > kMaxLayers) {
-        r->fail("layer count out of range");
-    }
-    if (defaultCap < 0 || defaultCap > kMaxCapacity) {
-        r->fail("default capacity out of range");
-    }
-    long expectedEdges = 0;
-    for (int l = 0; l < numLayers; ++l) {
-        expectedEdges += (l % 2 == 0) ? static_cast<long>(width - 1) * height
-                                      : static_cast<long>(width) * (height - 1);
+    if (const char* why =
+            grid::gridShapeError(width, height, numLayers, defaultCap)) {
+        r->fail(why);
     }
     const int storedEdges = r->i32();
-    if (expectedEdges > kMaxEdges || storedEdges != expectedEdges) {
+    if (storedEdges != grid::edgeCount(width, height, numLayers)) {
         r->fail("edge count does not match grid dimensions");
     }
     grid::RoutingGrid grid(width, height, numLayers, defaultCap);
     for (int e = 0; e < storedEdges; ++e) {
         const int cap = r->i32();
-        if (cap < 0 || cap > kMaxCapacity) r->fail("edge capacity out of range");
+        if (cap < 0 || cap > grid::kMaxCapacity) {
+            r->fail("edge capacity out of range");
+        }
         grid.setCapacity(e, cap);
     }
     if (r->u8() != 0) {
@@ -276,7 +261,7 @@ grid::RoutingGrid readGrid(Reader* r) {
         grid.setViaCapacity(0);
         for (int c = 0; c < cells; ++c) {
             const int cap = r->i32();
-            if (cap < -1 || cap > kMaxCapacity) {
+            if (cap < -1 || cap > grid::kMaxCapacity) {
                 r->fail("via capacity out of range");
             }
             grid.setViaCapacityAt(c, cap);

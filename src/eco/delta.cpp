@@ -26,17 +26,14 @@ void checkRectDelta(const Design& design, const Delta& d) {
                                  std::string(": layer ") +
                                  std::to_string(d.layer) + " out of range");
     }
-    if (d.area.lo.x > d.area.hi.x || d.area.lo.y > d.area.hi.y) {
-        invalid("eco/apply", deltaKindName(d.kind) +
-                                 std::string(": empty rectangle"));
+    if (std::string why = grid.rectError(d.area); !why.empty()) {
+        invalid("eco/apply", deltaKindName(d.kind) + (": " + why));
     }
-    if (!grid.contains(d.area.lo) || !grid.contains(d.area.hi)) {
-        invalid("eco/apply", deltaKindName(d.kind) +
-                                 std::string(": rectangle outside the grid"));
-    }
-    if (d.kind != DeltaKind::RemoveBlockage && d.capacity < 0) {
-        invalid("eco/apply", deltaKindName(d.kind) +
-                                 std::string(": negative capacity"));
+    if (d.kind != DeltaKind::RemoveBlockage &&
+        (d.capacity < 0 || d.capacity > grid::kMaxCapacity)) {
+        invalid("eco/apply", deltaKindName(d.kind) + std::string(": capacity ") +
+                                 std::to_string(d.capacity) +
+                                 " out of range");
     }
 }
 

@@ -56,6 +56,10 @@ Value optionsSection(const StreakOptions& opts) {
     o.set("ilpTimeLimitSeconds", opts.ilpTimeLimitSeconds);
     o.set("maxBackbones", opts.backbone.maxBackbones);
     o.set("maxLayerPairs", opts.maxLayerPairs);
+    o.set("viaWeight", opts.viaWeight);
+    o.set("layerAdjacencyWeight", opts.layerAdjacencyWeight);
+    o.set("irregularityWeight", opts.irregularityWeight);
+    o.set("pairLayerWeight", opts.pairLayerWeight);
     o.set("postOptimize", opts.postOptimize);
     o.set("clusteringEnabled", opts.clusteringEnabled);
     o.set("refinementEnabled", opts.refinementEnabled);

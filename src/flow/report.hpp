@@ -26,8 +26,9 @@ inline constexpr int kReportSchemaVersion = 1;
                                               const StreakResult& result);
 
 /// The report's "options" section on its own — the canonical JSON form
-/// of the knobs that shape a run (src/campaign hashes it for config
-/// provenance, so two runs compare only when this document matches).
+/// of the knobs that shape a run: every field eco::semanticOptions keeps
+/// (src/campaign hashes it for config provenance, so two runs compare
+/// only when this document matches).
 [[nodiscard]] obs::json::Value buildOptionsJson(const StreakOptions& opts);
 
 /// Pretty-print the report document to `os`.

@@ -370,7 +370,9 @@ StreakResult runStreakGuarded(const Design& design,
 }  // namespace
 
 FlowResult runStreak(const Design& design, const StreakOptions& callerOpts) {
-    if (std::string why = validateOptions(callerOpts); !why.empty()) {
+    std::string why = validateOptions(callerOpts);
+    if (why.empty()) why = validatePins(design);
+    if (!why.empty()) {
         robust::StreakError err;
         err.kind = robust::ErrorKind::InvalidInput;
         err.stage = stage::kRun;

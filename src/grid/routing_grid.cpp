@@ -4,6 +4,32 @@
 
 namespace streak::grid {
 
+long edgeCount(int width, int height, int numLayers) {
+    long edges = 0;
+    for (int l = 0; l < numLayers; ++l) {
+        edges += (l % 2 == 0) ? static_cast<long>(width - 1) * height
+                              : static_cast<long>(width) * (height - 1);
+    }
+    return edges;
+}
+
+const char* gridShapeError(int width, int height, int numLayers,
+                           int defaultCapacity) {
+    if (width < 2 || width > kMaxDim || height < 2 || height > kMaxDim) {
+        return "grid dimensions out of range";
+    }
+    if (numLayers < 2 || numLayers > kMaxLayers) {
+        return "layer count out of range";
+    }
+    if (defaultCapacity < 0 || defaultCapacity > kMaxCapacity) {
+        return "default capacity out of range";
+    }
+    if (edgeCount(width, height, numLayers) > kMaxEdges) {
+        return "edge count out of range";
+    }
+    return nullptr;
+}
+
 RoutingGrid::RoutingGrid(int width, int height, int numLayers,
                          int defaultCapacity)
     : width_(width), height_(height), numLayers_(numLayers),
@@ -24,6 +50,17 @@ RoutingGrid::RoutingGrid(int width, int height, int numLayers,
         offset += d == Dir::Horizontal ? (width - 1) * height : width * (height - 1);
     }
     capacity_.assign(static_cast<size_t>(offset), defaultCapacity);
+}
+
+std::string RoutingGrid::rectError(const geom::Rect& area) const {
+    if (area.lo.x > area.hi.x || area.lo.y > area.hi.y) {
+        return "empty rectangle";
+    }
+    if (!contains(area.lo) || !contains(area.hi)) {
+        return "rectangle outside the " + std::to_string(width_) + "x" +
+               std::to_string(height_) + " grid";
+    }
+    return {};
 }
 
 std::vector<int> RoutingGrid::layersOf(Dir d) const {

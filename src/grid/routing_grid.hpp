@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "check/assert.hpp"
@@ -20,6 +21,25 @@ enum class Dir { Horizontal, Vertical };
 [[nodiscard]] constexpr Dir opposite(Dir d) {
     return d == Dir::Horizontal ? Dir::Vertical : Dir::Horizontal;
 }
+
+// Bounds every reader of untrusted design data enforces (io::readDesign
+// and the ECO checkpoint reader): generous for any realistic design,
+// tight enough that a hostile value can never drive a giant allocation
+// or overflow an int edge id. Edge capacities lie in [0, kMaxCapacity];
+// via capacities in [-1, kMaxCapacity], -1 meaning unlimited.
+inline constexpr int kMaxDim = 8192;
+inline constexpr int kMaxLayers = 64;
+inline constexpr int kMaxCapacity = 1 << 20;
+inline constexpr long kMaxEdges = 1L << 28;
+
+/// Number of edges a width x height x numLayers grid has, counted in
+/// long so that a reader can bound it before building the grid.
+[[nodiscard]] long edgeCount(int width, int height, int numLayers);
+
+/// Why a grid of this shape and default capacity is outside the reader
+/// bounds above, or nullptr when it is inside them.
+[[nodiscard]] const char* gridShapeError(int width, int height,
+                                         int numLayers, int defaultCapacity);
 
 /// Immutable-shape 3-D routing grid: dimensions, layer directions and
 /// per-edge capacities. Routing *usage* lives in EdgeUsage so that many
@@ -65,6 +85,11 @@ public:
     [[nodiscard]] bool contains(geom::Point p) const {
         return p.x >= 0 && p.x < width_ && p.y >= 0 && p.y < height_;
     }
+
+    /// Why `area` is not a non-empty rectangle of this grid's G-Cells, or
+    /// empty when it is one. Readers check this before handing a
+    /// rectangle to the blockage methods, which walk all of it.
+    [[nodiscard]] std::string rectError(const geom::Rect& area) const;
 
     [[nodiscard]] int capacity(int edge) const { return capacity_[edge]; }
     void setCapacity(int edge, int cap) { capacity_[edge] = cap; }

@@ -97,7 +97,7 @@ public:
             for (const int v : cols) {
                 const size_t sv = static_cast<size_t>(v);
                 seen[sv] = 0;
-                if (sum[sv] != 0.0) merged_.push_back({v, sum[sv]});  // lint-ok: float-equality
+                if (sum[sv] != 0.0) merged_.push_back({v, sum[sv]});  // analyze-ok: float-equality
             }
             rowStart_.push_back(static_cast<int>(merged_.size()));
             if (r.sense != Sense::Equal) {
@@ -316,7 +316,7 @@ private:
             const auto it = std::lower_bound(
                 row.begin(), row.end(), col,
                 [](const Entry& e, int c) { return e.col < c; });
-            if (it != row.end() && it->col == col && it->value != 0.0) {  // lint-ok: float-equality
+            if (it != row.end() && it->col == col && it->value != 0.0) {  // analyze-ok: float-equality
                 column_.push_back({r, it->value});
             }
         }
@@ -333,7 +333,7 @@ private:
         for (int r = 0; r < m_; ++r) {
             const double cb =
                 cost[static_cast<size_t>(basis_[static_cast<size_t>(r)])];
-            if (cb == 0.0) continue;  // lint-ok: float-equality
+            if (cb == 0.0) continue;  // analyze-ok: float-equality
             for (const Entry& e : rows_[static_cast<size_t>(r)]) {
                 red_[static_cast<size_t>(e.col)] -= cb * e.value;
             }
@@ -471,7 +471,7 @@ private:
             if (ce.row != pivotRow) eliminate(ce.row, prow, ce.value, col);
         }
         const double factor = red_[static_cast<size_t>(col)];
-        if (factor != 0.0) {  // lint-ok: float-equality
+        if (factor != 0.0) {  // analyze-ok: float-equality
             for (const Entry& e : prow) {
                 red_[static_cast<size_t>(e.col)] -= factor * e.value;
             }
@@ -495,7 +495,7 @@ private:
             }
             const bool both = a != row.end() && a->col == p->col;
             const double v = (both ? a->value : 0.0) - factor * p->value;
-            if (p->col != col && v != 0.0) {  // lint-ok: float-equality
+            if (p->col != col && v != 0.0) {  // analyze-ok: float-equality
                 scratch_.push_back({p->col, v});
             }
             if (both) ++a;

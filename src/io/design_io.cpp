@@ -28,6 +28,17 @@ namespace {
     robust::raise(std::move(err));
 }
 
+/// Capacities lie in the checkpoint reader's ranges (grid::kMaxCapacity):
+/// [0, max] for edges, [-1, max] for vias, where -1 means unlimited.
+void checkCapacity(const char* record, int value, int min, int line) {
+    if (value < min || value > grid::kMaxCapacity) {
+        fail(std::string(record) + ": capacity " + std::to_string(value) +
+                 " out of range [" + std::to_string(min) + ", " +
+                 std::to_string(grid::kMaxCapacity) + "]",
+             line);
+    }
+}
+
 /// 1-based column where a field extraction stopped. After a failed
 /// `>>`, tellg() is -1; the useful position is then the line's end
 /// (truncated record) rather than nothing.
@@ -138,12 +149,14 @@ Design readDesign(std::istream& is) {
         geom::Rect rect;
         int layer;
         int remaining;
+        int line;
     };
     std::vector<Blockage> blockages;
     int viaCap = -1;
     struct ViaBlockage {
         geom::Rect rect;
         int remaining;
+        int line;
     };
     std::vector<ViaBlockage> viaBlockages;
 
@@ -156,21 +169,30 @@ Design readDesign(std::istream& is) {
         if (kind == "GRID") {
             ss >> width >> height >> layers >> cap;
             if (!ss) fail("bad GRID line", lineNo, columnOf(ss, line));
+            if (const char* why =
+                    grid::gridShapeError(width, height, layers, cap)) {
+                fail(std::string("GRID: ") + why, lineNo);
+            }
             haveGrid = true;
         } else if (kind == "BLOCKAGE") {
             Blockage b{};
             ss >> b.rect.lo.x >> b.rect.lo.y >> b.rect.hi.x >> b.rect.hi.y >>
                 b.layer >> b.remaining;
             if (!ss) fail("bad BLOCKAGE line", lineNo, columnOf(ss, line));
+            checkCapacity("BLOCKAGE", b.remaining, 0, lineNo);
+            b.line = lineNo;
             blockages.push_back(b);
         } else if (kind == "VIACAP") {
             ss >> viaCap;
             if (!ss) fail("bad VIACAP line", lineNo, columnOf(ss, line));
+            checkCapacity("VIACAP", viaCap, -1, lineNo);
         } else if (kind == "VIABLOCKAGE") {
             ViaBlockage b{};
             ss >> b.rect.lo.x >> b.rect.lo.y >> b.rect.hi.x >> b.rect.hi.y >>
                 b.remaining;
             if (!ss) fail("bad VIABLOCKAGE line", lineNo, columnOf(ss, line));
+            checkCapacity("VIABLOCKAGE", b.remaining, -1, lineNo);
+            b.line = lineNo;
             viaBlockages.push_back(b);
         } else if (kind == "GROUP") {
             PendingGroup g;
@@ -200,12 +222,26 @@ Design readDesign(std::istream& is) {
     if (!haveGrid) fail("missing GRID");
 
     Design design{pendingName, grid::RoutingGrid(width, height, layers, cap), {}};
+    // Blockage methods walk the whole rectangle: bound it first.
+    const auto checkRect = [&design](const char* record, const geom::Rect& r,
+                                     int line) {
+        if (std::string why = design.grid.rectError(r); !why.empty()) {
+            fail(std::string(record) + ": " + why, line);
+        }
+    };
     for (const Blockage& b : blockages) {
+        if (b.layer < 0 || b.layer >= layers) {
+            fail("BLOCKAGE: layer " + std::to_string(b.layer) +
+                     " out of range [0, " + std::to_string(layers) + ")",
+                 b.line);
+        }
+        checkRect("BLOCKAGE", b.rect, b.line);
         design.grid.addBlockage(b.rect, b.layer, b.remaining);
     }
     if (viaCap >= 0) {
         design.grid.setViaCapacity(viaCap);
         for (const ViaBlockage& b : viaBlockages) {
+            checkRect("VIABLOCKAGE", b.rect, b.line);
             design.grid.addViaBlockage(b.rect, b.remaining);
         }
     } else if (!viaBlockages.empty()) {

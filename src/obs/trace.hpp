@@ -18,11 +18,10 @@
 //                             recorded — for stage-granularity spans
 //                             (a handful per run; these back the
 //                             StreakResult stage timings)
-//   STREAK_SPAN("name")       hot-path macro — compiled out entirely at
-//                             STREAK_TRACE=0 and, when compiled in,
-//                             gated behind the runtime detail flag
-//                             (obs::detailEnabled(), a relaxed atomic
-//                             load), so the disabled cost is near zero
+//   STREAK_SPAN("name")       hot-path macro — gated behind the runtime
+//                             detail flag (obs::detailEnabled(), a
+//                             relaxed atomic load), so the disabled cost
+//                             is near zero
 //
 // Each obs::Session (obs/session.hpp) owns one Tracer. runStreak()
 // records every run into a session of its own and copies that session's
@@ -46,10 +45,6 @@
 #include <string_view>
 #include <utility>
 #include <vector>
-
-#ifndef STREAK_TRACE
-#define STREAK_TRACE 1
-#endif
 
 namespace streak::obs {
 
@@ -188,14 +183,10 @@ private:
 
 }  // namespace streak::obs
 
-#if STREAK_TRACE >= 1
 #define STREAK_OBS_CONCAT_IMPL_(a, b) a##b
 #define STREAK_OBS_CONCAT_(a, b) STREAK_OBS_CONCAT_IMPL_(a, b)
-/// Hot-path span: compiled out at STREAK_TRACE=0, runtime-gated otherwise.
+/// Hot-path span, recorded only while the detail gate is on.
 #define STREAK_SPAN(name)                                     \
     const ::streak::obs::SpanScope STREAK_OBS_CONCAT_(        \
         streakSpan_, __LINE__)((name),                        \
                                ::streak::obs::detailEnabled())
-#else
-#define STREAK_SPAN(name) ((void)0)
-#endif

@@ -4,13 +4,10 @@
 //
 //     STREAK_FAULT_POINT("ilp/solve");
 //
-// The macro expands to nothing unless the build defines STREAK_FAULTS=1
-// (the repo's own CMake does, behind a near-zero disarmed runtime gate;
-// embedders that compile the headers without the define get it compiled
-// out entirely). When compiled in, a disarmed process pays one relaxed
-// atomic load per site execution. Tests arm exactly one (site, hit
-// index) at a time — directly, from a seeded schedule, or from the
-// STREAK_FAULT environment variable — and the matching execution throws
+// Every site is compiled in; a disarmed process pays one relaxed atomic
+// load per site execution. Tests arm exactly one (site, hit index) at a
+// time — directly, from a seeded schedule, or from the STREAK_FAULT
+// environment variable — and the matching execution throws
 // a recoverable StreakException of kind FaultInjected, which the flow's
 // degradation ladder must absorb or surface as a structured error
 // (never a crash). tests/chaos_test.cpp sweeps every cataloged site.
@@ -22,16 +19,7 @@
 
 #include "robust/error.hpp"
 
-#ifndef STREAK_FAULTS
-#define STREAK_FAULTS 0
-#endif
-
 namespace streak::robust {
-
-/// True when STREAK_FAULT_POINT sites are compiled into this build.
-[[nodiscard]] constexpr bool faultInjectionCompiled() {
-    return STREAK_FAULTS >= 1;
-}
 
 /// The canonical catalog of every fault site in the code base, sorted.
 /// Kept by hand in fault.cpp next to the macro so chaos sweeps can
@@ -53,8 +41,8 @@ long armFaultFromSeed(std::string_view site, unsigned long seed,
 void disarmFaults();
 
 /// Arm from the STREAK_FAULT environment variable — "site" or
-/// "site:hitIndex" — for CLI runs; no-op when unset or faults are
-/// compiled out. Returns true when a fault was armed.
+/// "site:hitIndex" — for CLI runs; no-op when unset. Returns true when a
+/// fault was armed.
 bool armFaultFromEnv();
 
 /// Executions of `site` observed since the last arm/disarm (counting is
@@ -72,12 +60,8 @@ void hitFaultPoint(const char* site);
 
 }  // namespace streak::robust
 
-#if STREAK_FAULTS >= 1
 #define STREAK_FAULT_POINT(site)                               \
     do {                                                       \
         if (::streak::robust::detail::faultsArmed())           \
             ::streak::robust::detail::hitFaultPoint(site);     \
     } while (false)
-#else
-#define STREAK_FAULT_POINT(site) ((void)0)
-#endif

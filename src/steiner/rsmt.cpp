@@ -252,7 +252,7 @@ std::vector<Topology> enumerateTopologies(const std::vector<geom::Point>& pins,
          {LMode::Adaptive, LMode::LowerFirst, LMode::UpperFirst}) {
         raw.push_back(rectifyTree(pins, driver, noSteiner, mode));
     }
-    if (opts.useSteinerPoints && pins.size() >= 3) {
+    if (pins.size() >= 3) {
         const std::vector<geom::Point> steiner = iterated1Steiner(pins);
         if (!steiner.empty()) {
             for (const LMode mode :

@@ -58,13 +58,13 @@ enum class LMode {
 /// Knobs for candidate enumeration.
 struct EnumerateOptions {
     int maxCandidates = 4;
-    bool useSteinerPoints = true;  // include BI1S-improved trees
-    int bendPenalty = 2;           // lambda in cost = wl + lambda * bends
+    int bendPenalty = 2;  // lambda in cost = wl + lambda * bends
 };
 
 /// Enumerate up to maxCandidates distinct tree topologies for the pin set,
-/// sorted by wl + bendPenalty * bends. Always returns at least one
-/// topology for >= 1 pins.
+/// BI1S-improved trees included for >= 3 pins, sorted by
+/// wl + bendPenalty * bends. Always returns at least one topology for
+/// >= 1 pins.
 [[nodiscard]] std::vector<Topology> enumerateTopologies(
     const std::vector<geom::Point>& pins, int driver,
     const EnumerateOptions& opts = {});

@@ -1,5 +1,4 @@
-// Fixture: float-equality, including the legacy float-eq alias.
+// Fixture: float-equality.
 bool fire(double x) { return x == 0.5; }
 bool waived(double x) { return x != 1.0; }  // analyze-ok: float-equality
-bool aliasWaived(double x) { return x == 2.5; }  // lint-ok: float-eq
 // analyze-ok: float-equality

@@ -90,7 +90,7 @@ TEST(AnalyzeRules, FixturesFireWaiveAndRot) {
         {"rules/relative_include.cpp",
          {{2, "relative-include"}, {4, "unused-suppression"}}},
         {"rules/float_equality.cpp",
-         {{2, "float-equality"}, {5, "unused-suppression"}}},
+         {{2, "float-equality"}, {4, "unused-suppression"}}},
         {"rules/bare_assert.cpp",
          {{2, "bare-assert"}, {3, "bare-assert"}, {5, "unused-suppression"}}},
         {"rules/raw_timing.cpp",

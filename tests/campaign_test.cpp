@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "campaign/campaign.hpp"
+#include "eco/checkpoint.hpp"
 #include "obs/json.hpp"
 
 namespace streak {
@@ -255,6 +256,46 @@ TEST(CampaignConfigs, BuiltinsAreNamedAndDistinct) {
               campaign::configHash(configs[2].options));
     EXPECT_EQ(campaign::configByName("ilp").options.solver, SolverKind::Ilp);
     EXPECT_THROW((void)campaign::configByName("nope"), std::invalid_argument);
+}
+
+// configHash is the provenance campaign diff trusts: every option that
+// changes the routed result (the fields eco::semanticOptions keeps) must
+// move it.
+TEST(CampaignHash, EverySemanticOptionMovesTheConfigHash) {
+    using Edit = void (*)(StreakOptions*);
+    const std::pair<const char*, Edit> edits[] = {
+        {"maxBackbones", [](StreakOptions* o) { o->backbone.maxBackbones = 3; }},
+        {"maxLayerPairs", [](StreakOptions* o) { o->maxLayerPairs = 2; }},
+        {"viaWeight", [](StreakOptions* o) { o->viaWeight = 3.0; }},
+        {"layerAdjacencyWeight",
+         [](StreakOptions* o) { o->layerAdjacencyWeight = 2.0; }},
+        {"irregularityWeight",
+         [](StreakOptions* o) { o->irregularityWeight = 25.0; }},
+        {"pairLayerWeight", [](StreakOptions* o) { o->pairLayerWeight = 1.0; }},
+        {"solver", [](StreakOptions* o) { o->solver = SolverKind::Ilp; }},
+        {"ilpTimeLimitSeconds",
+         [](StreakOptions* o) { o->ilpTimeLimitSeconds = 5.0; }},
+        {"threads", [](StreakOptions* o) { o->threads = 2; }},
+        {"postOptimize", [](StreakOptions* o) { o->postOptimize = true; }},
+        {"clusteringEnabled",
+         [](StreakOptions* o) { o->clusteringEnabled = false; }},
+        {"refinementEnabled",
+         [](StreakOptions* o) { o->refinementEnabled = false; }},
+        {"distanceThresholdFraction",
+         [](StreakOptions* o) { o->distanceThresholdFraction = 0.25; }},
+        {"maxDetourShift", [](StreakOptions* o) { o->maxDetourShift = 6; }},
+    };
+    const std::string base = campaign::configHash(StreakOptions{});
+    for (const auto& [name, edit] : edits) {
+        StreakOptions opts;
+        edit(&opts);
+        // The edit is one a checkpoint keeps...
+        EXPECT_EQ(campaign::configHash(eco::semanticOptions(opts)),
+                  campaign::configHash(opts))
+            << name;
+        // ...and one the provenance sees.
+        EXPECT_NE(campaign::configHash(opts), base) << name;
+    }
 }
 
 TEST(CampaignHash, Fnv1aMatchesKnownVectors) {

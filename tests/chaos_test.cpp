@@ -40,12 +40,7 @@ bool needsIlpSolver(const std::string& site) {
 
 class ChaosSweep : public ::testing::Test {
 protected:
-    void SetUp() override {
-        if (!robust::faultInjectionCompiled()) {
-            GTEST_SKIP() << "STREAK_FAULTS=0 in this build";
-        }
-        robust::disarmFaults();
-    }
+    void SetUp() override { robust::disarmFaults(); }
     void TearDown() override { robust::disarmFaults(); }
 };
 

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
 
 #include "gen/generator.hpp"
 #include "io/design_io.hpp"
 #include "io/heatmap.hpp"
 #include "io/table.hpp"
+#include "obs/trace.hpp"
 #include "robust/error.hpp"
 #include "test_util.hpp"
 
@@ -137,6 +140,50 @@ TEST(DesignIo, CountMismatchReportsDeclaringLine) {
         EXPECT_NE(what.find("declared 2, found 1"), std::string::npos) << what;
         EXPECT_NE(what.find("line 4"), std::string::npos) << what;
     }
+}
+
+// Every record that sizes the grid or walks a rectangle is bounded the
+// way the checkpoint reader bounds it (grid::kMaxDim and friends).
+TEST(DesignIo, OutOfRangeRecordsAreInvalidInputWithTheirLine) {
+    const auto expectRejected = [](const std::string& body,
+                                   const std::string& what) {
+        std::stringstream ss("STREAK 1\n" + body);
+        const obs::Stopwatch watch;
+        try {
+            (void)readDesign(ss);
+            ADD_FAILURE() << "accepted: " << body;
+        } catch (const robust::StreakException& e) {
+            EXPECT_EQ(e.error().kind, robust::ErrorKind::InvalidInput);
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find(what), std::string::npos) << msg;
+            // The offending record is the last line of `body`.
+            const long line = 1 + std::count(body.begin(), body.end(), '\n');
+            EXPECT_NE(msg.find("line " + std::to_string(line)),
+                      std::string::npos)
+                << msg;
+        }
+        // Rejected before any rectangle is walked.
+        EXPECT_LT(watch.seconds(), 1.0) << body;
+    };
+    expectRejected("GRID 1 8 4 4\n", "grid dimensions out of range");
+    expectRejected("GRID 8 9000 4 4\n", "grid dimensions out of range");
+    expectRejected("GRID 8 8 99 4\n", "layer count out of range");
+    expectRejected("GRID 8 8 4 -1\n", "default capacity out of range");
+    expectRejected("GRID 8192 8192 64 4\n", "edge count out of range");
+    expectRejected("GRID 8 8 4 4\nVIACAP 2000000\n",
+                   "VIACAP: capacity 2000000 out of range");
+    expectRejected("GRID 8 8 4 4\nBLOCKAGE 0 0 3 3 99 1\n",
+                   "BLOCKAGE: layer 99 out of range");
+    expectRejected("GRID 8 8 4 4\nBLOCKAGE 0 0 40000 40000 0 1\n",
+                   "BLOCKAGE: rectangle outside the 8x8 grid");
+    expectRejected("GRID 8 8 4 4\nBLOCKAGE 3 3 0 0 0 1\n",
+                   "BLOCKAGE: empty rectangle");
+    expectRejected("GRID 8 8 4 4\nBLOCKAGE 0 0 3 3 0 -5\n",
+                   "BLOCKAGE: capacity -5 out of range");
+    expectRejected("GRID 8 8 4 4\nVIACAP 4\nVIABLOCKAGE 0 0 9 9 1\n",
+                   "VIABLOCKAGE: rectangle outside the 8x8 grid");
+    expectRejected("GRID 8 8 4 4\nVIACAP 4\nVIABLOCKAGE 0 0 1 1 -2\n",
+                   "VIABLOCKAGE: capacity -2 out of range");
 }
 
 TEST(DesignIo, MissingFileIsInvalidInput) {

@@ -156,7 +156,7 @@ private:
         for (int r = 0; r < m_; ++r) {
             const double cb =
                 cost[static_cast<size_t>(basis_[static_cast<size_t>(r)])];
-            if (cb == 0.0) continue;  // lint-ok: float-equality
+            if (cb == 0.0) continue;  // analyze-ok: float-equality
             const double* pr = row(r);
             for (int c = 0; c < total_; ++c) {
                 red_[static_cast<size_t>(c)] -= cb * pr[static_cast<size_t>(c)];
@@ -282,7 +282,7 @@ private:
             if (r == row_) continue;
             double* rr = row(r);
             const double factor = rr[static_cast<size_t>(col)];
-            if (factor == 0.0) continue;  // lint-ok: float-equality
+            if (factor == 0.0) continue;  // analyze-ok: float-equality
             for (int c = 0; c < total_; ++c) {
                 rr[static_cast<size_t>(c)] -=
                     factor * prow[static_cast<size_t>(c)];
@@ -292,7 +292,7 @@ private:
         }
         if (!red_.empty()) {
             const double factor = red_[static_cast<size_t>(col)];
-            if (factor != 0.0) {  // lint-ok: float-equality
+            if (factor != 0.0) {  // analyze-ok: float-equality
                 for (int c = 0; c < total_; ++c) {
                     red_[static_cast<size_t>(c)] -=
                         factor * prow[static_cast<size_t>(c)];

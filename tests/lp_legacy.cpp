@@ -101,7 +101,7 @@ private:
         for (int r = 0; r < m_; ++r) {
             const double cb =
                 cost[static_cast<size_t>(basis_[static_cast<size_t>(r)])];
-            if (cb == 0.0) continue;  // lint-ok: float-equality
+            if (cb == 0.0) continue;  // analyze-ok: float-equality
             const auto& row = a_[static_cast<size_t>(r)];
             for (size_t c = 0; c < total; ++c) red_[c] -= cb * row[c];
         }
@@ -157,14 +157,14 @@ private:
             if (r == row) continue;
             auto& rr = a_[static_cast<size_t>(r)];
             const double factor = rr[static_cast<size_t>(col)];
-            if (factor == 0.0) continue;  // lint-ok: float-equality
+            if (factor == 0.0) continue;  // analyze-ok: float-equality
             for (size_t c = 0; c < width; ++c) rr[c] -= factor * prow[c];
             rr[static_cast<size_t>(col)] = 0.0;  // fight round-off drift
             b_[static_cast<size_t>(r)] -= factor * b_[static_cast<size_t>(row)];
         }
         if (!red_.empty()) {
             const double factor = red_[static_cast<size_t>(col)];
-            if (factor != 0.0) {  // lint-ok: float-equality
+            if (factor != 0.0) {  // analyze-ok: float-equality
                 for (size_t c = 0; c < width; ++c) red_[c] -= factor * prow[c];
                 red_[static_cast<size_t>(col)] = 0.0;
             }

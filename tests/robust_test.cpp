@@ -172,12 +172,7 @@ TEST(TickGate, IdleTicketCostsNothingAndNeverThrows) {
 
 class FaultRegistry : public ::testing::Test {
 protected:
-    void SetUp() override {
-        if (!faultInjectionCompiled()) {
-            GTEST_SKIP() << "STREAK_FAULTS=0 in this build";
-        }
-        disarmFaults();
-    }
+    void SetUp() override { disarmFaults(); }
     void TearDown() override { disarmFaults(); }
 };
 
@@ -377,6 +372,48 @@ TEST(FlowRobustness, OutOfRangeOptionsAreInvalidInput) {
 
     EXPECT_EQ(validateOptions(StreakOptions{}), "");
     EXPECT_TRUE(runStreak(d, StreakOptions{}).ok());
+}
+
+// None of these may reach the stages: an off-grid pin's wire records no
+// usage, a pinless bit has no driver pin to read, and a bad driver index
+// fails inside the Topology constructor as an internal error.
+TEST(FlowRobustness, BadPinsAreInvalidInput) {
+    const auto expectInvalid = [](const Design& d, const std::string& what) {
+        const FlowResult res = runStreak(d, StreakOptions{});
+        ASSERT_FALSE(res.ok()) << what;
+        EXPECT_EQ(res.error().kind, ErrorKind::InvalidInput) << what;
+        EXPECT_NE(res.error().message.find("bit 'bad'"), std::string::npos)
+            << res.error().message;
+        EXPECT_NE(res.error().message.find(what), std::string::npos)
+            << res.error().message;
+        EXPECT_EQ(exitCodeFor(res.error().kind), 3);
+    };
+    const auto withBad = [](const Bit& bad) {
+        SignalGroup g;
+        g.name = "g";
+        g.bits.push_back(testutil::makeBit({{1, 1}, {5, 1}}, "ok"));
+        g.bits.push_back(bad);
+        g.bits.back().name = "bad";
+        return testutil::makeDesign({g}, 8, 8);
+    };
+    expectInvalid(withBad(testutil::makeBit({{1, 2}, {20, 2}})),
+                  "pin (20,2) lies outside the 8x8 grid");
+    expectInvalid(withBad(testutil::makeBit({{-3, 1}, {1, 1}})),
+                  "pin (-3,1) lies outside");
+    expectInvalid(withBad(testutil::makeBit({})), "has no pins");
+    Bit badDriver = testutil::makeBit({{1, 3}, {5, 3}});
+    badDriver.driver = 2;
+    expectInvalid(withBad(badDriver), "driver index 2 is out of range");
+
+    // Single-pin bits and empty groups stay routable.
+    SignalGroup lone;
+    lone.name = "lone";
+    lone.bits.push_back(testutil::makeBit({{2, 2}}, "single"));
+    SignalGroup empty;
+    empty.name = "empty";
+    EXPECT_TRUE(runStreak(testutil::makeDesign({lone, empty}, 8, 8),
+                          StreakOptions{})
+                    .ok());
 }
 
 TEST(FlowRobustness, FlowResultContractIsEnforced) {

@@ -49,12 +49,6 @@ bool knownRule(std::string_view id) {
                        [&](const RuleInfo& r) { return r.id == id; });
 }
 
-/// Historic marker spellings that map onto a catalog rule.
-std::string canonicalRule(std::string name) {
-    if (name == "float-eq") return "float-equality";
-    return name;
-}
-
 // ---------------------------------------------------------------------
 // Suppression markers
 
@@ -69,39 +63,36 @@ bool isRuleNameChar(char c) {
     return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '-';
 }
 
-/// Collect `<marker>: rule[, rule...]` waivers from a file's comments.
-std::vector<Marker> collectMarkers(const LexedSource& lexed,
-                                   const std::vector<std::string>& words) {
+/// Collect waivers (kNeedle, then `rule[, rule...]`) from a file's comments.
+std::vector<Marker> collectMarkers(const LexedSource& lexed) {
+    static constexpr std::string_view kNeedle = "analyze-ok:";
     std::vector<Marker> out;
     for (const Comment& c : lexed.comments) {
-        for (const std::string& word : words) {
-            const std::string needle = word + ":";
-            for (size_t at = c.text.find(needle); at != std::string::npos;
-                 at = c.text.find(needle, at + 1)) {
-                const int line =
-                    c.line + static_cast<int>(std::count(
-                                 c.text.begin(),
-                                 c.text.begin() + static_cast<long>(at), '\n'));
-                size_t p = at + needle.size();
-                // One or more rule names, comma or whitespace separated;
-                // anything else ends the list (prose rationale may follow).
-                bool any = false;
-                while (p < c.text.size()) {
-                    while (p < c.text.size() &&
-                           (c.text[p] == ' ' || (any && c.text[p] == ','))) {
-                        ++p;
-                    }
-                    const size_t begin = p;
-                    while (p < c.text.size() && isRuleNameChar(c.text[p])) ++p;
-                    if (p == begin) break;
-                    Marker m;
-                    m.line = line;
-                    m.rule = canonicalRule(c.text.substr(begin, p - begin));
-                    m.known = knownRule(m.rule);
-                    out.push_back(std::move(m));
-                    any = true;
-                    if (p >= c.text.size() || c.text[p] != ',') break;
+        for (size_t at = c.text.find(kNeedle); at != std::string::npos;
+             at = c.text.find(kNeedle, at + 1)) {
+            const int line =
+                c.line + static_cast<int>(std::count(
+                             c.text.begin(),
+                             c.text.begin() + static_cast<long>(at), '\n'));
+            size_t p = at + kNeedle.size();
+            // One or more rule names, comma or whitespace separated;
+            // anything else ends the list (prose rationale may follow).
+            bool any = false;
+            while (p < c.text.size()) {
+                while (p < c.text.size() &&
+                       (c.text[p] == ' ' || (any && c.text[p] == ','))) {
+                    ++p;
                 }
+                const size_t begin = p;
+                while (p < c.text.size() && isRuleNameChar(c.text[p])) ++p;
+                if (p == begin) break;
+                Marker m;
+                m.line = line;
+                m.rule = c.text.substr(begin, p - begin);
+                m.known = knownRule(m.rule);
+                out.push_back(std::move(m));
+                any = true;
+                if (p >= c.text.size() || c.text[p] != ',') break;
             }
         }
     }
@@ -672,7 +663,7 @@ std::vector<Finding> analyze(const std::vector<SourceFile>& files,
         std::vector<Finding> raw;
         TokenRulePass(ctx, &raw).run();
 
-        std::vector<Marker> markers = collectMarkers(f.lexed, opts.markers);
+        std::vector<Marker> markers = collectMarkers(f.lexed);
         for (Finding& fd : raw) {
             bool suppressed = false;
             for (Marker& m : markers) {

@@ -12,8 +12,7 @@
 //
 // Findings on a line carrying an `analyze-ok` waiver comment naming the
 // rule are suppressed; waivers that suppress nothing are themselves
-// findings, so stale markers cannot accumulate. The legacy `lint-ok`
-// marker spelling is honoured as an alias.
+// findings, so stale markers cannot accumulate.
 #pragma once
 
 #include <map>
@@ -69,8 +68,6 @@ struct LayerSpec {
 /// always reported; only the layering pass is optional.
 struct AnalyzerOptions {
     bool layering = true;  // requires `layers`
-    /// Marker words that introduce a suppression in a comment.
-    std::vector<std::string> markers = {"analyze-ok", "lint-ok"};
 };
 
 /// Run all enabled passes over the file set; returns findings sorted by

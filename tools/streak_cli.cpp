@@ -8,7 +8,8 @@
 //   streak campaign diff <store.jsonl> [options]    flag regressions
 //
 // route options:
-//   --solver=pd|ilp        selection engine (default pd)
+//   --solver=pd|ilp|hilp   selection engine (default pd; hilp is the
+//                          two-stage hierarchical ILP)
 //   --ilp-limit=<sec>      ILP time cap (default 60)
 //   --threads=<n>          worker threads (0 = hardware, 1 = serial);
 //                          results are identical for every value
@@ -17,6 +18,7 @@
 //   --no-refinement        post-opt without distance refinement
 //   --backbones=<k>        backbone candidates per object (default 4)
 //   --heatmap=<file.csv>   dump the congestion map as CSV
+//   --svg=<file.svg>       render the routed design as SVG
 //   --report=<file.json>   write the schema-versioned run report (spans,
 //                          counters, metrics); turns on detail
 //                          instrumentation for the run
@@ -79,8 +81,8 @@
 // usage (including a malformed numeric value), 3 invalid input (including
 // an option out of range, e.g. --backbones=0), 4 deadline expired, 5
 // cancelled, 6 injected fault, 7 internal error, 8 campaign regression.
-// Fault-injection builds honor the STREAK_FAULT environment variable
-// ("site" or "site:hit", see robust/fault.hpp).
+// Every command honors the STREAK_FAULT environment variable ("site" or
+// "site:hit", see robust/fault.hpp).
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -156,10 +158,11 @@ int usage() {
               << "  streak campaign diff <store.jsonl> --baseline=FILE.jsonl"
                  " [--verdict=FILE.json]"
                  " [--counter-pct=P] [--quiet]\n"
-              << "  streak route <design.streak> [--solver=pd|ilp]"
+              << "  streak route <design.streak> [--solver=pd|ilp|hilp]"
                  " [--ilp-limit=SEC] [--threads=N] [--no-post]"
                  " [--no-clustering] [--no-refinement] [--backbones=K]"
-                 " [--heatmap=FILE] [--report=FILE.json] [--trace=FILE.json]"
+                 " [--heatmap=FILE] [--svg=FILE] [--report=FILE.json]"
+                 " [--trace=FILE.json]"
                  " [--deadline=SEC] [--checkpoint=FILE] [--quiet]\n"
               << "  streak eco <ckpt> --deltas=FILE [--threads=N]"
                  " [--cold-check] [--report=FILE.json] [--save=FILE]"
