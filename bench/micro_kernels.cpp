@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/candidate.hpp"
 #include "core/identify.hpp"
 #include "core/problem.hpp"
 #include "core/regularity.hpp"
@@ -102,6 +103,50 @@ void BM_TopologyQueries(benchmark::State& state) {
     state.SetLabel(std::to_string(topos.size()) + " topologies");
 }
 BENCHMARK(BM_TopologyQueries)->DenseRange(0, 4)->ArgName("query");
+
+/// Full-size synth`suite`, with synth5 capped at 5 pins; or, for suite
+/// 0, eight two-bit groups, each between opposite corners of a
+/// 1200 x 1200 grid: shapes so sparse that their demand is sorted rather
+/// than counted over their bounding boxes.
+Design candidateDesign(int suite) {
+    if (suite != 0) {
+        gen::SuiteSpec spec = gen::synthSpec(suite);
+        if (suite == 5) spec.maxPins = 5;
+        return gen::generate(spec);
+    }
+    constexpr int kSide = 1200;
+    Design d{"sparse", grid::RoutingGrid(kSide, kSide, 4, 8), {}};
+    for (int g = 0; g < 8; ++g) {
+        SignalGroup group;
+        group.name = "g" + std::to_string(g);
+        for (int b = 0; b < 2; ++b) {
+            Bit bit;
+            bit.name = "b" + std::to_string(b);
+            bit.pins = {{2 + 2 * g + b, 2 + g},
+                        {kSide - 3 - 2 * g + b, kSide - 3 - g}};
+            group.bits.push_back(std::move(bit));
+        }
+        d.groups.push_back(std::move(group));
+    }
+    return d;
+}
+
+/// Candidate generation (backbones, equivalent topologies, shapes and
+/// layer pairs) for every object of candidateDesign(argument). The
+/// objects are identified once, outside the timed loop.
+void BM_GenerateCandidates(benchmark::State& state) {
+    const Design d = candidateDesign(static_cast<int>(state.range(0)));
+    const std::vector<RoutingObject> objects = identifyObjects(d);
+    StreakOptions opts;
+    opts.threads = 1;
+    for (auto _ : state) {
+        for (const RoutingObject& obj : objects) {
+            benchmark::DoNotOptimize(generateCandidates(d, obj, opts));
+        }
+    }
+    state.SetLabel(std::to_string(objects.size()) + " objects");
+}
+BENCHMARK(BM_GenerateCandidates)->Arg(2)->Arg(5)->Arg(0)->ArgName("synth");
 
 void BM_SimilarityVector(benchmark::State& state) {
     Bit bit;

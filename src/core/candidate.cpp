@@ -1,10 +1,13 @@
 #include "core/candidate.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
+#include <optional>
 
 #include "core/backbone.hpp"
 #include "core/equiv.hpp"
+#include "geom/rect.hpp"
 
 namespace streak {
 
@@ -31,45 +34,130 @@ void appendCellKeys(const grid::RoutingGrid& grid,
     }
 }
 
-/// The shape of one backbone. Edge runs are keyed y * width + x, which
-/// sorts by (y, x) because x < width.
+/// What one unit of a shape's demand at a G-Cell is: a via slot, or a
+/// track on the horizontal or vertical edge leaving the cell rightwards or
+/// upwards.
+enum DemandKind { kVia, kHorizontal, kVertical };
+
+/// A shape's demand at one G-Cell, per DemandKind.
+using CellDemand = std::array<int, 3>;
+
+/// A shape whose bounding box has more cells than this per unit of
+/// demand (pins plus wire) is sparse: sorting its demand costs less than
+/// counting over the box, whose time and memory grow with its area. The
+/// generated suites' shapes have at most 9; a two-bit group spanning a
+/// 1200 x 1200 grid has about 300.
+constexpr long kSparseCellsPerDemand = 16;
+
+/// The shape of one backbone, with its demand in (y, x) order: viaUse by
+/// ascending cell index, and edge runs sorted by (y, x). A dense shape is
+/// counted per G-Cell of its bounding box, clipped to the grid, and read
+/// out row by row; a sparse one's (cell, kind) keys are sorted and
+/// counted. A shifted bit's via points are the backbone's moved, and its
+/// box the backbone's moved.
 BackboneShape makeShape(const grid::RoutingGrid& grid,
                         steiner::Topology backbone, const SignalGroup& group,
-                        const RoutingObject& object) {
+                        const RoutingObject& object,
+                        const MemberShifts& shifts) {
     BackboneShape shape;
-    shape.bitTopologies = equivalentTopologies(backbone, group, object);
+    shape.bitTopologies =
+        equivalentTopologies(backbone, group, object, shifts);
     shape.backbone = std::move(backbone);
-    const int width = grid.width();
-    std::vector<int> viaKeys;
-    std::vector<int> hKeys;
-    std::vector<int> vKeys;
-    int bends = 0;
-    int pins = 0;
+    const std::vector<geom::Point> backboneVias = shape.backbone.viaPoints();
+    const geom::Rect backboneBox = shape.backbone.bounds();
+
+    // Via points lie on the wire, so pins and wire bound every count.
+    const auto bitBox = [&](size_t k) {
+        const std::optional<geom::Point>& d = shifts[k];
+        if (!d) return shape.bitTopologies[k].bounds();
+        return geom::Rect{{backboneBox.lo.x + d->x, backboneBox.lo.y + d->y},
+                          {backboneBox.hi.x + d->x, backboneBox.hi.y + d->y}};
+    };
+    geom::Rect box = bitBox(0);
+    for (size_t k = 1; k < shape.bitTopologies.size(); ++k) {
+        const geom::Rect b = bitBox(k);
+        box.expand(b.lo);
+        box.expand(b.hi);
+    }
+    long pinsAndWire = 0;
     for (const steiner::Topology& t : shape.bitTopologies) {
-        shape.wirelength2d += t.wirelength();
-        const std::vector<geom::Point> vias = t.viaPoints();
-        bends += static_cast<int>(vias.size());
-        pins += static_cast<int>(t.pins().size());
-        appendCellKeys(grid, t.pins(), &viaKeys);
-        appendCellKeys(grid, vias, &viaKeys);
-        for (const steiner::UnitEdge& e : t.wire()) {
-            if (grid.contains(e.at) && grid.contains(e.other())) {
-                (e.horizontal ? hKeys : vKeys).push_back(e.at.y * width +
-                                                         e.at.x);
+        pinsAndWire += static_cast<long>(t.pins().size()) + t.wirelength();
+    }
+    box.lo = {std::max(box.lo.x, 0), std::max(box.lo.y, 0)};
+    box.hi = {std::min(box.hi.x, grid.width() - 1),
+              std::min(box.hi.y, grid.height() - 1)};
+    const int boxWidth = std::max(box.width() + 1, 0);
+    const long boxCells =
+        static_cast<long>(boxWidth) * std::max(box.height() + 1, 0);
+
+    // Calls add(point, kind) for every unit of demand inside the grid.
+    const auto forEachDemand = [&](const auto& add) {
+        const auto addVias = [&](const std::vector<geom::Point>& points,
+                                 geom::Point d) {
+            for (const geom::Point p : points) {
+                const geom::Point q{p.x + d.x, p.y + d.y};
+                if (grid.contains(q)) add(q, kVia);
+            }
+        };
+        int bends = 0;
+        int pins = 0;
+        for (size_t k = 0; k < shape.bitTopologies.size(); ++k) {
+            const steiner::Topology& t = shape.bitTopologies[k];
+            shape.wirelength2d += t.wirelength();
+            pins += static_cast<int>(t.pins().size());
+            addVias(t.pins(), {0, 0});
+            if (const std::optional<geom::Point>& d = shifts[k]) {
+                bends += static_cast<int>(backboneVias.size());
+                addVias(backboneVias, *d);
+            } else {
+                const std::vector<geom::Point> vias = t.viaPoints();
+                bends += static_cast<int>(vias.size());
+                addVias(vias, {0, 0});
+            }
+            for (const steiner::UnitEdge& e : t.wire()) {
+                if (grid.contains(e.at) && grid.contains(e.other())) {
+                    add(e.at, e.horizontal ? kHorizontal : kVertical);
+                }
             }
         }
-    }
-    shape.viaCount = bends + pins;
-    shape.viaUse = countKeys(&viaKeys);
-    const auto runs = [width](std::vector<int>* keys) {
-        std::vector<EdgeRun> out;
-        for (const auto& [key, count] : countKeys(keys)) {
-            out.push_back({key % width, key / width, count});
-        }
-        return out;
+        shape.viaCount = bends + pins;
     };
-    shape.hRuns = runs(&hKeys);
-    shape.vRuns = runs(&vKeys);
+    const auto emit = [&](geom::Point p, int kind, int count) {
+        if (count == 0) return;
+        if (kind == kVia) {
+            shape.viaUse.emplace_back(grid.cellIndex(p), count);
+        } else {
+            (kind == kHorizontal ? shape.hRuns : shape.vRuns)
+                .push_back({p.x, p.y, count});
+        }
+    };
+
+    if (boxCells <= kSparseCellsPerDemand * pinsAndWire) {
+        std::vector<CellDemand> demand(static_cast<size_t>(boxCells));
+        forEachDemand([&](geom::Point p, DemandKind kind) {
+            ++demand[static_cast<size_t>((p.y - box.lo.y) * boxWidth +
+                                         (p.x - box.lo.x))][kind];
+        });
+        const CellDemand* c = demand.data();
+        for (int y = box.lo.y; y <= box.hi.y; ++y) {
+            for (int x = box.lo.x; x <= box.hi.x; ++x, ++c) {
+                emit({x, y}, kVia, (*c)[kVia]);
+                emit({x, y}, kHorizontal, (*c)[kHorizontal]);
+                emit({x, y}, kVertical, (*c)[kVertical]);
+            }
+        }
+        return shape;
+    }
+    // Keyed by cell, then kind (kMaxDim² · 3 fits in an int), so each
+    // list comes out in cell order.
+    std::vector<int> keys;
+    forEachDemand([&](geom::Point p, DemandKind kind) {
+        keys.push_back(grid.cellIndex(p) * 3 + kind);
+    });
+    for (const auto& [key, count] : countKeys(&keys)) {
+        const int cell = key / 3;
+        emit({cell % grid.width(), cell / grid.width()}, key % 3, count);
+    }
     return shape;
 }
 
@@ -151,11 +239,12 @@ ObjectCandidates generateCandidates(const Design& design,
     const std::vector<std::pair<int, int>> pairs =
         layerPairs(grid, opts.maxLayerPairs);
 
+    const MemberShifts shifts = memberShifts(group, object);
     ObjectCandidates out;
     for (steiner::Topology& backbone :
          generateBackbones(group, object, opts.backbone)) {
         out.shapes.push_back(
-            makeShape(grid, std::move(backbone), group, object));
+            makeShape(grid, std::move(backbone), group, object, shifts));
     }
 
     for (size_t bb = 0; bb < out.shapes.size(); ++bb) {

@@ -4,7 +4,11 @@
 // layer-independent shape, which is then mapped onto pairs of
 // uni-directional layers; each layer pair that fits is a candidate
 // carrying its cost c(i, j) and per-edge track demand u_el(i, j) used by
-// formulation (3).
+// formulation (3). A shape's demand is counted per G-Cell of its
+// bounding box and read out in (y, x) order, with no sort, unless the box
+// has so many cells per unit of demand that sorting costs less; a bit
+// that is a pure shift of the representative takes the backbone's via
+// points moved.
 #pragma once
 
 #include <utility>
@@ -72,7 +76,8 @@ struct ObjectCandidates {
 };
 
 /// Sorted per-edge track demand (edgeId, tracks) of one topology on the
-/// given layer pair. Exposed for the post-optimization stages.
+/// given layer pair. Exposed for the post-optimization stages, ECO and
+/// the stage auditors.
 [[nodiscard]] std::vector<std::pair<int, int>> computeEdgeUse(
     const grid::RoutingGrid& grid, const steiner::Topology& topo, int hLayer,
     int vLayer);

@@ -2,12 +2,22 @@
 
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <unordered_map>
 #include <vector>
+
+#include "check/assert.hpp"
 
 namespace streak {
 
 namespace {
+
+/// The bit at `memberIndex` of the object.
+const Bit& memberBit(const SignalGroup& group, const RoutingObject& object,
+                     int memberIndex) {
+    return group.bits[static_cast<size_t>(
+        object.bitIndices[static_cast<size_t>(memberIndex)])];
+}
 
 /// What equivalent-topology generation reads of a backbone, the same for
 /// every bit of the object: its structure, the pools of distinct feature
@@ -71,8 +81,7 @@ steiner::Topology remapOnto(const BackboneFrame& frame,
                             const steiner::Topology& backbone,
                             const SignalGroup& group,
                             const RoutingObject& object, int memberIndex) {
-    const Bit& member = group.bits[static_cast<size_t>(
-        object.bitIndices[static_cast<size_t>(memberIndex)])];
+    const Bit& member = memberBit(group, object, memberIndex);
     const std::vector<int>& pinMap =
         object.pinMaps[static_cast<size_t>(memberIndex)];
     const std::vector<geom::Point>& repPins = backbone.pins();
@@ -135,14 +144,54 @@ steiner::Topology equivalentTopology(const steiner::Topology& backbone,
     return remapOnto(frameOf(backbone), backbone, group, object, memberIndex);
 }
 
+MemberShifts memberShifts(const SignalGroup& group,
+                          const RoutingObject& object) {
+    const Bit& rep = memberBit(group, object, object.representativeBit);
+    MemberShifts shifts;
+    shifts.reserve(object.bitIndices.size());
+    for (int k = 0; k < object.width(); ++k) {
+        const Bit& member = memberBit(group, object, k);
+        const std::vector<int>& pinMap =
+            object.pinMaps[static_cast<size_t>(k)];
+        std::optional<geom::Point> d;
+        for (size_t i = 0; i < member.pins.size(); ++i) {
+            const geom::Point p = member.pins[i];
+            const geom::Point r = rep.pins[static_cast<size_t>(pinMap[i])];
+            const geom::Point di{p.x - r.x, p.y - r.y};
+            if (i == 0) {
+                d = di;
+            } else if (di != *d) {
+                d.reset();
+                break;
+            }
+        }
+        shifts.push_back(d);
+    }
+    return shifts;
+}
+
 std::vector<steiner::Topology> equivalentTopologies(
     const steiner::Topology& backbone, const SignalGroup& group,
-    const RoutingObject& object) {
-    const BackboneFrame frame = frameOf(backbone);
+    const RoutingObject& object, const MemberShifts& shifts) {
+    STREAK_ASSERT(shifts.size() == object.bitIndices.size(),
+                  "{} member shifts for an object of width {}", shifts.size(),
+                  object.width());
+    const Bit& rep = memberBit(group, object, object.representativeBit);
+    STREAK_ASSERT(backbone.pins() == rep.pins,
+                  "backbone is not over the representative's {} pins",
+                  rep.pins.size());
+    std::optional<BackboneFrame> frame;
     std::vector<steiner::Topology> out;
     out.reserve(object.bitIndices.size());
     for (int k = 0; k < object.width(); ++k) {
-        out.push_back(remapOnto(frame, backbone, group, object, k));
+        const std::optional<geom::Point>& d = shifts[static_cast<size_t>(k)];
+        if (d) {
+            const Bit& member = memberBit(group, object, k);
+            out.push_back(backbone.translate(*d, member.pins, member.driver));
+            continue;
+        }
+        if (!frame) frame = frameOf(backbone);
+        out.push_back(remapOnto(*frame, backbone, group, object, k));
     }
     return out;
 }

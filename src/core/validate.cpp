@@ -35,7 +35,8 @@ std::vector<ValidationIssue> validateDesign(const Design& design) {
         const SignalGroup& group = design.groups[g];
         const std::string where = "group '" + group.name + "'";
         if (group.bits.empty()) {
-            add(&issues, Severity::Error, where + " has no bits");
+            add(&issues, Severity::Warning,
+                where + " has no bits; nothing to route");
             continue;
         }
         if (group.width() > maxCapacity) {
@@ -59,8 +60,8 @@ std::vector<ValidationIssue> validateDesign(const Design& design) {
                 continue;
             }
             if (bit.numPins() < 2) {
-                add(&issues, Severity::Error,
-                    bitWhere + " has fewer than 2 pins");
+                add(&issues, Severity::Warning,
+                    bitWhere + " has one pin; it routes with no wire");
             }
             std::set<geom::Point> seen;
             for (const geom::Point p : bit.pins) {

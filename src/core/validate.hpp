@@ -1,8 +1,9 @@
 // Design and option lint: structural checks a routing run assumes.
 // Returns human-readable findings instead of throwing so front ends can
-// report them: `streak info` prints validateDesign's findings, and
-// runStreak rejects a run whose options or pins fail validateOptions or
-// validatePins.
+// report them: `streak info` prints validateDesign's findings and fails
+// on an error, and runStreak rejects a run whose options or pins fail
+// validateOptions or validatePins. validateDesign's errors are exactly
+// what validatePins rejects, so both front ends agree on what routes.
 #pragma once
 
 #include <string>
@@ -19,10 +20,12 @@ struct ValidationIssue {
     std::string message;
 };
 
-/// Check the design: pins inside the grid, sane driver indices, no
-/// single-pin nets, no empty groups, duplicate pins (warning), groups
-/// wider than any edge capacity (warning — whole-object routing will
-/// need clustering).
+/// Check the design. The errors are exactly what validatePins rejects:
+/// a bit with no pins, a driver index out of range, a pin off the grid.
+/// Everything else a run routes anyway and is a warning: an empty group,
+/// a single-pin bit, a duplicate pin within a bit or across groups, a
+/// group wider than any edge capacity (whole-object routing will need
+/// clustering).
 [[nodiscard]] std::vector<ValidationIssue> validateDesign(const Design& design);
 
 /// True if no Error-severity issue is present.

@@ -226,14 +226,28 @@ EcoResult runEco(const Checkpoint& ckpt, const std::vector<Delta>& deltas,
             }
         }
     }
+    // Usage: the resolved groups' demand as their re-route left it (via
+    // slots only where the grid limits them), plus each carried bit's.
+    const grid::RoutingGrid& grid = r.design->grid;
+    if (r.sub != nullptr) {
+        const auto& resolved = r.sub->routed.usage;
+        for (int e = 0; e < grid.numEdges(); ++e) {
+            r.routed->usage.add(e, resolved.usage(e));
+        }
+        if (grid.viaLimited()) {
+            for (int cell = 0; cell < grid.numCells(); ++cell) {
+                r.routed->usage.addVias(cell, resolved.viaUsage(cell));
+            }
+        }
+    }
     for (const RoutedBit& b : r.routed->bits) {
-        for (const auto& [e, n] : computeEdgeUse(r.design->grid, b.topo,
-                                                 b.hLayer, b.vLayer)) {
+        if (subIndex[static_cast<size_t>(b.groupIndex)] >= 0) continue;
+        for (const auto& [e, n] :
+             computeEdgeUse(grid, b.topo, b.hLayer, b.vLayer)) {
             r.routed->usage.add(e, n);
         }
-        if (r.design->grid.viaLimited()) {
-            for (const auto& [cell, n] :
-                 computeViaUse(r.design->grid, b.topo)) {
+        if (grid.viaLimited()) {
+            for (const auto& [cell, n] : computeViaUse(grid, b.topo)) {
                 r.routed->usage.addVias(cell, n);
             }
         }

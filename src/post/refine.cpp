@@ -251,14 +251,8 @@ std::vector<geom::Rect> groupSearchRegion(const StreakOptions& opts,
     rects.reserve(violationsOfBit.size());
     for (const auto& [bitIndex, count] : violationsOfBit) {
         const RoutedBit& bit = routed.bits[static_cast<size_t>(bitIndex)];
-        const std::vector<geom::Point>& pins = bit.topo.pins();
-        if (pins.empty()) continue;
-        geom::Rect box{pins.front(), pins.front()};
-        for (const geom::Point p : pins) box.expand(p);
-        for (const steiner::UnitEdge& e : bit.topo.wire()) {
-            box.expand(e.at);
-            box.expand(e.other());
-        }
+        if (bit.topo.pins().empty()) continue;
+        geom::Rect box = bit.topo.bounds();
         // Each violation applies at most one detour of shift
         // <= maxDetourShift, and a later connection may sit on wire a
         // previous detour already displaced — so the reachable region
@@ -315,53 +309,61 @@ RefinementResult refineDistances(
         int wave = 0;
     };
     std::vector<Task> tasks;
-    for (const GroupDistanceReport& rep : before) {
-        if (rep.violations.empty()) continue;
-        Task t;
-        t.rep = &rep;
-        t.region = groupSearchRegion(opts, rep, *routed);
-        for (const Task& prior : tasks) {
-            if (t.wave <= prior.wave &&
-                regionsOverlap(t.region, prior.region)) {
-                t.wave = prior.wave + 1;
-            }
-        }
-        tasks.push_back(std::move(t));
-    }
     int waves = 0;
-    for (const Task& t : tasks) waves = std::max(waves, t.wave + 1);
+    {
+        STREAK_SPAN("refine/schedule");
+        for (const GroupDistanceReport& rep : before) {
+            if (rep.violations.empty()) continue;
+            Task t;
+            t.rep = &rep;
+            t.region = groupSearchRegion(opts, rep, *routed);
+            for (const Task& prior : tasks) {
+                if (t.wave <= prior.wave &&
+                    regionsOverlap(t.region, prior.region)) {
+                    t.wave = prior.wave + 1;
+                }
+            }
+            tasks.push_back(std::move(t));
+        }
+        for (const Task& t : tasks) waves = std::max(waves, t.wave + 1);
+    }
 
-    parallel::ThreadPool pool(parallel::resolveThreads(opts.threads));
-    pool.setControl(opts.control);
     std::vector<GroupRefineOutcome> outcomes(tasks.size());
     const bool detail = obs::detailEnabled();
-    for (int wave = 0; wave < waves; ++wave) {
-        // Tick point: one poll per wave (a wave is a full parallel
-        // region of per-group detour searches).
-        opts.control.checkpoint("refine/wave");
-        std::vector<int> members;
-        for (size_t t = 0; t < tasks.size(); ++t) {
-            if (tasks[t].wave == wave) members.push_back(static_cast<int>(t));
+    {
+        STREAK_SPAN("refine/waves");
+        parallel::ThreadPool pool(parallel::resolveThreads(opts.threads));
+        pool.setControl(opts.control);
+        for (int wave = 0; wave < waves; ++wave) {
+            // Tick point: one poll per wave (a wave is a full parallel
+            // region of per-group detour searches).
+            opts.control.checkpoint("refine/wave");
+            std::vector<int> members;
+            for (size_t t = 0; t < tasks.size(); ++t) {
+                if (tasks[t].wave == wave) {
+                    members.push_back(static_cast<int>(t));
+                }
+            }
+            if (detail) {
+                // Wave sizes expose how much independence the overlap
+                // scheduler found — the Fig. 13 scalability ceiling.
+                obs::session()
+                    .histogram("post/refine.wave_size", {1, 2, 4, 8, 16, 32})
+                    .record(static_cast<long long>(members.size()));
+            }
+            pool.parallelFor(static_cast<int>(members.size()), [&](int k) {
+                const int t = members[static_cast<size_t>(k)];
+                outcomes[static_cast<size_t>(t)] = refineGroup(
+                    opts, *tasks[static_cast<size_t>(t)].rep, routed);
+            });
         }
-        if (detail) {
-            // Wave sizes expose how much independence the overlap
-            // scheduler found — the Fig. 13 scalability ceiling.
-            obs::session()
-                .histogram("post/refine.wave_size", {1, 2, 4, 8, 16, 32})
-                .record(static_cast<long long>(members.size()));
-        }
-        pool.parallelFor(static_cast<int>(members.size()), [&](int k) {
-            const int t = members[static_cast<size_t>(k)];
-            outcomes[static_cast<size_t>(t)] =
-                refineGroup(opts, *tasks[static_cast<size_t>(t)].rep, routed);
-        });
+        result.parallelStats.merge(pool.stats());
     }
     for (const GroupRefineOutcome& out : outcomes) {
         result.pinsConsidered += out.pinsConsidered;
         result.pinsFixed += out.pinsFixed;
         result.addedWirelength += out.addedWirelength;
     }
-    result.parallelStats.merge(pool.stats());
     if (detail) {
         obs::Session& sess = obs::session();
         sess.counter("post/refine.waves").add(waves);

@@ -198,6 +198,17 @@ std::vector<geom::Point> Topology::sortedWirePoints() const {
     return points;
 }
 
+geom::Rect Topology::bounds() const {
+    STREAK_ASSERT(!pins_.empty(), "bounds of a topology with no pins");
+    geom::Rect box{pins_.front(), pins_.front()};
+    for (const geom::Point p : pins_) box.expand(p);
+    for (const UnitEdge& e : wire_) {
+        box.expand(e.at);
+        box.expand(e.other());
+    }
+    return box;
+}
+
 int WireGraph::indexOf(geom::Point p) const {
     const auto it = std::lower_bound(points_.begin(), points_.end(), p);
     return it != points_.end() && *it == p
@@ -367,15 +378,13 @@ TopoStructure Topology::structure() const {
     return st;
 }
 
-Topology Topology::translate(int dx, int dy) const {
-    std::vector<geom::Point> newPins;
-    newPins.reserve(pins_.size());
-    for (geom::Point p : pins_) newPins.push_back({p.x + dx, p.y + dy});
-    Topology out(std::move(newPins), driver_);
+Topology Topology::translate(geom::Point d, std::vector<geom::Point> pins,
+                             int driver) const {
+    Topology out(std::move(pins), driver);
     // A translation keeps the lexicographic order.
     out.wire_.reserve(wire_.size());
     for (const UnitEdge& e : wire_) {
-        out.wire_.push_back({{e.at.x + dx, e.at.y + dy}, e.horizontal});
+        out.wire_.push_back({{e.at.x + d.x, e.at.y + d.y}, e.horizontal});
     }
     return out;
 }

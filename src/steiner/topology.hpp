@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "geom/point.hpp"
+#include "geom/rect.hpp"
 #include "geom/segment.hpp"
 
 namespace streak::steiner {
@@ -135,6 +136,10 @@ public:
     [[nodiscard]] std::vector<geom::Point> sortedWirePoints() const;
     [[nodiscard]] bool empty() const { return wire_.empty(); }
 
+    /// The smallest rectangle holding every pin and both ends of every
+    /// wire edge. Needs a pin.
+    [[nodiscard]] geom::Rect bounds() const;
+
     /// Total wire-length (number of unit edges).
     [[nodiscard]] int wirelength() const { return static_cast<int>(wire_.size()); }
 
@@ -172,8 +177,13 @@ public:
     /// Extract feature nodes and maximal RC segments.
     [[nodiscard]] TopoStructure structure() const;
 
-    /// Rigid translation by (dx, dy).
-    [[nodiscard]] Topology translate(int dx, int dy) const;
+    /// This topology's wire moved by `d`, laid over the given pins and
+    /// driver (which need not be this topology's pins moved; a rigid
+    /// translation passes them moved too). One pass: a translation keeps
+    /// the wire's order.
+    [[nodiscard]] Topology translate(geom::Point d,
+                                     std::vector<geom::Point> pins,
+                                     int driver) const;
 
     /// Order-independent hash of the wire shape (for deduping candidates).
     [[nodiscard]] std::uint64_t wireHash() const;

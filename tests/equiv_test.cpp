@@ -73,12 +73,15 @@ TEST(EquivalentTopology, RepresentativeGetsBackboneItself) {
 TEST(EquivalentTopologies, OneTopologyPerBit) {
     Case c = makeCase({{0, 0}, {9, 0}}, 6, 0, 1);
     const auto backbones = generateBackbones(c.group, c.object);
-    const auto topos = equivalentTopologies(backbones[0], c.group, c.object);
+    const auto topos = equivalentTopologies(
+        backbones[0], c.group, c.object, memberShifts(c.group, c.object));
     ASSERT_EQ(topos.size(), 6u);
     // Parallel tracks: bit k is bit 0 translated by (0, k).
     for (size_t k = 1; k < topos.size(); ++k) {
         EXPECT_EQ(topos[k].wireHash(),
-                  topos[0].translate(0, static_cast<int>(k)).wireHash());
+                  topos[0]
+                      .translate({0, static_cast<int>(k)}, topos[0].pins(), 0)
+                      .wireHash());
     }
 }
 

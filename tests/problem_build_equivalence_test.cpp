@@ -6,7 +6,9 @@
 // clustering's per-bit candidates with generateBackbones plus one
 // equivalent topology per bit (with the structure recomputed per bit).
 // The production problem must match it bit for bit: every candidate
-// field, every shape, and every pair-block cell.
+// field, every shape, and every pair-block cell. The reference remaps
+// every member; production moves the backbone's wire for members that
+// are a pure shift of the representative, and both paths are counted.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -16,6 +18,7 @@
 #include <limits>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -306,8 +309,88 @@ struct Coverage {
     long long candidates = 0;
     long long pairCells = 0;
     long long backbonesWithoutCandidate = 0;
+    /// Object members whose equivalent topologies take the shift path,
+    /// and those that take the remap.
+    long long shiftedMembers = 0;
+    long long remappedMembers = 0;
     int mismatches = 0;
 };
+
+/// Every way one object's shapes and candidates differ from the
+/// reference's, one line each, each prefixed with `at`.
+void objectDifferences(const Design& design, const RoutingObject& obj,
+                       const std::vector<BackboneShape>& shapes,
+                       const std::vector<RouteCandidate>& gotCands,
+                       const std::vector<reference::Candidate>& wantCands,
+                       const StreakOptions& opts, const std::string& at,
+                       Coverage* cov, std::vector<std::string>* out) {
+    const auto note = [&](const std::string& what) {
+        out->push_back(at + what);
+    };
+    const SignalGroup& group =
+        design.groups[static_cast<size_t>(obj.groupIndex)];
+    for (const std::optional<geom::Point>& d : memberShifts(group, obj)) {
+        ++(d ? cov->shiftedMembers : cov->remappedMembers);
+    }
+
+    // Clustering's Alg. 3 line 1: every backbone, every member.
+    const std::vector<steiner::Topology> backbones =
+        generateBackbones(group, obj, opts.backbone);
+    if (backbones.size() != shapes.size()) {
+        note("has " + std::to_string(shapes.size()) + " shapes for " +
+             std::to_string(backbones.size()) + " backbones");
+        return;
+    }
+    std::vector<char> used(shapes.size(), 0);
+    for (const reference::Candidate& c : wantCands) {
+        used[static_cast<size_t>(c.backboneId)] = 1;
+    }
+    for (size_t b = 0; b < shapes.size(); ++b) {
+        const std::string bat = "backbone " + std::to_string(b) + " ";
+        cov->backbonesWithoutCandidate += used[b] == 0 ? 1 : 0;
+        if (!(shapes[b].backbone == backbones[b])) note(bat + "backbone");
+        if (static_cast<int>(shapes[b].bitTopologies.size()) != obj.width()) {
+            note(bat + "bit topology count");
+            continue;
+        }
+        for (int k = 0; k < obj.width(); ++k) {
+            if (!(shapes[b].bitTopologies[static_cast<size_t>(k)] ==
+                  reference::equivalentTopology(backbones[b], group, obj,
+                                                k))) {
+                note(bat + "member " + std::to_string(k) + " topology");
+            }
+        }
+    }
+
+    if (wantCands.size() != gotCands.size()) {
+        note("candidate count " + std::to_string(gotCands.size()) +
+             ", want " + std::to_string(wantCands.size()));
+        return;
+    }
+    cov->candidates += static_cast<long long>(gotCands.size());
+    for (size_t j = 0; j < gotCands.size(); ++j) {
+        const reference::Candidate& w = wantCands[j];
+        const RouteCandidate& g = gotCands[j];
+        const std::string cat = "candidate " + std::to_string(j) + " ";
+        if (w.backboneId != g.backboneId) {
+            note(cat + "backboneId");
+            continue;
+        }
+        const BackboneShape& shape = shapes[static_cast<size_t>(g.backboneId)];
+        if (!(shape.backbone == w.backbone)) note(cat + "backbone");
+        if (shape.bitTopologies != w.bitTopologies) {
+            note(cat + "bit topologies");
+        }
+        if (w.hLayer != g.hLayer || w.vLayer != g.vLayer) {
+            note(cat + "layer pair");
+        }
+        if (!sameBits(w.cost, g.cost)) note(cat + "cost");
+        if (w.wirelength2d != g.wirelength2d) note(cat + "wirelength2d");
+        if (w.viaCount != g.viaCount) note(cat + "viaCount");
+        if (w.edgeUse != g.edgeUse) note(cat + "edgeUse");
+        if (w.viaUse != g.viaUse) note(cat + "viaUse");
+    }
+}
 
 /// Every way the production problem differs from the reference, one line
 /// each.
@@ -328,74 +411,11 @@ std::vector<std::string> differences(const Design& design,
     want.reserve(static_cast<size_t>(n));
     for (int i = 0; i < n; ++i) {
         const RoutingObject& obj = prob.objects[static_cast<size_t>(i)];
-        const SignalGroup& group =
-            design.groups[static_cast<size_t>(obj.groupIndex)];
-        const std::string at = "object " + std::to_string(i) + " ";
         want.push_back(reference::generateCandidates(design, obj, opts));
-        const auto& wantCands = want.back();
-        const auto& gotCands = prob.candidates[static_cast<size_t>(i)];
-        const auto& shapes = prob.shapes[static_cast<size_t>(i)];
-
-        // Clustering's Alg. 3 line 1: every backbone, every member.
-        const std::vector<steiner::Topology> backbones =
-            generateBackbones(group, obj, opts.backbone);
-        if (backbones.size() != shapes.size()) {
-            note(at + "has " + std::to_string(shapes.size()) +
-                 " shapes for " + std::to_string(backbones.size()) +
-                 " backbones");
-            continue;
-        }
-        std::vector<char> used(shapes.size(), 0);
-        for (const reference::Candidate& c : wantCands) {
-            used[static_cast<size_t>(c.backboneId)] = 1;
-        }
-        for (size_t b = 0; b < shapes.size(); ++b) {
-            const std::string bat = at + "backbone " + std::to_string(b) + " ";
-            cov->backbonesWithoutCandidate += used[b] == 0 ? 1 : 0;
-            if (!(shapes[b].backbone == backbones[b])) note(bat + "backbone");
-            if (static_cast<int>(shapes[b].bitTopologies.size()) !=
-                obj.width()) {
-                note(bat + "bit topology count");
-                continue;
-            }
-            for (int k = 0; k < obj.width(); ++k) {
-                if (!(shapes[b].bitTopologies[static_cast<size_t>(k)] ==
-                      reference::equivalentTopology(backbones[b], group, obj,
-                                                    k))) {
-                    note(bat + "member " + std::to_string(k) + " topology");
-                }
-            }
-        }
-
-        if (wantCands.size() != gotCands.size()) {
-            note(at + "candidate count " + std::to_string(gotCands.size()) +
-                 ", want " + std::to_string(wantCands.size()));
-            continue;
-        }
-        cov->candidates += static_cast<long long>(gotCands.size());
-        for (size_t j = 0; j < gotCands.size(); ++j) {
-            const reference::Candidate& w = wantCands[j];
-            const RouteCandidate& g = gotCands[j];
-            const std::string cat = at + "candidate " + std::to_string(j) + " ";
-            if (w.backboneId != g.backboneId) {
-                note(cat + "backboneId");
-                continue;
-            }
-            const BackboneShape& shape =
-                shapes[static_cast<size_t>(g.backboneId)];
-            if (!(shape.backbone == w.backbone)) note(cat + "backbone");
-            if (shape.bitTopologies != w.bitTopologies) {
-                note(cat + "bit topologies");
-            }
-            if (w.hLayer != g.hLayer || w.vLayer != g.vLayer) {
-                note(cat + "layer pair");
-            }
-            if (!sameBits(w.cost, g.cost)) note(cat + "cost");
-            if (w.wirelength2d != g.wirelength2d) note(cat + "wirelength2d");
-            if (w.viaCount != g.viaCount) note(cat + "viaCount");
-            if (w.edgeUse != g.edgeUse) note(cat + "edgeUse");
-            if (w.viaUse != g.viaUse) note(cat + "viaUse");
-        }
+        objectDifferences(design, obj, prob.shapes[static_cast<size_t>(i)],
+                          prob.candidates[static_cast<size_t>(i)], want.back(),
+                          opts, "object " + std::to_string(i) + " ", cov,
+                          &out);
     }
 
     std::vector<PairBlock> wantBlocks;
@@ -495,14 +515,142 @@ TEST(ProblemBuildEquivalence, MatchesPerLayerPairExpansion) {
     std::cout << cov.designs << " designs, " << cov.candidates
               << " candidates, " << cov.pairCells << " pair-block cells, "
               << cov.backbonesWithoutCandidate
-              << " backbones with no surviving candidate, " << cov.mismatches
-              << " mismatches\n";
+              << " backbones with no surviving candidate, "
+              << cov.shiftedMembers << " shifted and " << cov.remappedMembers
+              << " remapped members, " << cov.mismatches << " mismatches\n";
     EXPECT_EQ(cov.designs, 72);
     EXPECT_EQ(cov.mismatches, 0);
     EXPECT_GT(cov.pairCells, 0);
     // Clustering reads backbones that no candidate kept; the set must
     // contain some, or it would not tell shapes from candidates.
     EXPECT_GT(cov.backbonesWithoutCandidate, 0);
+    // Both ways of building an equivalent topology are compared.
+    EXPECT_GT(cov.shiftedMembers, 0);
+    EXPECT_GT(cov.remappedMembers, 0);
+}
+
+TEST(ProblemBuildEquivalence, ShapesAtTheGridBorder) {
+    // Groups that touch the grid's last row and column: the shapes'
+    // boxes end on the border, where no edge leaves the grid.
+    const Design touching = testutil::makeDesign(
+        {testutil::makeBusGroup({{9, 15}, {15, 15}, {15, 9}}, 4, -1, -1,
+                                "corner"),
+         testutil::makeBusGroup({{2, 15}, {8, 15}, {5, 11}}, 3, 0, -1,
+                                "top"),
+         testutil::makeBusGroup({{15, 0}, {15, 5}, {12, 3}}, 3, -1, 0,
+                                "right")},
+        16, 16);
+    Coverage cov;
+    StreakOptions opts;
+    opts.threads = 1;
+    compareOn(touching, opts, &cov);
+    EXPECT_EQ(cov.mismatches, 0);
+    EXPECT_GT(cov.candidates, 0);
+    EXPECT_GT(cov.shiftedMembers, 0);
+
+    // Hand-built objects with pins around and beyond the border: the
+    // counts clip to the grid as the reference's filters do, on both
+    // the shift and the remap path.
+    std::mt19937 rng(4099);
+    std::uniform_int_distribution<int> coord(-3, 18);
+    std::uniform_int_distribution<int> offset(-4, 4);
+    std::uniform_int_distribution<int> pinCount(2, 4);
+    int offGrid = 0;
+    for (int round = 0; round < 100; ++round) {
+        const int pins = pinCount(rng);
+        Design design = testutil::makeDesign({SignalGroup{}}, 16, 16);
+        SignalGroup& group = design.groups[0];
+        RoutingObject obj;
+        Bit rep;
+        for (int k = 0; k < pins; ++k) {
+            rep.pins.push_back({coord(rng), coord(rng)});
+        }
+        const geom::Point d{offset(rng), offset(rng)};
+        Bit moved = rep;
+        for (geom::Point& p : moved.pins) p = {p.x + d.x, p.y + d.y};
+        Bit unrelated;
+        for (int k = 0; k < pins; ++k) {
+            unrelated.pins.push_back({coord(rng), coord(rng)});
+        }
+        group.bits = {rep, moved, unrelated};
+        std::vector<int> pinMap(static_cast<size_t>(pins));
+        std::iota(pinMap.begin(), pinMap.end(), 0);
+        obj.bitIndices = {0, 1, 2};
+        obj.pinMaps = {pinMap, pinMap, pinMap};
+        for (const Bit& b : group.bits) {
+            for (const geom::Point p : b.pins) {
+                offGrid += design.grid.contains(p) ? 0 : 1;
+            }
+        }
+        const ObjectCandidates got = generateCandidates(design, obj, opts);
+        std::vector<std::string> diffs;
+        objectDifferences(design, obj, got.shapes, got.candidates,
+                          reference::generateCandidates(design, obj, opts),
+                          opts, "round " + std::to_string(round) + " ", &cov,
+                          &diffs);
+        for (size_t k = 0; k < std::min<size_t>(diffs.size(), 5); ++k) {
+            ADD_FAILURE() << diffs[k];
+        }
+    }
+    EXPECT_GT(offGrid, 0);
+    EXPECT_GT(cov.remappedMembers, 0);
+}
+
+TEST(ProblemBuildEquivalence, SparseShapesAcrossALargeGrid) {
+    // Two-bit groups between opposite corners of a 300 x 300 grid, and
+    // one on its four corners: their boxes hold 50-75 cells per unit of
+    // pin and wire demand, so their demand is sorted instead of counted
+    // over the box. The bits are shifts of each other, so both the
+    // moved via points and the sort are compared.
+    const Design sparse = testutil::makeDesign(
+        {testutil::makeBusGroup({{2, 2}, {297, 296}}, 2, 1, 0, "diagonal"),
+         testutil::makeBusGroup({{5, 290}, {290, 5}}, 2, 0, 1, "anti"),
+         testutil::makeBusGroup({{1, 1}, {298, 1}, {1, 298}, {298, 298}}, 2,
+                                -1, 0, "corners")},
+        300, 300);
+    Coverage cov;
+    StreakOptions opts;
+    opts.threads = 1;
+    compareOn(sparse, opts, &cov);
+    EXPECT_EQ(cov.mismatches, 0);
+    EXPECT_GT(cov.candidates, 0);
+    EXPECT_GT(cov.shiftedMembers, 0);
+}
+
+TEST(ProblemBuildEquivalence, ShiftWithPermutedPinsAndAnotherDriver) {
+    // The member is the representative moved by (3, -2), listing its pins
+    // in another order and driven from another pin: memberShifts finds
+    // the shift through the pin map, and the moved wire over the
+    // member's own pins and driver is what the remap builds.
+    SignalGroup group;
+    group.bits.push_back(testutil::makeBit({{1, 4}, {9, 4}, {9, 10}, {4, 12}}));
+    Bit member;
+    member.pins = {{12, 8}, {4, 2}, {7, 10}, {12, 2}};
+    member.driver = 2;
+    group.bits.push_back(member);
+    RoutingObject obj;
+    obj.bitIndices = {0, 1};
+    obj.pinMaps = {{0, 1, 2, 3}, {2, 0, 3, 1}};
+    const MemberShifts shifts = memberShifts(group, obj);
+    ASSERT_EQ(shifts.size(), 2u);
+    EXPECT_EQ(shifts[0], (geom::Point{0, 0}));
+    EXPECT_EQ(shifts[1], (geom::Point{3, -2}));
+    const std::vector<steiner::Topology> backbones =
+        generateBackbones(group, obj, BackboneOptions{});
+    ASSERT_FALSE(backbones.empty());
+    for (const steiner::Topology& backbone : backbones) {
+        const std::vector<steiner::Topology> got =
+            equivalentTopologies(backbone, group, obj, shifts);
+        ASSERT_EQ(got.size(), 2u);
+        for (int k = 0; k < 2; ++k) {
+            EXPECT_TRUE(got[static_cast<size_t>(k)] ==
+                        reference::equivalentTopology(backbone, group, obj, k))
+                << "member " << k;
+        }
+        EXPECT_EQ(got[1].pins(), member.pins);
+        EXPECT_EQ(got[1].driverIndex(), 2);
+        EXPECT_TRUE(got[1].isTree());
+    }
 }
 
 TEST(ProblemBuildEquivalence, EquivalentTopologiesOnUnrelatedPins) {
@@ -530,8 +678,8 @@ TEST(ProblemBuildEquivalence, EquivalentTopologiesOnUnrelatedPins) {
         }
         for (const steiner::Topology& backbone :
              generateBackbones(group, obj, BackboneOptions{})) {
-            const std::vector<steiner::Topology> got =
-                equivalentTopologies(backbone, group, obj);
+            const std::vector<steiner::Topology> got = equivalentTopologies(
+                backbone, group, obj, memberShifts(group, obj));
             ASSERT_EQ(got.size(), 3u);
             for (int k = 0; k < 3; ++k) {
                 const steiner::Topology want =

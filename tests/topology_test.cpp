@@ -119,12 +119,24 @@ TEST(Topology, RemoveSegment) {
 
 TEST(Topology, TranslatePreservesShape) {
     const Topology t = lShape();
-    const Topology moved = t.translate(2, -1);
+    const Topology moved = t.translate({2, -1}, {{2, -1}, {5, 1}}, 0);
     EXPECT_EQ(moved.wirelength(), t.wirelength());
     EXPECT_EQ(moved.bendCount(), t.bendCount());
     EXPECT_TRUE(moved.isTree());
-    EXPECT_EQ(moved.pins()[0], (Point{2, -1}));
-    EXPECT_EQ(moved.pins()[1], (Point{5, 1}));
+    for (const UnitEdge& e : t.wire()) {
+        EXPECT_TRUE(moved.hasEdge({{e.at.x + 2, e.at.y - 1}, e.horizontal}));
+    }
+}
+
+TEST(Topology, TranslateLaysTheWireOverTheGivenPins) {
+    // The same moved wire over the pins in another order, driven from
+    // the other end: what an equivalent topology of a shifted bit is.
+    const Topology moved = lShape().translate({1, 1}, {{4, 3}, {1, 1}}, 1);
+    Topology want({{4, 3}, {1, 1}}, 1);
+    want.addLShape({1, 1}, {4, 3}, {4, 1});
+    EXPECT_TRUE(moved == want);
+    EXPECT_EQ(moved.driverPin(), (Point{1, 1}));
+    EXPECT_EQ(moved.sourceToSinkDistances(), (std::vector<int>{5, 0}));
 }
 
 TEST(Topology, WireHashIdenticalForEqualShapes) {
@@ -133,7 +145,7 @@ TEST(Topology, WireHashIdenticalForEqualShapes) {
     b.addSegment({{0, 0}, {3, 0}});
     b.addSegment({{3, 0}, {3, 2}});
     EXPECT_EQ(a.wireHash(), b.wireHash());
-    const Topology c = a.translate(1, 0);
+    const Topology c = a.translate({1, 0}, a.pins(), 0);
     EXPECT_NE(a.wireHash(), c.wireHash());
 }
 

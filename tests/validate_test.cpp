@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "gen/generator.hpp"
 #include "test_util.hpp"
 
@@ -48,7 +52,12 @@ TEST(Validate, BadDriverIndexIsError) {
     EXPECT_FALSE(isRoutable(validateDesign(d)));
 }
 
-TEST(Validate, SinglePinBitIsError) {
+int countWarnings(const std::vector<ValidationIssue>& issues) {
+    return static_cast<int>(issues.size()) - countErrors(issues);
+}
+
+TEST(Validate, SinglePinBitIsWarning) {
+    // A run routes a single-pin bit with no wire, so it is no error.
     SignalGroup g;
     Bit b;
     b.name = "lonely";
@@ -56,13 +65,48 @@ TEST(Validate, SinglePinBitIsError) {
     b.driver = 0;
     g.name = "g";
     g.bits.push_back(std::move(b));
-    EXPECT_FALSE(isRoutable(validateDesign(testutil::makeDesign({g}))));
+    const auto issues = validateDesign(testutil::makeDesign({g}));
+    EXPECT_EQ(countWarnings(issues), 1);
+    EXPECT_EQ(countErrors(issues), 0);
+    EXPECT_TRUE(isRoutable(issues));
 }
 
-TEST(Validate, EmptyGroupIsError) {
+TEST(Validate, EmptyGroupIsWarning) {
     SignalGroup g;
     g.name = "empty";
-    EXPECT_FALSE(isRoutable(validateDesign(testutil::makeDesign({g}))));
+    const auto issues = validateDesign(testutil::makeDesign({g}));
+    EXPECT_EQ(countWarnings(issues), 1);
+    EXPECT_EQ(countErrors(issues), 0);
+    EXPECT_TRUE(isRoutable(issues));
+}
+
+TEST(Validate, ErrorsAreExactlyWhatRunsReject) {
+    // `streak info` and `streak route` agree: a design validateDesign
+    // finds an error in is one validatePins rejects, and no other.
+    const auto bus = [] {
+        return testutil::makeDesign(
+            {testutil::makeBusGroup({{2, 4}, {14, 4}}, 2, 0, 1)}, 16, 16);
+    };
+    std::vector<std::pair<std::string, Design>> cases;
+    cases.emplace_back("clean", bus());
+    cases.emplace_back("single pin", bus());
+    cases.back().second.groups[0].bits[1].pins.resize(1);
+    cases.emplace_back("empty group", bus());
+    cases.back().second.groups.push_back(SignalGroup{"empty", {}});
+    cases.emplace_back("duplicate pin", bus());
+    cases.back().second.groups[0].bits[0].pins[1] =
+        cases.back().second.groups[0].bits[0].pins[0];
+    cases.emplace_back("no pins", bus());
+    cases.back().second.groups[0].bits[0].pins.clear();
+    cases.emplace_back("bad driver", bus());
+    cases.back().second.groups[0].bits[1].driver = 2;
+    cases.emplace_back("pin off the grid", bus());
+    cases.back().second.groups[0].bits[0].pins[1] = {16, 4};
+    for (const auto& [name, design] : cases) {
+        EXPECT_EQ(isRoutable(validateDesign(design)),
+                  validatePins(design).empty())
+            << name;
+    }
 }
 
 TEST(Validate, DuplicatePinIsWarningOnly) {
