@@ -12,10 +12,13 @@
 #include <vector>
 
 #include "core/candidate.hpp"
+#include "core/distance.hpp"
 #include "core/identify.hpp"
+#include "core/pd_solver.hpp"
 #include "core/problem.hpp"
 #include "core/regularity.hpp"
 #include "core/similarity.hpp"
+#include "core/solution.hpp"
 #include "gen/generator.hpp"
 #include "ilp/lp.hpp"
 #include "route/maze.hpp"
@@ -76,33 +79,57 @@ BENCHMARK(BM_EnumerateTopologies_Lambda)->Arg(0)->Arg(2)->Arg(8);
 /// One wire-graph query (the argument picks it: 0 graph(), 1
 /// viaPoints(), 2 structure(), 3 isTree(), 4 sourceToSinkDistances())
 /// over every equivalent bit topology of full-size synth5. The problem
-/// is built once, outside the timed loop.
+/// is built and the member topologies gathered through
+/// BackboneShape::memberTopology once, outside the timed loop.
 void BM_TopologyQueries(benchmark::State& state) {
     const Design d = gen::makeSynth(5);
     StreakOptions opts;
     opts.threads = 1;
     const RoutingProblem prob = buildProblem(d, opts);
-    std::vector<const steiner::Topology*> topos;
-    for (const std::vector<BackboneShape>& shapes : prob.shapes) {
-        for (const BackboneShape& shape : shapes) {
-            for (const steiner::Topology& t : shape.bitTopologies) topos.push_back(&t);
+    std::vector<steiner::Topology> topos;
+    for (size_t i = 0; i < prob.shapes.size(); ++i) {
+        const RoutingObject& obj = prob.objects[i];
+        const SignalGroup& group =
+            d.groups[static_cast<size_t>(obj.groupIndex)];
+        for (const BackboneShape& shape : prob.shapes[i]) {
+            for (int k = 0; k < obj.width(); ++k) {
+                topos.push_back(shape.memberTopology(group, obj, k));
+            }
         }
     }
     const auto query = state.range(0);
     for (auto _ : state) {
-        for (const steiner::Topology* t : topos) {
+        for (const steiner::Topology& t : topos) {
             switch (query) {
-                case 0: benchmark::DoNotOptimize(t->graph()); break;
-                case 1: benchmark::DoNotOptimize(t->viaPoints()); break;
-                case 2: benchmark::DoNotOptimize(t->structure()); break;
-                case 3: benchmark::DoNotOptimize(t->isTree()); break;
-                default: benchmark::DoNotOptimize(t->sourceToSinkDistances());
+                case 0: benchmark::DoNotOptimize(t.graph()); break;
+                case 1: benchmark::DoNotOptimize(t.viaPoints()); break;
+                case 2: benchmark::DoNotOptimize(t.structure()); break;
+                case 3: benchmark::DoNotOptimize(t.isTree()); break;
+                default: benchmark::DoNotOptimize(t.sourceToSinkDistances());
             }
         }
     }
     state.SetLabel(std::to_string(topos.size()) + " topologies");
 }
 BENCHMARK(BM_TopologyQueries)->DenseRange(0, 4)->ArgName("query");
+
+/// The distance analysis (Sec. IV-C) of full-size synth2 as the
+/// primal-dual solver routes it, at one thread. The design is routed and
+/// materialized once, outside the timed loop.
+void BM_AnalyzeDistances(benchmark::State& state) {
+    const Design d = gen::makeSynth(2);
+    StreakOptions opts;
+    opts.threads = 1;
+    const RoutingProblem prob = buildProblem(d, opts);
+    const RoutedDesign routed =
+        materialize(prob, solvePrimalDual(prob).solution);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            analyzeDistances(prob, routed, opts.distanceThresholdFraction));
+    }
+    state.SetLabel(std::to_string(routed.routedBits()) + " routed bits");
+}
+BENCHMARK(BM_AnalyzeDistances);
 
 /// Full-size synth`suite`, with synth5 capped at 5 pins; or, for suite
 /// 0, eight two-bit groups, each between opposite corners of a

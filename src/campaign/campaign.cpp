@@ -433,6 +433,20 @@ int diffExitCode(const DiffReport& report) {
     return report.ok() ? 0 : 8;  // 8: the CLI's campaign-regression code
 }
 
+std::string Regression::stage() const {
+    if (kind == "quality") return kind;
+    return metric.substr(0, metric.find('/'));
+}
+
+std::map<std::string, int> regressionsByStage(
+    const std::vector<DiffReport>& reports) {
+    std::map<std::string, int> tally;
+    for (const DiffReport& report : reports) {
+        for (const Regression& r : report.regressions) ++tally[r.stage()];
+    }
+    return tally;
+}
+
 json::Value verdictJson(const std::vector<DiffReport>& reports) {
     json::Object o;
     o.set("schema", kVerdictSchema);
@@ -450,6 +464,7 @@ json::Value verdictJson(const std::vector<DiffReport>& reports) {
         for (const Regression& r : report.regressions) {
             json::Object reg;
             reg.set("kind", r.kind);
+            reg.set("stage", r.stage());
             reg.set("config", r.config);
             reg.set("instance", r.instance);
             reg.set("metric", r.metric);
@@ -469,6 +484,11 @@ json::Value verdictJson(const std::vector<DiffReport>& reports) {
     }
     o.set("ok", total == 0);
     o.set("regressionCount", total);
+    json::Object byStage;
+    for (const auto& [stage, count] : regressionsByStage(reports)) {
+        byStage.set(stage, count);
+    }
+    o.set("regressionsByStage", std::move(byStage));
     o.set("comparisons", std::move(comparisons));
     return o;
 }

@@ -144,6 +144,11 @@ struct Regression {
     double baseline = 0.0;
     double current = 0.0;
     double growthPercent = 0.0;
+
+    /// The flow stage that regressed: a counter's prefix before '/'
+    /// ("build", "solve", "ilp", "distance", "post", "route"), or
+    /// "quality".
+    [[nodiscard]] std::string stage() const;
 };
 
 /// Outcome of one comparison against a baseline store.
@@ -174,7 +179,12 @@ struct DiffReport {
 /// flagged, else 0.
 [[nodiscard]] int diffExitCode(const DiffReport& report);
 
-/// The machine-readable verdict over every comparison that ran.
+/// Regressions per stage (Regression::stage) over every comparison.
+[[nodiscard]] std::map<std::string, int> regressionsByStage(
+    const std::vector<DiffReport>& reports);
+
+/// The machine-readable verdict over every comparison that ran. Each
+/// regression names its stage, and `regressionsByStage` tallies them.
 [[nodiscard]] obs::json::Value verdictJson(
     const std::vector<DiffReport>& reports);
 

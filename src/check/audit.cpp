@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "core/candidate.hpp"
 
@@ -87,11 +88,15 @@ AuditResult auditProblem(const RoutingProblem& prob) {
         }
         const auto& shapes = prob.shapes[static_cast<size_t>(i)];
         for (size_t b = 0; b < shapes.size(); ++b) {
-            if (static_cast<int>(shapes[b].bitTopologies.size()) !=
-                obj.width()) {
-                r.addf("object {} backbone {}: {} bit topologies for a "
-                       "{}-bit object",
-                       i, b, shapes[b].bitTopologies.size(), obj.width());
+            const BackboneShape& shape = shapes[b];
+            const auto remapped = std::count(shape.shifts.begin(),
+                                             shape.shifts.end(), std::nullopt);
+            if (static_cast<int>(shape.shifts.size()) != obj.width() ||
+                static_cast<long>(shape.remaps.size()) != remapped) {
+                r.addf("object {} backbone {}: {} member shifts and {} "
+                       "remaps for a {}-bit object with {} remapped members",
+                       i, b, shape.shifts.size(), shape.remaps.size(),
+                       obj.width(), remapped);
             }
         }
         const auto& cands = prob.candidates[static_cast<size_t>(i)];

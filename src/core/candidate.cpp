@@ -53,35 +53,49 @@ constexpr long kSparseCellsPerDemand = 16;
 /// ascending cell index, and edge runs sorted by (y, x). A dense shape is
 /// counted per G-Cell of its bounding box, clipped to the grid, and read
 /// out row by row; a sparse one's (cell, kind) keys are sorted and
-/// counted. A shifted bit's via points are the backbone's moved, and its
-/// box the backbone's moved.
+/// counted. A shifted member's wire, via points and box are the
+/// backbone's moved; its pins are its own.
 BackboneShape makeShape(const grid::RoutingGrid& grid,
                         steiner::Topology backbone, const SignalGroup& group,
                         const RoutingObject& object,
                         const MemberShifts& shifts) {
     BackboneShape shape;
-    shape.bitTopologies =
-        equivalentTopologies(backbone, group, object, shifts);
+    shape.remaps = remappedTopologies(backbone, group, object, shifts);
+    shape.shifts = shifts;
     shape.backbone = std::move(backbone);
-    const std::vector<geom::Point> backboneVias = shape.backbone.viaPoints();
-    const geom::Rect backboneBox = shape.backbone.bounds();
+    const steiner::Topology& bb = shape.backbone;
+    const std::vector<geom::Point> backboneVias = bb.viaPoints();
+    const geom::Rect backboneBox = bb.bounds();
+
+    // Each member's stored remap, or null for a shifted member.
+    std::vector<const steiner::Topology*> remapOf(shifts.size(), nullptr);
+    auto next = shape.remaps.begin();
+    for (size_t k = 0; k < shifts.size(); ++k) {
+        if (!shifts[k]) remapOf[k] = &*next++;
+    }
 
     // Via points lie on the wire, so pins and wire bound every count.
     const auto bitBox = [&](size_t k) {
         const std::optional<geom::Point>& d = shifts[k];
-        if (!d) return shape.bitTopologies[k].bounds();
+        if (!d) return remapOf[k]->bounds();
         return geom::Rect{{backboneBox.lo.x + d->x, backboneBox.lo.y + d->y},
                           {backboneBox.hi.x + d->x, backboneBox.hi.y + d->y}};
     };
+    const auto wireOf = [&](size_t k) -> const steiner::Topology& {
+        return shifts[k] ? bb : *remapOf[k];
+    };
     geom::Rect box = bitBox(0);
-    for (size_t k = 1; k < shape.bitTopologies.size(); ++k) {
+    for (size_t k = 1; k < shifts.size(); ++k) {
         const geom::Rect b = bitBox(k);
         box.expand(b.lo);
         box.expand(b.hi);
     }
     long pinsAndWire = 0;
-    for (const steiner::Topology& t : shape.bitTopologies) {
-        pinsAndWire += static_cast<long>(t.pins().size()) + t.wirelength();
+    for (size_t k = 0; k < shifts.size(); ++k) {
+        pinsAndWire +=
+            static_cast<long>(
+                memberBit(group, object, static_cast<int>(k)).pins.size()) +
+            wireOf(k).wirelength();
     }
     box.lo = {std::max(box.lo.x, 0), std::max(box.lo.y, 0)};
     box.hi = {std::min(box.hi.x, grid.width() - 1),
@@ -101,22 +115,28 @@ BackboneShape makeShape(const grid::RoutingGrid& grid,
         };
         int bends = 0;
         int pins = 0;
-        for (size_t k = 0; k < shape.bitTopologies.size(); ++k) {
-            const steiner::Topology& t = shape.bitTopologies[k];
+        for (size_t k = 0; k < shifts.size(); ++k) {
+            const std::vector<geom::Point>& memberPins =
+                memberBit(group, object, static_cast<int>(k)).pins;
+            const steiner::Topology& t = wireOf(k);
+            const geom::Point d = shifts[k].value_or(geom::Point{0, 0});
             shape.wirelength2d += t.wirelength();
-            pins += static_cast<int>(t.pins().size());
-            addVias(t.pins(), {0, 0});
-            if (const std::optional<geom::Point>& d = shifts[k]) {
+            pins += static_cast<int>(memberPins.size());
+            addVias(memberPins, {0, 0});
+            if (shifts[k]) {
                 bends += static_cast<int>(backboneVias.size());
-                addVias(backboneVias, *d);
+                addVias(backboneVias, d);
             } else {
                 const std::vector<geom::Point> vias = t.viaPoints();
                 bends += static_cast<int>(vias.size());
-                addVias(vias, {0, 0});
+                addVias(vias, d);
             }
             for (const steiner::UnitEdge& e : t.wire()) {
-                if (grid.contains(e.at) && grid.contains(e.other())) {
-                    add(e.at, e.horizontal ? kHorizontal : kVertical);
+                const geom::Point at{e.at.x + d.x, e.at.y + d.y};
+                const geom::Point other{e.other().x + d.x,
+                                        e.other().y + d.y};
+                if (grid.contains(at) && grid.contains(other)) {
+                    add(at, e.horizontal ? kHorizontal : kVertical);
                 }
             }
         }
@@ -208,6 +228,19 @@ std::vector<std::pair<int, int>> layerPairs(const grid::RoutingGrid& grid,
 }
 
 }  // namespace
+
+steiner::Topology BackboneShape::memberTopology(const SignalGroup& group,
+                                                const RoutingObject& object,
+                                                int k) const {
+    const auto m = static_cast<size_t>(k);
+    if (const std::optional<geom::Point>& d = shifts[m]) {
+        const Bit& member = memberBit(group, object, k);
+        return backbone.translate(*d, member.pins, member.driver);
+    }
+    const auto remap = std::count(shifts.begin(), shifts.begin() + k,
+                                  std::nullopt);
+    return remaps[static_cast<size_t>(remap)];
+}
 
 std::vector<std::pair<int, int>> computeEdgeUse(const grid::RoutingGrid& grid,
                                                 const steiner::Topology& topo,

@@ -6,14 +6,16 @@
 // carrying its cost c(i, j) and per-edge track demand u_el(i, j) used by
 // formulation (3). A shape's demand is counted per G-Cell of its
 // bounding box and read out in (y, x) order, with no sort, unless the box
-// has so many cells per unit of demand that sorting costs less; a bit
-// that is a pure shift of the representative takes the backbone's via
-// points moved.
+// has so many cells per unit of demand that sorting costs less. A bit
+// that is a pure shift of the representative is never stored: the shape
+// keeps its offset, counts its demand from the backbone's wire and via
+// points moved, and derives its topology only when it is read.
 #pragma once
 
 #include <utility>
 #include <vector>
 
+#include "core/equiv.hpp"
 #include "core/identify.hpp"
 #include "core/options.hpp"
 #include "core/signal.hpp"
@@ -30,14 +32,18 @@ struct EdgeRun {
 };
 
 /// The layer-independent part of every candidate of one backbone: the
-/// 2-D backbone, its equivalent topology per bit, and the demand they
-/// place on the grid before a layer pair is chosen. Built once per
-/// backbone; its layer pairs, the pair-cost blocks and bottom-up
-/// clustering all read it.
+/// 2-D backbone, how each bit's equivalent topology derives from it, and
+/// the demand they place on the grid before a layer pair is chosen.
+/// Built once per backbone; its layer pairs, the pair-cost blocks and
+/// bottom-up clustering all read it.
 struct BackboneShape {
     steiner::Topology backbone;
-    /// Equivalent topologies, aligned with object.bitIndices.
-    std::vector<steiner::Topology> bitTopologies;
+    /// The object's member shifts (aligned with object.bitIndices): the
+    /// offset that moves the backbone onto each member, or nullopt for a
+    /// member that is remapped.
+    MemberShifts shifts;
+    /// The remapped members' equivalent topologies, in member order.
+    std::vector<steiner::Topology> remaps;
     long wirelength2d = 0;  // total over bits
     int viaCount = 0;       // total over bits (bends + pin stacks)
     /// Via-slot demand per G-Cell (pin access stacks + layer-change
@@ -49,6 +55,14 @@ struct BackboneShape {
     /// ascending.
     std::vector<EdgeRun> hRuns;
     std::vector<EdgeRun> vRuns;
+
+    /// The equivalent topology of member `k` (into object.bitIndices) of
+    /// the object this shape was built for: the backbone moved by the
+    /// member's shift over the member's own pins and driver, or its
+    /// stored remap. Equal to equivalentTopology(backbone, group, object,
+    /// k). The only way to read a member's topology.
+    [[nodiscard]] steiner::Topology memberTopology(
+        const SignalGroup& group, const RoutingObject& object, int k) const;
 };
 
 struct RouteCandidate {

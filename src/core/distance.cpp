@@ -1,6 +1,9 @@
 #include "core/distance.hpp"
 
 #include <algorithm>
+#include <compare>
+#include <cstdint>
+#include <deque>
 #include <limits>
 #include <map>
 #include <numeric>
@@ -107,6 +110,122 @@ std::vector<FamilyMember> buildGroupFamilies(
     return family;
 }
 
+/// A wire's shape up to a move, with its driver: the wire's length, a
+/// hash of its edges and the driver's place, both taken relative to the
+/// wire's first edge. Wires equal up to one offset, with drivers that
+/// offset apart, have equal keys.
+struct WalkKey {
+    size_t length = 0;
+    std::uint64_t hash = 0;
+    geom::Point driver;
+
+    friend auto operator<=>(const WalkKey&, const WalkKey&) = default;
+};
+
+/// Needs a wire.
+WalkKey walkKey(const steiner::Topology& t) {
+    const geom::Point o = t.wire().front().at;
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const steiner::UnitEdge& e : t.wire()) {
+        const std::uint64_t v =
+            (static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.at.x - o.x))
+             << 33) ^
+            (static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.at.y - o.y))
+             << 1) ^
+            (e.horizontal ? 1u : 0u);
+        h = (h ^ v) * 0x100000001b3ull;
+    }
+    const geom::Point p = t.driverPin();
+    return {t.wire().size(), h, {p.x - o.x, p.y - o.y}};
+}
+
+/// The offset that moves `a`'s first wire edge onto `b`'s. Both need a
+/// wire.
+geom::Point firstEdgeOffset(const steiner::Topology& a,
+                            const steiner::Topology& b) {
+    const geom::Point p = a.wire().front().at;
+    const geom::Point q = b.wire().front().at;
+    return {q.x - p.x, q.y - p.y};
+}
+
+/// True when `b`'s wire is `a`'s moved by `d`.
+bool movedBy(const steiner::Topology& a, const steiner::Topology& b,
+             geom::Point d) {
+    return std::equal(a.wire().begin(), a.wire().end(), b.wire().begin(),
+                      b.wire().end(),
+                      [&](const steiner::UnitEdge& x,
+                          const steiner::UnitEdge& y) {
+                          return x.horizontal == y.horizontal &&
+                                 x.at.x + d.x == y.at.x &&
+                                 x.at.y + d.y == y.at.y;
+                      });
+}
+
+/// True when a wire edge ends at `p`.
+bool onWire(const steiner::Topology& t, geom::Point p) {
+    return t.hasEdge({p, true}) || t.hasEdge({p, false}) ||
+           t.hasEdge({{p.x - 1, p.y}, true}) ||
+           t.hasEdge({{p.x, p.y - 1}, false});
+}
+
+/// Source-to-sink distances (Topology::sourceToSinkDistances) of one
+/// group's bits, with one BFS per wire shape: bits whose wires are equal
+/// up to one offset d, with their drivers d apart, read the walk of the
+/// first of them, pin i at pins[i] - d.
+class GroupWalks {
+public:
+    [[nodiscard]] std::vector<int> distances(const steiner::Topology& t) {
+        const std::vector<geom::Point>& pins = t.pins();
+        std::vector<int> dist(pins.size(), -1);
+        if (!onWire(t, t.driverPin())) {
+            // A driver off the wire, or no wire: only pins at the
+            // driver's location have a distance (zero).
+            for (size_t i = 0; i < pins.size(); ++i) {
+                if (pins[i] == t.driverPin()) dist[i] = 0;
+            }
+            return dist;
+        }
+        const Walk& w = walkFor(t);
+        const geom::Point d = firstEdgeOffset(*w.topo, t);
+        for (size_t i = 0; i < pins.size(); ++i) {
+            const int p = w.graph.indexOf({pins[i].x - d.x, pins[i].y - d.y});
+            if (p >= 0) dist[i] = w.hops[static_cast<size_t>(p)];
+        }
+        return dist;
+    }
+
+    /// BFS walks run so far.
+    [[nodiscard]] long long walks() const {
+        return static_cast<long long>(walks_.size());
+    }
+
+private:
+    struct Walk {
+        const steiner::Topology* topo = nullptr;  // the bit that ran it
+        steiner::WireGraph graph;
+        std::vector<int> hops;  // from the driver, per graph point
+    };
+
+    /// The walk over `t`'s wire moved, run now if no earlier bit's fits.
+    /// Needs the driver on the wire.
+    const Walk& walkFor(const steiner::Topology& t) {
+        std::vector<size_t>& same = byKey_[walkKey(t)];
+        for (const size_t k : same) {
+            const steiner::Topology& a = *walks_[k].topo;
+            if (movedBy(a, t, firstEdgeOffset(a, t))) return walks_[k];
+        }
+        same.push_back(walks_.size());
+        Walk& w = walks_.emplace_back();
+        w.topo = &t;
+        w.graph = t.graph();
+        w.hops = w.graph.distancesFrom(w.graph.indexOf(t.driverPin()));
+        return w;
+    }
+
+    std::map<WalkKey, std::vector<size_t>> byKey_;
+    std::deque<Walk> walks_;
+};
+
 /// Routed bit indices of each group, in routed order.
 std::vector<std::vector<int>> bitsByGroup(const RoutingProblem& prob,
                                           const RoutedDesign& routed) {
@@ -172,19 +291,24 @@ std::vector<GroupDistanceReport> analyzeDistances(
     // Routed bits whose distances each analyzed group computed (one slot
     // per task, so the tasks never share one).
     std::vector<long long> bitsAnalyzed(todo.size(), 0);
+    // BFS walks each analyzed group ran (one slot per task).
+    std::vector<long long> walksRun(todo.size(), 0);
 
     // Groups analyze independently: a routed bit belongs to exactly one
-    // group, so the per-bit BFS distance cache can live inside the task.
+    // group, so the per-bit distance cache and the walks shared between
+    // translated wires can live inside the task.
     const auto analyzeGroup = [&](int task) {
         const int g = todo[static_cast<size_t>(task)];
+        GroupWalks walks;
         std::map<int, std::vector<int>> distCache;
         const auto distancesOf = [&](int routedBit) -> const std::vector<int>& {
             auto it = distCache.find(routedBit);
             if (it == distCache.end()) {
                 it = distCache
                          .emplace(routedBit,
-                                  routed.bits[static_cast<size_t>(routedBit)]
-                                      .topo.sourceToSinkDistances())
+                                  walks.distances(
+                                      routed.bits[static_cast<size_t>(routedBit)]
+                                          .topo))
                          .first;
             }
             return it->second;
@@ -239,6 +363,7 @@ std::vector<GroupDistanceReport> analyzeDistances(
         }
         bitsAnalyzed[static_cast<size_t>(task)] =
             static_cast<long long>(distCache.size());
+        walksRun[static_cast<size_t>(task)] = walks.walks();
         return rep;
     };
 
@@ -252,7 +377,10 @@ std::vector<GroupDistanceReport> analyzeDistances(
     if (obs::detailEnabled()) {
         long long bits = 0;
         for (const long long n : bitsAnalyzed) bits += n;
+        long long walkCount = 0;
+        for (const long long n : walksRun) walkCount += n;
         obs::session().counter("distance/analyze.bits").add(bits);
+        obs::session().counter("distance/analyze.walks").add(walkCount);
     }
     return reports;
 }

@@ -7,6 +7,13 @@
 // distance spread exceeds the threshold (a fraction — the paper uses 50% —
 // of the group's maximum initial source-to-sink distance).
 //
+// Within one group's analysis, bits whose sorted wires are equal up to
+// one offset d, with their drivers also d apart, share one BFS walk: pin
+// i reads the walk's hop count at pins[i] - d, or -1 where that point is
+// off the wire. A bit with no wire, or with its driver off the wire,
+// runs no walk, and only its pins at the driver's place get a distance
+// (zero), as Topology::sourceToSinkDistances gives.
+//
 // A group's report depends only on its own routed bits and its
 // threshold, so a re-analysis can take the previous reports and a mask of
 // the groups whose routed wires changed, and copy every other report.
@@ -50,6 +57,10 @@ struct GroupDistanceReport {
 /// analyze in parallel (`prob.opts.threads`) with reports collected by
 /// group index, so the output is independent of the thread count;
 /// `parallelStats` accumulates the stage's region stats.
+///
+/// Behind the detail gate, `distance/analyze.bits` counts the routed bits
+/// whose distances were computed and `distance/analyze.walks` the BFS
+/// walks run for them.
 ///
 /// With `previous` and `changed` (both group-indexed), only the groups
 /// flagged in `changed` are analyzed and every other report is copied

@@ -12,13 +12,6 @@ namespace streak {
 
 namespace {
 
-/// The bit at `memberIndex` of the object.
-const Bit& memberBit(const SignalGroup& group, const RoutingObject& object,
-                     int memberIndex) {
-    return group.bits[static_cast<size_t>(
-        object.bitIndices[static_cast<size_t>(memberIndex)])];
-}
-
 /// What equivalent-topology generation reads of a backbone, the same for
 /// every bit of the object: its structure, the pools of distinct feature
 /// node and pin coordinates per axis, and where each node and pin sits in
@@ -170,7 +163,7 @@ MemberShifts memberShifts(const SignalGroup& group,
     return shifts;
 }
 
-std::vector<steiner::Topology> equivalentTopologies(
+std::vector<steiner::Topology> remappedTopologies(
     const steiner::Topology& backbone, const SignalGroup& group,
     const RoutingObject& object, const MemberShifts& shifts) {
     STREAK_ASSERT(shifts.size() == object.bitIndices.size(),
@@ -182,14 +175,8 @@ std::vector<steiner::Topology> equivalentTopologies(
                   rep.pins.size());
     std::optional<BackboneFrame> frame;
     std::vector<steiner::Topology> out;
-    out.reserve(object.bitIndices.size());
     for (int k = 0; k < object.width(); ++k) {
-        const std::optional<geom::Point>& d = shifts[static_cast<size_t>(k)];
-        if (d) {
-            const Bit& member = memberBit(group, object, k);
-            out.push_back(backbone.translate(*d, member.pins, member.driver));
-            continue;
-        }
+        if (shifts[static_cast<size_t>(k)]) continue;
         if (!frame) frame = frameOf(backbone);
         out.push_back(remapOnto(*frame, backbone, group, object, k));
     }

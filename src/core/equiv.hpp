@@ -16,9 +16,10 @@
 // pin i of the member lies at representative pin pinMap[i] + d for one
 // offset d. Under such a shift the remap sends every coordinate c to
 // c + d and no mapped pin lands off its member pin, so the redrawn RCs,
-// which cover the whole backbone wire, are that wire moved by d.
-// equivalentTopologies builds those members by moving the wire and
-// remaps only the others.
+// which cover the whole backbone wire, are that wire moved by d. Such a
+// member's topology is never stored: BackboneShape keeps the shift and
+// derives the topology with Topology::translate when it is read, and
+// remappedTopologies builds only the other members'.
 #pragma once
 
 #include <optional>
@@ -30,6 +31,14 @@
 #include "steiner/topology.hpp"
 
 namespace streak {
+
+/// The bit at `memberIndex` (into object.bitIndices) of the object.
+[[nodiscard]] inline const Bit& memberBit(const SignalGroup& group,
+                                          const RoutingObject& object,
+                                          int memberIndex) {
+    return group.bits[static_cast<size_t>(
+        object.bitIndices[static_cast<size_t>(memberIndex)])];
+}
 
 /// Per member of an object (aligned with object.bitIndices), the offset d
 /// that moves the representative onto it — every member pin i at
@@ -50,13 +59,11 @@ using MemberShifts = std::vector<std::optional<geom::Point>>;
     const steiner::Topology& backbone, const SignalGroup& group,
     const RoutingObject& object, int memberIndex);
 
-/// Equivalent topologies for every bit of the object (aligned with
-/// object.bitIndices), given the object's memberShifts. A shifted member
-/// gets the backbone's wire moved over its own pins and driver; the
+/// Equivalent topologies of the members that are not a shift (shifts[k]
+/// is nullopt), in member order, given the object's memberShifts. The
 /// backbone's structure and coordinate pools are derived once, and only
-/// when some member is not a shift. Equal, member for member, to
-/// equivalentTopology.
-[[nodiscard]] std::vector<steiner::Topology> equivalentTopologies(
+/// when some member is not a shift. Each equals equivalentTopology.
+[[nodiscard]] std::vector<steiner::Topology> remappedTopologies(
     const steiner::Topology& backbone, const SignalGroup& group,
     const RoutingObject& object, const MemberShifts& shifts);
 

@@ -124,6 +124,8 @@ RoutedDesign materialize(const RoutingProblem& prob,
         const BackboneShape& shape = prob.shapes[static_cast<size_t>(i)]
                                                 [static_cast<size_t>(
                                                     cand.backboneId)];
+        const SignalGroup& group =
+            prob.design->groups[static_cast<size_t>(obj.groupIndex)];
         for (int k = 0; k < obj.width(); ++k) {
             RoutedBit bit;
             bit.groupIndex = obj.groupIndex;
@@ -131,7 +133,7 @@ RoutedDesign materialize(const RoutingProblem& prob,
             bit.objectIndex = i;
             bit.memberIndex = k;
             bit.clusterKey = i;
-            bit.topo = shape.bitTopologies[static_cast<size_t>(k)];
+            bit.topo = shape.memberTopology(group, obj, k);
             bit.hLayer = cand.hLayer;
             bit.vLayer = cand.vLayer;
             rd.bits.push_back(std::move(bit));

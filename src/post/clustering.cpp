@@ -22,7 +22,8 @@ struct Cluster {
     /// (objectIndex, memberIndex) of every bit in the cluster.
     std::vector<std::pair<int, int>> members;
     /// Candidate topologies of the *founding* member (cluster style), one
-    /// per backbone of its object, pointing into RoutingProblem::shapes.
+    /// per backbone of its object, pointing into the group's candidate
+    /// lists.
     std::vector<const steiner::Topology*> candidates;
     /// Committed topology per member once routed (member-aligned).
     std::vector<steiner::Topology> routedTopos;
@@ -298,21 +299,24 @@ ClusteringResult clusterAndRoute(const RoutingProblem& prob,
         // Line 1 (Alg. 3): candidate topologies per bit: the bit's
         // equivalent topology of every backbone of its object, including
         // backbones none of whose layer pairs fit as a whole object.
-        std::vector<Cluster> clusters;
+        const SignalGroup& group =
+            prob.design->groups[static_cast<size_t>(groupIdx)];
         std::vector<std::vector<steiner::Topology>> allCandidates;
         for (const auto& [objIdx, member] : members) {
-            Cluster c;
-            c.members.push_back({objIdx, member});
             std::vector<steiner::Topology>& cands =
                 allCandidates.emplace_back();
             for (const BackboneShape& shape :
                  prob.shapes[static_cast<size_t>(objIdx)]) {
-                const steiner::Topology& t =
-                    shape.bitTopologies[static_cast<size_t>(member)];
-                c.candidates.push_back(&t);
-                cands.push_back(t);
+                cands.push_back(shape.memberTopology(
+                    group, prob.objects[static_cast<size_t>(objIdx)], member));
             }
-            clusters.push_back(std::move(c));
+        }
+        std::vector<Cluster> clusters(members.size());
+        for (size_t c = 0; c < members.size(); ++c) {
+            clusters[c].members.push_back(members[c]);
+            for (const steiner::Topology& t : allCandidates[c]) {
+                clusters[c].candidates.push_back(&t);
+            }
         }
 
         // Line 2: layer prediction for this group.

@@ -9,55 +9,71 @@
 
 namespace streak::steiner {
 
-std::vector<std::pair<int, int>> rectilinearMST(
-    const std::vector<geom::Point>& pts) {
-    const int n = static_cast<int>(pts.size());
-    std::vector<std::pair<int, int>> edges;
-    if (n <= 1) return edges;
-    edges.reserve(static_cast<size_t>(n - 1));
+namespace {
 
-    std::vector<bool> inTree(static_cast<size_t>(n), false);
-    std::vector<int> best(static_cast<size_t>(n),
-                          std::numeric_limits<int>::max());
-    std::vector<int> parent(static_cast<size_t>(n), -1);
-    inTree[0] = true;
+/// Prim's buffers, reusable across calls.
+struct MstScratch {
+    std::vector<char> inTree;
+    std::vector<int> best;
+    std::vector<int> parent;
+};
+
+/// Prim's algorithm over `pts` in `s`: the MST's total Manhattan length,
+/// with its (parent, point) edges appended to `edges` when non-null.
+long prim(const std::vector<geom::Point>& pts, MstScratch* s,
+          std::vector<std::pair<int, int>>* edges) {
+    const int n = static_cast<int>(pts.size());
+    if (n <= 1) return 0;
+    const auto at = [](int v) { return static_cast<size_t>(v); };
+    s->inTree.assign(at(n), 0);
+    s->best.assign(at(n), std::numeric_limits<int>::max());
+    s->parent.assign(at(n), -1);
+    s->inTree[0] = 1;
     for (int v = 1; v < n; ++v) {
-        best[static_cast<size_t>(v)] = manhattan(pts[0], pts[static_cast<size_t>(v)]);
-        parent[static_cast<size_t>(v)] = 0;
+        s->best[at(v)] = manhattan(pts[0], pts[at(v)]);
+        s->parent[at(v)] = 0;
     }
+    long total = 0;
     for (int added = 1; added < n; ++added) {
         int pick = -1;
         int pickCost = std::numeric_limits<int>::max();
         for (int v = 0; v < n; ++v) {
-            if (!inTree[static_cast<size_t>(v)] &&
-                best[static_cast<size_t>(v)] < pickCost) {
+            if (s->inTree[at(v)] == 0 && s->best[at(v)] < pickCost) {
                 pick = v;
-                pickCost = best[static_cast<size_t>(v)];
+                pickCost = s->best[at(v)];
             }
         }
         STREAK_ASSERT(pick >= 0,
                       "Prim step {} of {} found no reachable point", added, n);
-        inTree[static_cast<size_t>(pick)] = true;
-        edges.emplace_back(parent[static_cast<size_t>(pick)], pick);
+        s->inTree[at(pick)] = 1;
+        total += pickCost;
+        if (edges != nullptr) edges->emplace_back(s->parent[at(pick)], pick);
         for (int v = 0; v < n; ++v) {
-            if (inTree[static_cast<size_t>(v)]) continue;
-            const int d = manhattan(pts[static_cast<size_t>(pick)],
-                                    pts[static_cast<size_t>(v)]);
-            if (d < best[static_cast<size_t>(v)]) {
-                best[static_cast<size_t>(v)] = d;
-                parent[static_cast<size_t>(v)] = pick;
+            if (s->inTree[at(v)] != 0) continue;
+            const int d = manhattan(pts[at(pick)], pts[at(v)]);
+            if (d < s->best[at(v)]) {
+                s->best[at(v)] = d;
+                s->parent[at(v)] = pick;
             }
         }
     }
+    return total;
+}
+
+}  // namespace
+
+std::vector<std::pair<int, int>> rectilinearMST(
+    const std::vector<geom::Point>& pts) {
+    std::vector<std::pair<int, int>> edges;
+    edges.reserve(pts.empty() ? 0 : pts.size() - 1);
+    MstScratch scratch;
+    prim(pts, &scratch, &edges);
     return edges;
 }
 
 long mstLength(const std::vector<geom::Point>& pts) {
-    long total = 0;
-    for (const auto& [a, b] : rectilinearMST(pts)) {
-        total += manhattan(pts[static_cast<size_t>(a)], pts[static_cast<size_t>(b)]);
-    }
-    return total;
+    MstScratch scratch;
+    return prim(pts, &scratch, nullptr);
 }
 
 std::vector<geom::Point> hananPoints(const std::vector<geom::Point>& pins) {
@@ -91,7 +107,9 @@ std::vector<geom::Point> iterated1Steiner(const std::vector<geom::Point>& pins,
     if (pins.size() < 3) return accepted;
 
     std::vector<geom::Point> current = pins;
-    long currentCost = mstLength(current);
+    // Every candidate's MST length is evaluated in these buffers.
+    MstScratch scratch;
+    long currentCost = prim(current, &scratch, nullptr);
     for (int round = 0; round < maxInserts; ++round) {
         const std::vector<geom::Point> candidates = hananPoints(current);
         geom::Point bestPoint{};
@@ -99,7 +117,7 @@ std::vector<geom::Point> iterated1Steiner(const std::vector<geom::Point>& pins,
         bool found = false;
         for (geom::Point c : candidates) {
             current.push_back(c);
-            const long cost = mstLength(current);
+            const long cost = prim(current, &scratch, nullptr);
             current.pop_back();
             if (cost < bestCost) {
                 bestCost = cost;
@@ -262,7 +280,14 @@ std::vector<Topology> enumerateTopologies(const std::vector<geom::Point>& pins,
         }
     }
 
-    for (Topology& t : raw) t = pruneToTree(t);
+    // rectifyTree draws a union that is connected and covers its pins,
+    // so it is a tree exactly when it touches one more lattice point than
+    // it has edges: only a union with a cycle is pruned.
+    for (Topology& t : raw) {
+        if (!t.empty() && t.pointCount() != t.wirelength() + 1) {
+            t = pruneToTree(t);
+        }
+    }
 
     // Dedupe by wire shape, then rank by wl + lambda * bends, with each
     // cost computed once (bendCount() walks every wire end).

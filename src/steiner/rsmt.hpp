@@ -30,7 +30,8 @@ namespace streak::steiner {
 /// Batched iterated 1-Steiner: repeatedly insert the Hanan point with the
 /// best MST-length gain until no positive gain remains. Returns the
 /// accepted Steiner points. Degree-pruned (points that end up with MST
-/// degree <= 2 are dropped).
+/// degree <= 2 are dropped). Every candidate's MST length is evaluated
+/// in buffers the call owns, with no allocation per candidate.
 [[nodiscard]] std::vector<geom::Point> iterated1Steiner(
     const std::vector<geom::Point>& pins, int maxInserts = 16);
 
@@ -64,7 +65,10 @@ struct EnumerateOptions {
 /// Enumerate up to maxCandidates distinct tree topologies for the pin set,
 /// BI1S-improved trees included for >= 3 pins, sorted by
 /// wl + bendPenalty * bends. Always returns at least one topology for
-/// >= 1 pins.
+/// >= 1 pins. A rectified union is connected and covers its pins, so it
+/// is tested for a cycle by counting its points (one more than its
+/// edges for a tree), and only a union with a cycle goes through
+/// pruneToTree; the result equals pruning every union.
 [[nodiscard]] std::vector<Topology> enumerateTopologies(
     const std::vector<geom::Point>& pins, int driver,
     const EnumerateOptions& opts = {});

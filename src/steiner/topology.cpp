@@ -286,6 +286,12 @@ bool Topology::isTree() const {
     return spans(g) && (wire_.empty() || g.points().size() == wire_.size() + 1);
 }
 
+int Topology::pointCount() const {
+    int points = 0;
+    forEachPoint(wire_, [&](const PointCensus&) { ++points; });
+    return points;
+}
+
 int Topology::bendCount() const {
     int bends = 0;
     forEachPoint(wire_, [&](const PointCensus& c) { bends += c.via() ? 1 : 0; });
@@ -381,11 +387,10 @@ TopoStructure Topology::structure() const {
 Topology Topology::translate(geom::Point d, std::vector<geom::Point> pins,
                              int driver) const {
     Topology out(std::move(pins), driver);
-    // A translation keeps the lexicographic order.
-    out.wire_.reserve(wire_.size());
-    for (const UnitEdge& e : wire_) {
-        out.wire_.push_back({{e.at.x + d.x, e.at.y + d.y}, e.horizontal});
-    }
+    // A translation keeps the lexicographic order: copy, then move each
+    // edge in place.
+    out.wire_ = wire_;
+    for (UnitEdge& e : out.wire_) e.at = {e.at.x + d.x, e.at.y + d.y};
     return out;
 }
 

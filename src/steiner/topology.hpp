@@ -154,6 +154,10 @@ public:
     /// the graph.
     [[nodiscard]] WireGraph graph() const;
 
+    /// Number of lattice points the wire touches (graph().size()), from
+    /// one walk over the merged edge ends, with no graph built.
+    [[nodiscard]] int pointCount() const;
+
     /// True if the wire plus pins form one connected component covering
     /// every pin. (Single-pin topologies with no wire are connected.)
     [[nodiscard]] bool connected() const;

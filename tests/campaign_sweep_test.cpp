@@ -1,8 +1,9 @@
 // End-to-end campaign runs (slow tier): a mini sweep over a shrunk
 // suite persists well-formed, provenance-stamped records; the records
 // round-trip through the JSONL store; a self-diff is clean; the
-// counter-scaling drill knob makes the diff flag a maze-pop regression;
-// and the full shrunk sweep reproduces the committed reference store
+// counter-scaling drill knob makes the diff flag a maze-pop regression,
+// and a refinement-counter regression that the verdict puts in the post
+// stage; and the full shrunk sweep reproduces the committed reference store
 // (BENCH_campaign.jsonl, path injected as STREAK_CAMPAIGN_BASELINE).
 #include <gtest/gtest.h>
 
@@ -140,6 +141,40 @@ TEST_F(CampaignSweep, ScaledCounterDrillFlagsAMazePopRegression) {
     EXPECT_FALSE(verdict.find("ok")->asBool());
     EXPECT_EQ(static_cast<int>(verdict.find("regressionCount")->asNumber()),
               1);
+}
+
+TEST(CampaignStageDrill, ScaledRefineCounterNamesThePostStage) {
+    // A shrunk pd record with refinement's pins-considered counter scaled
+    // 2x, diffed against the committed store: the diff exits 8, and the
+    // verdict puts the one regression in the post stage.
+    campaign::CampaignSpec drill;
+    drill.suites = {6};
+    drill.configs = {campaign::configByName("pd")};
+    drill.threads = {1};
+    drill.scaleCounters = {{"post/refine.pins_considered", 2.0}};
+    campaign::Store current;
+    current.records = campaign::runCampaign(drill);
+    ASSERT_EQ(current.records.size(), 1u);
+
+    const campaign::DiffReport report = campaign::diffAgainstStore(
+        campaign::readStoreFile(STREAK_CAMPAIGN_BASELINE), current);
+    EXPECT_EQ(campaign::diffExitCode(report), 8);
+    ASSERT_EQ(report.regressions.size(), 1u);
+    EXPECT_EQ(report.regressions.front().metric,
+              "post/refine.pins_considered");
+    EXPECT_EQ(report.regressions.front().stage(), "post");
+    const json::Value verdict = campaign::verdictJson({report});
+    const json::Value& reg = verdict.find("comparisons")
+                                 ->asArray()
+                                 .front()
+                                 .find("regressions")
+                                 ->asArray()
+                                 .front();
+    EXPECT_EQ(reg.find("stage")->asString(), "post");
+    const json::Value* byStage = verdict.find("regressionsByStage");
+    ASSERT_NE(byStage, nullptr);
+    ASSERT_NE(byStage->find("post"), nullptr);
+    EXPECT_EQ(static_cast<int>(byStage->find("post")->asNumber()), 1);
 }
 
 TEST_F(CampaignSweep, ShrunkSweepMatchesTheCommittedStore) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -239,6 +240,40 @@ TEST(CampaignVerdict, CarriesSchemaAndRegressionCount) {
     EXPECT_EQ(
         static_cast<int>(cleanVerdict.find("regressionCount")->asNumber()),
         0);
+}
+
+TEST(CampaignVerdict, NamesTheStageOfEveryRegression) {
+    campaign::DiffReport report;
+    report.comparedRuns = 2;
+    report.regressions.push_back({"counter", "pd", "synth3-shrunk",
+                                  "post/refine.pins_considered", 2.0, 4.0,
+                                  100.0});
+    report.regressions.push_back({"counter", "pd", "synth3-shrunk",
+                                  "post/cluster.rounds", 10.0, 12.0, 20.0});
+    report.regressions.push_back({"counter", "ilp", "synth1-shrunk",
+                                  "ilp/lp.pivots", 16.0, 32.0, 100.0});
+    report.regressions.push_back({"quality", "pd", "synth3-shrunk",
+                                  "wirelength", 100.0, 101.0, 1.0});
+    EXPECT_EQ(report.regressions[0].stage(), "post");
+    EXPECT_EQ(report.regressions[2].stage(), "ilp");
+    EXPECT_EQ(report.regressions[3].stage(), "quality");
+
+    const std::map<std::string, int> tally =
+        campaign::regressionsByStage({report});
+    EXPECT_EQ(tally, (std::map<std::string, int>{
+                         {"ilp", 1}, {"post", 2}, {"quality", 1}}));
+    const json::Value verdict = campaign::verdictJson({report});
+    const json::Array& regs =
+        verdict.find("comparisons")->asArray().front().find("regressions")
+            ->asArray();
+    ASSERT_EQ(regs.size(), 4u);
+    EXPECT_EQ(regs[1].find("stage")->asString(), "post");
+    EXPECT_EQ(regs[3].find("stage")->asString(), "quality");
+    const json::Value* byStage = verdict.find("regressionsByStage");
+    ASSERT_NE(byStage, nullptr);
+    EXPECT_EQ(static_cast<int>(byStage->find("post")->asNumber()), 2);
+    EXPECT_EQ(static_cast<int>(byStage->find("quality")->asNumber()), 1);
+    EXPECT_EQ(byStage->find("route"), nullptr);
 }
 
 TEST(CampaignConfigs, BuiltinsAreNamedAndDistinct) {

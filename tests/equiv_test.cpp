@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "core/backbone.hpp"
+#include "core/candidate.hpp"
 #include "core/identify.hpp"
+#include "equiv_reference.hpp"
 #include "test_util.hpp"
 
 namespace streak {
@@ -72,11 +74,23 @@ TEST(EquivalentTopology, RepresentativeGetsBackboneItself) {
 
 TEST(EquivalentTopologies, OneTopologyPerBit) {
     Case c = makeCase({{0, 0}, {9, 0}}, 6, 0, 1);
-    const auto backbones = generateBackbones(c.group, c.object);
-    const auto topos = equivalentTopologies(
-        backbones[0], c.group, c.object, memberShifts(c.group, c.object));
-    ASSERT_EQ(topos.size(), 6u);
-    // Parallel tracks: bit k is bit 0 translated by (0, k).
+    const Design design = testutil::makeDesign({c.group}, 16, 16);
+    const ObjectCandidates got =
+        generateCandidates(design, c.object, StreakOptions{});
+    ASSERT_FALSE(got.shapes.empty());
+    const BackboneShape& shape = got.shapes.front();
+    ASSERT_EQ(shape.shifts.size(), 6u);
+    // Parallel tracks: every bit is a shift, so none is stored.
+    EXPECT_TRUE(shape.remaps.empty());
+    std::vector<steiner::Topology> topos;
+    for (int k = 0; k < c.object.width(); ++k) {
+        topos.push_back(shape.memberTopology(c.group, c.object, k));
+        EXPECT_TRUE(topos.back() ==
+                    reference::equivalentTopology(shape.backbone, c.group,
+                                                  c.object, k))
+            << "member " << k;
+    }
+    // Bit k is bit 0 translated by (0, k).
     for (size_t k = 1; k < topos.size(); ++k) {
         EXPECT_EQ(topos[k].wireHash(),
                   topos[0]

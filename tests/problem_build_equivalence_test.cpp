@@ -7,8 +7,10 @@
 // equivalent topology per bit (with the structure recomputed per bit).
 // The production problem must match it bit for bit: every candidate
 // field, every shape, and every pair-block cell. The reference remaps
-// every member; production moves the backbone's wire for members that
-// are a pure shift of the representative, and both paths are counted.
+// every member (equiv_reference.cpp); production stores only the
+// remapped members and derives those that are a pure shift of the
+// representative through BackboneShape::memberTopology, and both paths
+// are counted.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -32,6 +34,7 @@
 #include "core/equiv.hpp"
 #include "core/problem.hpp"
 #include "core/regularity.hpp"
+#include "equiv_reference.hpp"
 #include "gen/generator.hpp"
 #include "test_util.hpp"
 
@@ -41,6 +44,8 @@ namespace {
 // ------------------------------------------------------- the reference
 
 namespace reference {
+
+using streak::reference::equivalentTopology;
 
 struct Candidate {
     int backboneId = 0;
@@ -54,81 +59,6 @@ struct Candidate {
     std::vector<std::pair<int, int>> edgeUse;
     std::vector<std::pair<int, int>> viaUse;
 };
-
-std::unordered_map<int, int> buildAxisMap(
-    const std::vector<int>& coords, const std::vector<int>& repCoords,
-    const std::vector<int>& memberCoords) {
-    std::unordered_map<int, int> map;
-    for (const int c : coords) {
-        if (map.contains(c)) continue;
-        int bestPin = 0;
-        int bestDist = std::numeric_limits<int>::max();
-        for (size_t i = 0; i < repCoords.size(); ++i) {
-            const int d = std::abs(repCoords[i] - c);
-            if (d < bestDist) {
-                bestDist = d;
-                bestPin = static_cast<int>(i);
-            }
-        }
-        const int offset = c - repCoords[static_cast<size_t>(bestPin)];
-        map.emplace(c, memberCoords[static_cast<size_t>(bestPin)] + offset);
-    }
-    return map;
-}
-
-steiner::Topology equivalentTopology(const steiner::Topology& backbone,
-                                     const SignalGroup& group,
-                                     const RoutingObject& object,
-                                     int memberIndex) {
-    const Bit& member = group.bits[static_cast<size_t>(
-        object.bitIndices[static_cast<size_t>(memberIndex)])];
-    const std::vector<int>& pinMap =
-        object.pinMaps[static_cast<size_t>(memberIndex)];
-    const std::vector<geom::Point>& repPins = backbone.pins();
-    std::vector<int> memberOfRep(repPins.size(), -1);
-    for (size_t i = 0; i < pinMap.size(); ++i) {
-        memberOfRep[static_cast<size_t>(pinMap[i])] = static_cast<int>(i);
-    }
-    std::vector<int> repXs, repYs, memXs, memYs;
-    for (size_t r = 0; r < repPins.size(); ++r) {
-        const int m = memberOfRep[r];
-        if (m < 0) continue;
-        repXs.push_back(repPins[r].x);
-        repYs.push_back(repPins[r].y);
-        memXs.push_back(member.pins[static_cast<size_t>(m)].x);
-        memYs.push_back(member.pins[static_cast<size_t>(m)].y);
-    }
-    const steiner::TopoStructure st = backbone.structure();
-    std::vector<int> xs, ys;
-    {
-        std::unordered_set<int> xSeen, ySeen;
-        const auto note = [&](geom::Point p) {
-            if (xSeen.insert(p.x).second) xs.push_back(p.x);
-            if (ySeen.insert(p.y).second) ys.push_back(p.y);
-        };
-        for (const auto& n : st.nodes) note(n.pt);
-        for (const geom::Point p : repPins) note(p);
-    }
-    const auto xMap = buildAxisMap(xs, repXs, memXs);
-    const auto yMap = buildAxisMap(ys, repYs, memYs);
-    const auto mapPt = [&](geom::Point p) -> geom::Point {
-        return {xMap.at(p.x), yMap.at(p.y)};
-    };
-    steiner::Topology out(member.pins, member.driver);
-    for (const auto& [u, v] : st.rcs) {
-        out.addSegment({mapPt(st.nodes[static_cast<size_t>(u)].pt),
-                        mapPt(st.nodes[static_cast<size_t>(v)].pt)});
-    }
-    for (size_t i = 0; i < member.pins.size(); ++i) {
-        const int r = pinMap[i];
-        const geom::Point mapped = mapPt(repPins[static_cast<size_t>(r)]);
-        const geom::Point actual = member.pins[i];
-        if (mapped != actual) {
-            out.addLShape(actual, mapped, {mapped.x, actual.y});
-        }
-    }
-    return out;
-}
 
 std::vector<std::pair<int, int>> computeEdgeUse(
     const grid::RoutingGrid& grid, const std::vector<steiner::Topology>& bits,
@@ -349,12 +279,12 @@ void objectDifferences(const Design& design, const RoutingObject& obj,
         const std::string bat = "backbone " + std::to_string(b) + " ";
         cov->backbonesWithoutCandidate += used[b] == 0 ? 1 : 0;
         if (!(shapes[b].backbone == backbones[b])) note(bat + "backbone");
-        if (static_cast<int>(shapes[b].bitTopologies.size()) != obj.width()) {
-            note(bat + "bit topology count");
+        if (static_cast<int>(shapes[b].shifts.size()) != obj.width()) {
+            note(bat + "member shift count");
             continue;
         }
         for (int k = 0; k < obj.width(); ++k) {
-            if (!(shapes[b].bitTopologies[static_cast<size_t>(k)] ==
+            if (!(shapes[b].memberTopology(group, obj, k) ==
                   reference::equivalentTopology(backbones[b], group, obj,
                                                 k))) {
                 note(bat + "member " + std::to_string(k) + " topology");
@@ -378,8 +308,11 @@ void objectDifferences(const Design& design, const RoutingObject& obj,
         }
         const BackboneShape& shape = shapes[static_cast<size_t>(g.backboneId)];
         if (!(shape.backbone == w.backbone)) note(cat + "backbone");
-        if (shape.bitTopologies != w.bitTopologies) {
-            note(cat + "bit topologies");
+        for (int k = 0; k < obj.width(); ++k) {
+            if (!(shape.memberTopology(group, obj, k) ==
+                  w.bitTopologies[static_cast<size_t>(k)])) {
+                note(cat + "member " + std::to_string(k) + " topology");
+            }
         }
         if (w.hLayer != g.hLayer || w.vLayer != g.vLayer) {
             note(cat + "layer pair");
@@ -620,8 +553,9 @@ TEST(ProblemBuildEquivalence, SparseShapesAcrossALargeGrid) {
 TEST(ProblemBuildEquivalence, ShiftWithPermutedPinsAndAnotherDriver) {
     // The member is the representative moved by (3, -2), listing its pins
     // in another order and driven from another pin: memberShifts finds
-    // the shift through the pin map, and the moved wire over the
-    // member's own pins and driver is what the remap builds.
+    // the shift through the pin map, the shape stores no topology for it,
+    // and the moved wire over the member's own pins and driver that the
+    // accessor derives is what the remap builds.
     SignalGroup group;
     group.bits.push_back(testutil::makeBit({{1, 4}, {9, 4}, {9, 10}, {4, 12}}));
     Bit member;
@@ -635,21 +569,23 @@ TEST(ProblemBuildEquivalence, ShiftWithPermutedPinsAndAnotherDriver) {
     ASSERT_EQ(shifts.size(), 2u);
     EXPECT_EQ(shifts[0], (geom::Point{0, 0}));
     EXPECT_EQ(shifts[1], (geom::Point{3, -2}));
-    const std::vector<steiner::Topology> backbones =
-        generateBackbones(group, obj, BackboneOptions{});
-    ASSERT_FALSE(backbones.empty());
-    for (const steiner::Topology& backbone : backbones) {
-        const std::vector<steiner::Topology> got =
-            equivalentTopologies(backbone, group, obj, shifts);
-        ASSERT_EQ(got.size(), 2u);
+    const Design design = testutil::makeDesign({group}, 16, 16);
+    const ObjectCandidates got =
+        generateCandidates(design, obj, StreakOptions{});
+    ASSERT_FALSE(got.shapes.empty());
+    for (const BackboneShape& shape : got.shapes) {
+        EXPECT_EQ(shape.shifts, shifts);
+        EXPECT_TRUE(shape.remaps.empty());
         for (int k = 0; k < 2; ++k) {
-            EXPECT_TRUE(got[static_cast<size_t>(k)] ==
-                        reference::equivalentTopology(backbone, group, obj, k))
+            EXPECT_TRUE(shape.memberTopology(group, obj, k) ==
+                        reference::equivalentTopology(shape.backbone, group,
+                                                      obj, k))
                 << "member " << k;
         }
-        EXPECT_EQ(got[1].pins(), member.pins);
-        EXPECT_EQ(got[1].driverIndex(), 2);
-        EXPECT_TRUE(got[1].isTree());
+        const steiner::Topology moved = shape.memberTopology(group, obj, 1);
+        EXPECT_EQ(moved.pins(), member.pins);
+        EXPECT_EQ(moved.driverIndex(), 2);
+        EXPECT_TRUE(moved.isTree());
     }
 }
 
@@ -657,13 +593,16 @@ TEST(ProblemBuildEquivalence, EquivalentTopologiesOnUnrelatedPins) {
     // Generated objects stretch their bits uniformly, so a mapped pin
     // always lands on the member's pin. Hand-built objects whose member
     // pins are unrelated to the representative's also reach the nearest-
-    // pin offsets and the L-shape stitching of a displaced pin.
+    // pin offsets and the L-shape stitching of a displaced pin, through
+    // the shapes' stored remaps.
     std::mt19937 rng(2017);
     std::uniform_int_distribution<int> coord(0, 12);
     std::uniform_int_distribution<int> pinCount(2, 5);
+    long long remapped = 0;
     for (int round = 0; round < 300; ++round) {
         const int pins = pinCount(rng);
-        SignalGroup group;
+        Design design = testutil::makeDesign({SignalGroup{}}, 16, 16);
+        SignalGroup& group = design.groups[0];
         RoutingObject obj;
         for (int b = 0; b < 3; ++b) {
             Bit bit;
@@ -676,21 +615,21 @@ TEST(ProblemBuildEquivalence, EquivalentTopologiesOnUnrelatedPins) {
             std::iota(pinMap.begin(), pinMap.end(), 0);
             obj.pinMaps.push_back(pinMap);
         }
-        for (const steiner::Topology& backbone :
-             generateBackbones(group, obj, BackboneOptions{})) {
-            const std::vector<steiner::Topology> got = equivalentTopologies(
-                backbone, group, obj, memberShifts(group, obj));
-            ASSERT_EQ(got.size(), 3u);
+        for (const BackboneShape& shape :
+             generateCandidates(design, obj, StreakOptions{}).shapes) {
+            ASSERT_EQ(shape.shifts.size(), 3u);
+            remapped += static_cast<long long>(shape.remaps.size());
             for (int k = 0; k < 3; ++k) {
-                const steiner::Topology want =
-                    reference::equivalentTopology(backbone, group, obj, k);
-                EXPECT_TRUE(got[static_cast<size_t>(k)] == want)
+                const steiner::Topology want = reference::equivalentTopology(
+                    shape.backbone, group, obj, k);
+                EXPECT_TRUE(shape.memberTopology(group, obj, k) == want)
                     << "round " << round << " member " << k;
-                EXPECT_TRUE(equivalentTopology(backbone, group, obj, k) ==
-                            want);
+                EXPECT_TRUE(equivalentTopology(shape.backbone, group, obj,
+                                               k) == want);
             }
         }
     }
+    EXPECT_GT(remapped, 0);
 }
 
 }  // namespace

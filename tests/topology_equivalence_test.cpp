@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "core/problem.hpp"
+#include "equiv_reference.hpp"
 #include "flow/streak.hpp"
 #include "gen/generator.hpp"
 #include "steiner/rsmt.hpp"
@@ -44,6 +45,8 @@ using steiner::UnitEdgeHash;
 // ------------------------------------------------------- the reference
 
 namespace reference {
+
+using streak::reference::equivalentTopology;
 
 struct Incidence {
     bool left = false, right = false, down = false, up = false;
@@ -412,6 +415,7 @@ struct Coverage {
     long vias = 0;
     long fourWay = 0;   // a point with all four neighbours
     long sharedAt = 0;  // a horizontal and a vertical edge share an `at` end
+    long unionCycles = 0;  // rectified unions enumeration must prune
 };
 
 std::string str(Point p) {
@@ -799,6 +803,139 @@ TEST(TopologyEquivalence, AddRemoveSequencesMatchAnEdgeSet) {
     EXPECT_GT(ops, 3000);
 }
 
+// ------------------------------------------------------- enumeration
+
+namespace reference {
+
+/// Batched iterated 1-Steiner with every candidate's MST length from
+/// steiner::mstLength, which allocates per call.
+std::vector<Point> iterated1Steiner(const std::vector<Point>& pins,
+                                    int maxInserts = 16) {
+    std::vector<Point> accepted;
+    if (pins.size() < 3) return accepted;
+    std::vector<Point> current = pins;
+    long currentCost = steiner::mstLength(current);
+    for (int round = 0; round < maxInserts; ++round) {
+        Point bestPoint{};
+        long bestCost = currentCost;
+        bool found = false;
+        for (const Point c : steiner::hananPoints(current)) {
+            current.push_back(c);
+            const long cost = steiner::mstLength(current);
+            current.pop_back();
+            if (cost < bestCost) {
+                bestCost = cost;
+                bestPoint = c;
+                found = true;
+            }
+        }
+        if (!found) break;
+        current.push_back(bestPoint);
+        accepted.push_back(bestPoint);
+        currentCost = bestCost;
+    }
+    for (;;) {
+        std::vector<int> degree(current.size(), 0);
+        for (const auto& [a, b] : steiner::rectilinearMST(current)) {
+            ++degree[static_cast<size_t>(a)];
+            ++degree[static_cast<size_t>(b)];
+        }
+        bool removed = false;
+        for (size_t i = current.size(); i-- > pins.size();) {
+            if (degree[i] <= 2) {
+                const Point victim = current[i];
+                current.erase(current.begin() + static_cast<std::ptrdiff_t>(i));
+                std::erase(accepted, victim);
+                removed = true;
+                break;
+            }
+        }
+        if (!removed) break;
+    }
+    return accepted;
+}
+
+/// Every raw union enumerateTopologies draws, in its order.
+std::vector<Topology> rawUnions(const std::vector<Point>& pins, int driver) {
+    std::vector<std::vector<Point>> steinerSets{{}};
+    if (pins.size() >= 3) {
+        std::vector<Point> st = iterated1Steiner(pins);
+        if (!st.empty()) steinerSets.push_back(std::move(st));
+    }
+    std::vector<Topology> raw;
+    for (const std::vector<Point>& st : steinerSets) {
+        for (const steiner::LMode mode :
+             {steiner::LMode::Adaptive, steiner::LMode::LowerFirst,
+              steiner::LMode::UpperFirst}) {
+            raw.push_back(steiner::rectifyTree(pins, driver, st, mode));
+        }
+    }
+    return raw;
+}
+
+/// enumerateTopologies with pruneToTree called on every raw union.
+std::vector<Topology> enumerateTopologies(
+    const std::vector<Point>& pins, int driver,
+    const steiner::EnumerateOptions& opts) {
+    std::vector<std::pair<int, Topology>> ranked;
+    std::unordered_set<std::uint64_t> seen;
+    for (const Topology& raw : rawUnions(pins, driver)) {
+        Topology t = steiner::pruneToTree(raw);
+        if (!seen.insert(t.wireHash()).second) continue;
+        const int cost = t.wirelength() + opts.bendPenalty * t.bendCount();
+        ranked.emplace_back(cost, std::move(t));
+    }
+    std::stable_sort(ranked.begin(), ranked.end(),
+                     [](const auto& a, const auto& b) {
+                         return a.first < b.first;
+                     });
+    if (static_cast<int>(ranked.size()) > opts.maxCandidates) {
+        ranked.resize(static_cast<size_t>(opts.maxCandidates));
+    }
+    std::vector<Topology> out;
+    for (auto& [cost, t] : ranked) out.push_back(std::move(t));
+    return out;
+}
+
+}  // namespace reference
+
+TEST(TopologyEquivalence, EnumerationMatchesPruningEveryUnion) {
+    // enumerateTopologies prunes only the unions whose point census says
+    // they hold a cycle; the reference prunes every union. Random 3-14
+    // pin sets, duplicate pins and every driver index included, with
+    // K = 4 and K = 8.
+    std::mt19937 rng(2017061);
+    Coverage cov;
+    long sets = 0;
+    for (int i = 0; i < 400; ++i) {
+        const int n = 3 + i % 12;
+        std::uniform_int_distribution<int> coord(0, 6 + i % 17);
+        std::vector<Point> pins;
+        for (int k = 0; k < n; ++k) pins.push_back({coord(rng), coord(rng)});
+        const int driver = std::uniform_int_distribution<int>(0, n - 1)(rng);
+        ASSERT_EQ(steiner::iterated1Steiner(pins),
+                  reference::iterated1Steiner(pins))
+            << "set " << i;
+        for (const Topology& raw : reference::rawUnions(pins, driver)) {
+            if (!raw.isTree()) ++cov.unionCycles;
+        }
+        steiner::EnumerateOptions opts;
+        opts.maxCandidates = i % 2 == 0 ? 4 : 8;
+        const std::vector<Topology> got =
+            steiner::enumerateTopologies(pins, driver, opts);
+        const std::vector<Topology> want =
+            reference::enumerateTopologies(pins, driver, opts);
+        ASSERT_EQ(got.size(), want.size()) << "set " << i;
+        for (size_t k = 0; k < got.size(); ++k) {
+            EXPECT_TRUE(got[k] == want[k]) << "set " << i << " topology " << k;
+        }
+        ++sets;
+    }
+    std::cout << sets << " pin sets, " << cov.unionCycles
+              << " unions with a cycle\n";
+    EXPECT_GT(cov.unionCycles, 0);
+}
+
 // ------------------------------------------------------- synth1-7
 
 TEST(TopologyEquivalence, FlowTopologiesOfSynthSuitesMatch) {
@@ -818,10 +955,18 @@ TEST(TopologyEquivalence, FlowTopologiesOfSynthSuitesMatch) {
             ASSERT_TRUE(run.ok()) << spec.name;
             const StreakResult& r = run.value();
             for (size_t i = 0; i < r.problem.shapes.size(); ++i) {
+                const RoutingObject& obj = r.problem.objects[i];
+                const SignalGroup& group =
+                    design.groups[static_cast<size_t>(obj.groupIndex)];
                 for (const BackboneShape& shape : r.problem.shapes[i]) {
                     expectSame(shape.backbone, spec.name + " backbone", &cov);
                     ++backbones;
-                    for (const Topology& t : shape.bitTopologies) {
+                    for (int k = 0; k < obj.width(); ++k) {
+                        const Topology t = shape.memberTopology(group, obj, k);
+                        EXPECT_TRUE(t == reference::equivalentTopology(
+                                             shape.backbone, group, obj, k))
+                            << spec.name << " object " << i << " member "
+                            << k;
                         expectSame(t, spec.name + " bit topology", &cov);
                         ++bitTopologies;
                     }

@@ -8,6 +8,7 @@
 #                                    problem_build_equivalence_test +
 #                                    topology_equivalence_test +
 #                                    pd_equivalence_test +
+#                                    distance_equivalence_test +
 #                                    lp_kernel_equivalence_test +
 #                                    route_test + thread_pool_test)
 #   4. ThreadSanitizer              (preset `tsan`, thread pool,
@@ -41,7 +42,10 @@
 #                                    compare all 28 runs with no
 #                                    regression, and must flag an
 #                                    injected 2x maze-pop regression
-#                                    with exit code 8)
+#                                    with exit code 8, and an injected
+#                                    2x refinement-counter regression
+#                                    with exit code 8 and a verdict that
+#                                    names the post stage)
 #
 # Usage:  tools/check.sh [--full]
 #   --full   run the entire ctest suite (not just the smoke subsets)
@@ -89,6 +93,9 @@ else
     # Incremental Alg. 2 (tight-element index, cached costs) and the
     # distance-report reuse against the literal loop, over 80 designs.
     ./build-asan/tests/pd_equivalence_test
+    # One BFS per wire shape, shared by translated wires, against the
+    # per-bit distance analysis, over the same 80 designs.
+    ./build-asan/tests/distance_equivalence_test
     # The sparse LP rows, their merges and the reused relaxation
     # workspace against the dense tableau, bit for bit.
     ./build-asan/tests/lp_kernel_equivalence_test
@@ -220,6 +227,23 @@ DRILL_RC=0
 if [[ "$DRILL_RC" -ne 8 ]]; then
     echo "check.sh: campaign diff missed the injected 2x maze-pop" \
          "regression (exit $DRILL_RC, expected 8)" >&2
+    exit 1
+fi
+# With refinement's pins-considered counter scaled 2x on one shrunk pd
+# record, the diff must exit 8 and the verdict must name the post stage.
+./build/tools/streak campaign run --store="$OBS_TMP/stage.jsonl" \
+    --suites=6 --configs=pd --threads=1 \
+    --scale-counter=post/refine.pins_considered:2 --quiet
+STAGE_RC=0
+./build/tools/streak campaign diff "$OBS_TMP/stage.jsonl" \
+    --baseline=BENCH_campaign.jsonl \
+    --verdict="$OBS_TMP/stage-verdict.json" --quiet 2>/dev/null \
+    || STAGE_RC=$?
+if [[ "$STAGE_RC" -ne 8 ]] ||
+    ! grep -q '"stage": "post"' "$OBS_TMP/stage-verdict.json"; then
+    echo "check.sh: campaign diff did not flag the injected 2x" \
+         "post/refine.pins_considered regression in the post stage" \
+         "(exit $STAGE_RC, expected 8)" >&2
     exit 1
 fi
 

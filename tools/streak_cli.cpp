@@ -626,8 +626,9 @@ int cmdCampaignDiff(int argc, char** argv) {
         }
     }
     for (const campaign::Regression& r : report.regressions) {
-        std::cerr << "campaign: REGRESSION (store) " << r.kind << ' '
-                  << r.config << '/' << r.instance << ' ' << r.metric << ": "
+        std::cerr << "campaign: REGRESSION (store) [" << r.stage() << "] "
+                  << r.kind << ' ' << r.config << '/' << r.instance << ' '
+                  << r.metric << ": "
                   << r.baseline << " -> " << r.current << " ("
                   << io::Table::fixed(r.growthPercent, 1) << "%)\n";
     }
@@ -645,7 +646,13 @@ int cmdCampaignDiff(int argc, char** argv) {
     const size_t regressions = report.regressions.size();
     std::cout << "campaign: " << report.comparedRuns << " comparison"
               << (report.comparedRuns == 1 ? "" : "s") << ", " << regressions
-              << " regression" << (regressions == 1 ? "" : "s") << '\n';
+              << " regression" << (regressions == 1 ? "" : "s");
+    const char* sep = " (";
+    for (const auto& [stage, count] : campaign::regressionsByStage({report})) {
+        std::cout << sep << stage << ": " << count;
+        sep = ", ";
+    }
+    std::cout << (regressions > 0 ? ")\n" : "\n");
     return status;
 }
 
