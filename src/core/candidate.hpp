@@ -59,8 +59,8 @@ struct BackboneShape {
     /// The equivalent topology of member `k` (into object.bitIndices) of
     /// the object this shape was built for: the backbone moved by the
     /// member's shift over the member's own pins and driver, or its
-    /// stored remap. Equal to equivalentTopology(backbone, group, object,
-    /// k). The only way to read a member's topology.
+    /// stored remap. Either way it equals the remap of the backbone onto
+    /// the member (Alg. 1). The only way to read a member's topology.
     [[nodiscard]] steiner::Topology memberTopology(
         const SignalGroup& group, const RoutingObject& object, int k) const;
 };

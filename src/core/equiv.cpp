@@ -130,13 +130,6 @@ steiner::Topology remapOnto(const BackboneFrame& frame,
 
 }  // namespace
 
-steiner::Topology equivalentTopology(const steiner::Topology& backbone,
-                                     const SignalGroup& group,
-                                     const RoutingObject& object,
-                                     int memberIndex) {
-    return remapOnto(frameOf(backbone), backbone, group, object, memberIndex);
-}
-
 MemberShifts memberShifts(const SignalGroup& group,
                           const RoutingObject& object) {
     const Bit& rep = memberBit(group, object, object.representativeBit);

@@ -51,18 +51,12 @@ using MemberShifts = std::vector<std::optional<geom::Point>>;
 [[nodiscard]] MemberShifts memberShifts(const SignalGroup& group,
                                         const RoutingObject& object);
 
-/// Equivalent topology for the bit at `memberIndex` (into
-/// object.bitIndices) given a backbone over the object's representative
-/// bit, always by the remap. The returned topology's pins are the member
-/// bit's pins in the member bit's own pin order.
-[[nodiscard]] steiner::Topology equivalentTopology(
-    const steiner::Topology& backbone, const SignalGroup& group,
-    const RoutingObject& object, int memberIndex);
-
 /// Equivalent topologies of the members that are not a shift (shifts[k]
-/// is nullopt), in member order, given the object's memberShifts. The
-/// backbone's structure and coordinate pools are derived once, and only
-/// when some member is not a shift. Each equals equivalentTopology.
+/// is nullopt), in member order, given the object's memberShifts and a
+/// backbone over the object's representative bit. Each is the remap of
+/// the backbone over the member bit's pins, in the member bit's own pin
+/// order. The backbone's structure and coordinate pools are derived
+/// once, and only when some member is not a shift.
 [[nodiscard]] std::vector<steiner::Topology> remappedTopologies(
     const steiner::Topology& backbone, const SignalGroup& group,
     const RoutingObject& object, const MemberShifts& shifts);

@@ -2,10 +2,8 @@
 // ablations can tweak a single struct.
 #pragma once
 
-#include <memory>
-
 #include "core/backbone.hpp"
-#include "robust/control.hpp"
+#include "robust/deadline.hpp"
 
 namespace streak {
 
@@ -65,22 +63,19 @@ struct StreakOptions {
     int maxDetourShift = 12;
 
     // --- robustness (DESIGN.md "Robustness") ---
-    /// Wall-clock budget for the whole run; <= 0 disables the deadline.
+    /// Wall-clock budget for the whole run; <= 0 disables the deadline
+    /// (a non-finite budget is invalid input, like any non-finite real).
     /// When it expires, the active stage unwinds at its next tick point
     /// and the flow takes the degradation ladder's rung for that stage
     /// (or returns a structured DeadlineExpired error when no fallback
     /// exists). A run that never hits the deadline is byte-identical to
     /// an unbudgeted one.
     double deadlineSeconds = 0.0;
-    /// Optional external cancellation: share this token with whatever
-    /// owns the run and call requestCancel() to unwind at the next tick.
-    /// Cancellation is never absorbed by the degradation ladder.
-    std::shared_ptr<robust::CancelToken> cancel;
-    /// Internal: armed by runStreak() from deadlineSeconds + cancel and
-    /// carried down to every hot loop via the options copies the stages
-    /// already receive. Leave default-constructed (idle) when calling
+    /// Internal: armed by runStreak() from deadlineSeconds and carried
+    /// down to every hot loop via the options copies the stages already
+    /// receive. Leave default-constructed (no deadline) when calling
     /// stages directly.
-    robust::Ticket control;
+    robust::Deadline control;
 };
 
 }  // namespace streak

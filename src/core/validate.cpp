@@ -147,6 +147,7 @@ std::string validateOptions(const StreakOptions& opts) {
         {"pairLayerWeight", opts.pairLayerWeight},
         {"ilpTimeLimitSeconds", opts.ilpTimeLimitSeconds},
         {"distanceThresholdFraction", opts.distanceThresholdFraction},
+        {"deadlineSeconds", opts.deadlineSeconds},
     };
     for (const auto& [name, value] : reals) {
         if (!std::isfinite(value)) return std::string(name) + " is not finite";

@@ -39,8 +39,8 @@ struct ValidationIssue {
 [[nodiscard]] std::string validatePins(const Design& design);
 
 /// Range check of the options a run reads: at least one backbone and one
-/// layer pair, no negative thread count or detour shift, finite weights
-/// and limits, and non-negative pair weights. Empty when every option is
+/// layer pair, no negative thread count or detour shift, finite weights,
+/// limits and deadline, and non-negative pair weights. Empty when every option is
 /// in range; otherwise names the first offending option.
 [[nodiscard]] std::string validateOptions(const StreakOptions& opts);
 

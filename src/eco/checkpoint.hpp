@@ -43,8 +43,8 @@ inline constexpr const char* kCheckpointSchema = "streak-eco-checkpoint";
 struct Checkpoint {
     std::unique_ptr<Design> design;
     /// Semantic option subset of the original run (solver, weights, post
-    /// switches, threads). Runtime-only knobs — deadline, cancellation —
-    /// are not serialized and stay default.
+    /// switches, threads). The runtime-only deadline is not serialized
+    /// and stays default.
     StreakOptions opts;
     /// Routed bits with global group indices, in the original run's
     /// emission order (per-group relative order is what equivalence
@@ -66,8 +66,8 @@ struct Checkpoint {
 };
 
 /// The option subset a checkpoint round-trips: everything that changes
-/// the routed result, nothing that only shapes one process's run
-/// (deadline, cancellation, control ticket).
+/// the routed result, nothing that only shapes one process's run (the
+/// deadline and its armed control).
 [[nodiscard]] StreakOptions semanticOptions(const StreakOptions& opts);
 
 /// Freeze a finished flow run. Copies the design; maps the result's

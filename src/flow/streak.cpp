@@ -1,6 +1,5 @@
 #include "flow/streak.hpp"
 
-#include <memory>
 #include <string>
 #include <utility>
 
@@ -14,7 +13,7 @@
 #include "obs/trace.hpp"
 #include "post/clustering.hpp"
 #include "post/refine.hpp"
-#include "robust/control.hpp"
+#include "robust/deadline.hpp"
 #include "robust/error.hpp"
 
 namespace streak {
@@ -51,12 +50,6 @@ void recordEdgeUtilization(const RoutedDesign& routed) {
         }
         hist.record(100LL * used / cap);
     }
-}
-
-/// True when the degradation ladder may absorb this error (cancellation
-/// always unwinds the whole run).
-bool ladderMayAbsorb(const robust::StreakError& err) {
-    return err.recoverable && err.kind != robust::ErrorKind::Cancelled;
 }
 
 /// Record one ladder rung: a `robust/degraded.<rung>` counter (always,
@@ -166,10 +159,7 @@ StreakResult runStreakGuarded(const Design& design,
                 // Rung: continue the ILP cold. Only for injected faults —
                 // a deadline that already killed the cheap solver leaves
                 // nothing for the expensive one either.
-                if (e.error().kind != robust::ErrorKind::FaultInjected ||
-                    !ladderMayAbsorb(e.error())) {
-                    throw;
-                }
+                if (e.error().kind != robust::ErrorKind::FaultInjected) throw;
                 recordDegradation(&result, stage::kSolve, "solve.cold_start",
                                   e.error());
             }
@@ -193,7 +183,7 @@ StreakResult runStreakGuarded(const Design& design,
             } catch (const robust::StreakException& e) {
                 // Rung: the formal "ILP timeout -> PD result" fallback,
                 // now also covering deadline expiry and injected faults.
-                if (!haveWarm || !ladderMayAbsorb(e.error())) throw;
+                if (!haveWarm || !e.error().recoverable) throw;
                 recordDegradation(&result, stage::kSolve, "solve.ilp_to_pd",
                                   e.error());
                 absorbedDeadline(e.error());
@@ -239,8 +229,7 @@ StreakResult runStreakGuarded(const Design& design,
             result.groupDistanceAfter = result.groupDistanceBefore;
         };
         if (deadlineSpent) {
-            skipRung(robust::Ticket::tripError(robust::Trip::DeadlineExpired,
-                                               "distance/analyze"));
+            skipRung(robust::deadlineError("distance/analyze"));
             return;
         }
         try {
@@ -259,7 +248,7 @@ StreakResult runStreakGuarded(const Design& design,
         } catch (const robust::StreakException& e) {
             // Rung: the analysis is diagnostic — skip it rather than
             // fail a run that already has a routed solution.
-            if (!ladderMayAbsorb(e.error())) throw;
+            if (!e.error().recoverable) throw;
             absorbedDeadline(e.error());
             skipRung(e.error());
         }
@@ -271,10 +260,8 @@ StreakResult runStreakGuarded(const Design& design,
         parallel::RegionStats stats;
         if (opts.postOptimize && deadlineSpent) {
             // Rung: the budget is gone; keep the pre-post solution.
-            recordDegradation(
-                &result, stage::kPost, "post.skipped",
-                robust::Ticket::tripError(robust::Trip::DeadlineExpired,
-                                          "flow/post"));
+            recordDegradation(&result, stage::kPost, "post.skipped",
+                              robust::deadlineError("flow/post"));
         } else if (opts.postOptimize) {
             // Snapshot for rollback: post optimization mutates `routed`
             // in place, and a half-applied post pass is worse than none.
@@ -338,7 +325,7 @@ StreakResult runStreakGuarded(const Design& design,
                 }
             } catch (const robust::StreakException& e) {
                 // Rung: restore the last valid solution.
-                if (!ladderMayAbsorb(e.error())) throw;
+                if (!e.error().recoverable) throw;
                 recordDegradation(&result, stage::kPost, "post.rolled_back",
                                   e.error());
                 absorbedDeadline(e.error());
@@ -380,13 +367,9 @@ FlowResult runStreak(const Design& design, const StreakOptions& callerOpts) {
         return FlowResult(std::move(err));
     }
     StreakOptions opts = callerOpts;
-    // Arm the run-wide ticket; every stage below sees it through the
+    // Arm the run-wide deadline; every stage below sees it through the
     // options copies it already receives (Problem::opts et al.).
-    std::shared_ptr<const robust::Deadline> deadline;
-    if (opts.deadlineSeconds > 0.0) {
-        deadline = std::make_shared<robust::Deadline>(opts.deadlineSeconds);
-    }
-    opts.control = robust::Ticket(deadline, opts.cancel);
+    opts.control = robust::Deadline(opts.deadlineSeconds);
 
     try {
         return FlowResult(runStreakGuarded(design, opts));

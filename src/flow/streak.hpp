@@ -193,11 +193,11 @@ private:
 };
 
 /// Run the whole flow. Never throws: every failure — invalid input,
-/// deadline expiry, cancellation, injected fault, internal error — is
-/// returned as FlowResult's error arm with a distinct ErrorKind. Options
-/// out of range (validateOptions) and bits without pins, with a driver
-/// index out of range or with a pin off the grid (validatePins) are
-/// InvalidInput before any stage runs.
+/// deadline expiry, injected fault, internal error — is returned as
+/// FlowResult's error arm with a distinct ErrorKind. Options out of range
+/// (validateOptions) and bits without pins, with a driver index out of
+/// range or with a pin off the grid (validatePins) are InvalidInput
+/// before any stage runs.
 [[nodiscard]] FlowResult runStreak(const Design& design,
                                    const StreakOptions& opts);
 

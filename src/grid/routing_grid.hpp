@@ -18,10 +18,6 @@ namespace streak::grid {
 
 enum class Dir { Horizontal, Vertical };
 
-[[nodiscard]] constexpr Dir opposite(Dir d) {
-    return d == Dir::Horizontal ? Dir::Vertical : Dir::Horizontal;
-}
-
 // Bounds every reader of untrusted design data enforces (io::readDesign
 // and the ECO checkpoint reader): generous for any realistic design,
 // tight enough that a hostile value can never drive a giant allocation

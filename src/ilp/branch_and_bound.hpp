@@ -5,7 +5,7 @@
 #pragma once
 
 #include "ilp/model.hpp"
-#include "robust/control.hpp"
+#include "robust/deadline.hpp"
 
 namespace streak::ilp {
 
@@ -20,11 +20,11 @@ struct BnbOptions {
     /// result): nodes at or above it are pruned, so the search only looks
     /// for strictly better solutions. +inf disables.
     double initialUpperBound = kInfinity;
-    /// Deadline/cancellation ticket polled once per node (and threaded
-    /// into every LP relaxation solve). Unlike timeLimitSeconds — which
-    /// ends the search with the incumbent — a trip unwinds the solve
+    /// Run deadline polled once per node (and threaded into every LP
+    /// relaxation solve). Unlike timeLimitSeconds — which ends the
+    /// search with the incumbent — an expired deadline unwinds the solve
     /// with a structured StreakError.
-    robust::Ticket control;
+    robust::Deadline control;
 };
 
 struct BnbStats {

@@ -120,7 +120,7 @@ public:
     }
 
     Solution solve(std::span<const std::int8_t> fixed,
-                   const robust::Ticket& control,
+                   const robust::Deadline& control,
                    const std::function<bool()>& timeUp) {
         STREAK_FAULT_POINT("lp/solve");
         STREAK_REQUIRE(fixed.empty() ||
@@ -533,7 +533,7 @@ private:
     double obj_ = 0.0;
     long pivots_ = 0;
     long boundFlips_ = 0;
-    robust::Ticket control_;  // idle unless the caller passed one
+    robust::Deadline control_;  // none unless the caller passed one
     const std::function<bool()>* timeUp_ = nullptr;  // the caller's; read only in solve()
 };
 
@@ -543,12 +543,12 @@ Relaxation::Relaxation(const Model& model)
 Relaxation::~Relaxation() = default;
 
 Solution Relaxation::solve(std::span<const std::int8_t> fixed,
-                           const robust::Ticket& control,
+                           const robust::Deadline& control,
                            const std::function<bool()>& timeUp) {
     return engine_->solve(fixed, control, timeUp);
 }
 
-Solution solveLp(const Model& model, const robust::Ticket& control) {
+Solution solveLp(const Model& model, const robust::Deadline& control) {
     Relaxation relaxation(model);
     return relaxation.solve({}, control, {});
 }

@@ -29,7 +29,7 @@
 #include <span>
 
 #include "ilp/model.hpp"
-#include "robust/control.hpp"
+#include "robust/deadline.hpp"
 
 namespace streak::ilp {
 
@@ -49,9 +49,9 @@ public:
     /// nothing. Same contract as solveLp, plus a soft limit: `timeUp`,
     /// when set, is polled at the same ticks as `control`, and once it
     /// returns true the solve stops there with status Limit (a search's
-    /// time limit ends the search; a `control` trip unwinds it).
+    /// time limit ends the search; an expired `control` unwinds it).
     [[nodiscard]] Solution solve(std::span<const std::int8_t> fixed = {},
-                                 const robust::Ticket& control = {},
+                                 const robust::Deadline& control = {},
                                  const std::function<bool()>& timeUp = {});
 
 private:
@@ -62,10 +62,9 @@ private:
 /// Solve the model as a *continuous* LP (integrality flags ignored).
 /// Finite bounds are handled by shifting lower bounds to zero and keeping
 /// upper bounds implicit in the simplex. Status is Optimal, Infeasible,
-/// or Unbounded. `control` is the deadline/cancellation ticket polled
-/// every few dozen pivots (idle by default; never influences pivot
-/// choices).
+/// or Unbounded. `control` is the run deadline, polled every 64 simplex
+/// iterations (none by default; never influences pivot choices).
 [[nodiscard]] Solution solveLp(const Model& model,
-                               const robust::Ticket& control = {});
+                               const robust::Deadline& control = {});
 
 }  // namespace streak::ilp

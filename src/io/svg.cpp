@@ -1,11 +1,15 @@
 #include "io/svg.hpp"
 
+#include <algorithm>
 #include <array>
 #include <ostream>
 
 namespace streak::io {
 
 namespace {
+
+/// Pixels per G-Cell.
+constexpr int kCellSize = 10;
 
 /// Colour per (hLayer, vLayer) pair index, cycling.
 const std::array<const char*, 8> kPalette = {
@@ -14,10 +18,9 @@ const std::array<const char*, 8> kPalette = {
 
 }  // namespace
 
-void writeSvg(const RoutedDesign& routed, std::ostream& os,
-              const SvgOptions& opts) {
+void writeSvg(const RoutedDesign& routed, std::ostream& os) {
     const grid::RoutingGrid& g = routed.usage.grid();
-    const int s = opts.cellSize;
+    const int s = kCellSize;
     const int w = g.width() * s;
     const int h = g.height() * s;
     // SVG y grows downward; flip so y=0 is at the bottom like the grid.
@@ -30,39 +33,23 @@ void writeSvg(const RoutedDesign& routed, std::ostream& os,
     os << "<rect width=\"" << w << "\" height=\"" << h
        << "\" fill=\"white\"/>\n";
 
-    if (opts.shadeBlockages) {
-        // Shade cells whose outgoing edges are (partially) blocked,
-        // detected as capacity below the die-wide maximum.
-        int maxCap = 0;
-        for (int e = 0; e < g.numEdges(); ++e) {
-            maxCap = std::max(maxCap, g.capacity(e));
-        }
-        for (int l = 0; l < g.numLayers(); ++l) {
-            for (int y = 0; y < g.height(); ++y) {
-                for (int x = 0; x < g.width(); ++x) {
-                    if (!g.validEdge(l, x, y)) continue;
-                    if (g.capacity(g.edgeId(l, x, y)) * 2 < maxCap) {
-                        os << "<rect x=\"" << x * s << "\" y=\""
-                           << h - (y + 1) * s << "\" width=\"" << s
-                           << "\" height=\"" << s
-                           << "\" fill=\"#eeeeee\"/>\n";
-                    }
+    // Shade cells whose outgoing edges are (partially) blocked, detected
+    // as capacity below the die-wide maximum.
+    int maxCap = 0;
+    for (int e = 0; e < g.numEdges(); ++e) {
+        maxCap = std::max(maxCap, g.capacity(e));
+    }
+    for (int l = 0; l < g.numLayers(); ++l) {
+        for (int y = 0; y < g.height(); ++y) {
+            for (int x = 0; x < g.width(); ++x) {
+                if (!g.validEdge(l, x, y)) continue;
+                if (g.capacity(g.edgeId(l, x, y)) * 2 < maxCap) {
+                    os << "<rect x=\"" << x * s << "\" y=\""
+                       << h - (y + 1) * s << "\" width=\"" << s
+                       << "\" height=\"" << s << "\" fill=\"#eeeeee\"/>\n";
                 }
             }
         }
-    }
-
-    if (opts.drawGridLines) {
-        os << "<g stroke=\"#f0f0f0\" stroke-width=\"1\">\n";
-        for (int x = 0; x <= g.width(); ++x) {
-            os << "<line x1=\"" << x * s << "\" y1=\"0\" x2=\"" << x * s
-               << "\" y2=\"" << h << "\"/>\n";
-        }
-        for (int y = 0; y <= g.height(); ++y) {
-            os << "<line x1=\"0\" y1=\"" << y * s << "\" x2=\"" << w
-               << "\" y2=\"" << y * s << "\"/>\n";
-        }
-        os << "</g>\n";
     }
 
     for (const RoutedBit& bit : routed.bits) {

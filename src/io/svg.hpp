@@ -9,14 +9,7 @@
 
 namespace streak::io {
 
-struct SvgOptions {
-    int cellSize = 10;  // pixels per G-Cell
-    bool drawGridLines = false;
-    bool shadeBlockages = true;
-};
-
-/// Render the routed bits of a design to SVG.
-void writeSvg(const RoutedDesign& routed, std::ostream& os,
-              const SvgOptions& opts = {});
+/// Render the routed bits of a design to SVG, 10 pixels per G-Cell.
+void writeSvg(const RoutedDesign& routed, std::ostream& os);
 
 }  // namespace streak::io

@@ -69,10 +69,10 @@ namespace {
 /// region in the worker set.
 struct Region {
     Region(const std::function<void(int)>& task, int n,
-           const robust::Ticket& ticket)
+           const robust::Deadline& deadline)
         : fn(task),
           taskCount(n),
-          control(ticket),
+          control(deadline),
           session(obs::session()),
           parentSpan(session.tracer().currentSpan()),
           errors(static_cast<size_t>(n)),
@@ -80,9 +80,9 @@ struct Region {
 
     const std::function<void(int)>& fn;
     const int taskCount;
-    // Deadline/cancellation ticket polled before each task (idle when
-    // the pool owner never called setControl).
-    const robust::Ticket& control;
+    // Run deadline polled before each task (none when the pool owner
+    // never called setControl).
+    const robust::Deadline& control;
     // Session and span that were current on the owning thread when the
     // region started; workers adopt both so spans opened (and counters
     // flushed) inside tasks land in the owner's session, attached under
@@ -102,14 +102,13 @@ struct Region {
             const int i = nextTask.fetch_add(1, std::memory_order_relaxed);
             if (i >= taskCount) return;
             if (failed.load(std::memory_order_relaxed)) continue;  // fail fast
-            // Workers record a trip instead of throwing: the owning
-            // thread rethrows it after the region drains, under the
-            // same lowest-index rule as task failures.
-            if (const robust::Trip trip = control.trip();
-                trip != robust::Trip::None) {
+            // Workers record an expired deadline instead of throwing:
+            // the owning thread rethrows it after the region drains,
+            // under the same lowest-index rule as task failures.
+            if (control.expired()) {
                 errors[static_cast<size_t>(i)] =
                     std::make_exception_ptr(robust::StreakException(
-                        robust::Ticket::tripError(trip, "parallel/task")));
+                        robust::deadlineError("parallel/task")));
                 failed.store(true, std::memory_order_relaxed);
                 continue;
             }

@@ -32,9 +32,9 @@
 // failed, the extra failures are tallied in the
 // `parallel/exceptions_suppressed` counter and noted in the rethrown
 // message so they are never silently dropped. A pool given a
-// robust::Ticket (setControl) additionally polls it before each task,
-// so a cancelled or over-budget run stops dispatching work and unwinds
-// with the corresponding structured error.
+// robust::Deadline (setControl) additionally polls it before each task,
+// so an over-budget run stops dispatching work and unwinds with the
+// structured deadline-expired error.
 #pragma once
 
 #include <exception>
@@ -43,7 +43,7 @@
 #include <utility>
 #include <vector>
 
-#include "robust/control.hpp"
+#include "robust/deadline.hpp"
 
 namespace streak::parallel {
 
@@ -104,11 +104,11 @@ public:
 
     [[nodiscard]] int threadCount() const { return threads_; }
 
-    /// Deadline/cancellation ticket polled before every task (idle by
-    /// default). A trip makes the remaining tasks of the region fail
-    /// with the matching StreakError, which the region rethrows under
-    /// the usual lowest-index rule.
-    void setControl(robust::Ticket control) { control_ = std::move(control); }
+    /// Run deadline polled before every task (none by default). Once it
+    /// expires, the remaining tasks of the region fail with the
+    /// deadline-expired StreakError, which the region rethrows under the
+    /// usual lowest-index rule.
+    void setControl(const robust::Deadline& control) { control_ = control; }
 
     /// Run fn(i) for every i in [0, n). Blocks until all tasks finished.
     /// Must be called from the owning thread only (regions never nest).
@@ -143,7 +143,7 @@ private:
 
     int threads_;
     RegionStats stats_;
-    robust::Ticket control_;
+    robust::Deadline control_;
     std::unique_ptr<WorkerSet> workers_;  // borrowed by the first region
 };
 

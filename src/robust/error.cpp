@@ -8,7 +8,6 @@ const char* errorKindName(ErrorKind kind) {
     switch (kind) {
         case ErrorKind::InvalidInput: return "invalid-input";
         case ErrorKind::DeadlineExpired: return "deadline-expired";
-        case ErrorKind::Cancelled: return "cancelled";
         case ErrorKind::FaultInjected: return "fault-injected";
         case ErrorKind::Internal: return "internal";
     }
@@ -19,7 +18,6 @@ int exitCodeFor(ErrorKind kind) {
     switch (kind) {
         case ErrorKind::InvalidInput: return 3;
         case ErrorKind::DeadlineExpired: return 4;
-        case ErrorKind::Cancelled: return 5;
         case ErrorKind::FaultInjected: return 6;
         case ErrorKind::Internal: return 7;
     }

@@ -21,7 +21,6 @@ namespace streak::robust {
 enum class ErrorKind {
     InvalidInput,     ///< malformed design / options (parse errors included)
     DeadlineExpired,  ///< the run-wide wall-clock budget ran out
-    Cancelled,        ///< CancelToken fired; never recoverable
     FaultInjected,    ///< a STREAK_FAULT_POINT fired (tests / chaos runs)
     Internal,         ///< unexpected failure (wrapped foreign exception)
 };
@@ -31,9 +30,9 @@ enum class ErrorKind {
 
 /// CLI exit code for a failed run. Distinct per kind so unattended
 /// campaigns can triage without parsing stderr (documented in README):
-/// 3 invalid-input, 4 deadline-expired, 5 cancelled, 6 fault-injected,
-/// 7 internal. 0/1/2 keep their historical meanings (ok / unexpected
-/// exception / usage).
+/// 3 invalid-input, 4 deadline-expired, 6 fault-injected, 7 internal.
+/// 0/1/2 keep their historical meanings (ok / unexpected exception /
+/// usage); 5 is unused.
 [[nodiscard]] int exitCodeFor(ErrorKind kind);
 
 struct StreakError {

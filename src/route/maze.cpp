@@ -65,8 +65,6 @@ std::optional<RoutedNet> MazeRouter::route(const std::vector<geom::Point>& pins,
 std::optional<RoutedNet> MazeRouter::route(const std::vector<geom::Point>& pins,
                                            int driver, SearchState* state) {
     STREAK_FAULT_POINT("maze/search");
-    // Tick point: strided over heap pops, the search's unit of work.
-    robust::TickGate gate(opts_.control, "maze/pop");
     SearchTally tally;
     const grid::RoutingGrid& g = usage_->grid();
     STREAK_REQUIRE(state != nullptr, "maze route called without a SearchState");
@@ -239,7 +237,6 @@ std::optional<RoutedNet> MazeRouter::route(const std::vector<geom::Point>& pins,
                 const SearchState::HeapEntry top = heap.back();
                 heap.pop_back();
                 ++tally.pops;
-                gate.tick();
                 if (top.g > state->dist_[static_cast<size_t>(top.node)]) {
                     continue;  // stale duplicate
                 }

@@ -37,7 +37,6 @@
 
 #include "geom/point.hpp"
 #include "grid/routing_grid.hpp"
-#include "robust/control.hpp"
 
 namespace streak::route {
 
@@ -56,10 +55,6 @@ struct MazeOptions {
     bool allowOverflow = false;
     /// Initial window inflation margin in G-Cells; each retry doubles it.
     int windowMargin = 8;
-
-    /// Deadline/cancellation ticket polled every ~1024 heap pops (idle
-    /// by default; never influences pop order or the routed tree).
-    robust::Ticket control;
 };
 
 /// One routed net: the 3-D edges used (grid edge ids), plus summary

@@ -3,8 +3,10 @@
 // This is the classic-bus-router baseline the paper's evaluation compares
 // against (Table I "Manual Design"): every bit is routed individually for
 // minimum wire-length with congestion-aware maze routing, with no
-// interbit regularity objective. It doubles as the ICC-style finishing
-// pass for groups Streak leaves unrouted.
+// interbit regularity objective. It does not finish Streak's leftovers:
+// like the bits this router fails, a bit Streak leaves unrouted counts
+// its RSMT estimate toward the whole-design wire-length
+// (core/metrics.cpp).
 #pragma once
 
 #include "core/signal.hpp"

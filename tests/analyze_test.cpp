@@ -172,16 +172,16 @@ TEST(AnalyzeRules, PathExemptionsForInfrastructureModules) {
 }
 
 TEST(AnalyzeRules, CatchAllOnlyInInfrastructureModules) {
-    // src/parallel (task isolation) and src/robust (trip plumbing) are
+    // src/parallel (task isolation) and src/robust (error plumbing) are
     // the only modules allowed to swallow everything; anywhere else a
-    // catch-all would eat cancellation and fault trips.
+    // catch-all would eat deadline and fault trips.
     const std::string handler =
         "void f() {\n"
         "  try { g(); } catch (...) {\n"
         "  }\n"
         "}\n";
     EXPECT_TRUE(run({snippet("src/parallel/pool.cpp", handler)}).empty());
-    EXPECT_TRUE(run({snippet("src/robust/control.cpp", handler)}).empty());
+    EXPECT_TRUE(run({snippet("src/robust/deadline.cpp", handler)}).empty());
     const std::vector<Finding> got =
         run({snippet("src/flow/streak.cpp", handler)});
     ASSERT_EQ(got.size(), 1u);

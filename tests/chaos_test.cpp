@@ -1,15 +1,20 @@
-// Chaos suite (DESIGN.md "Robustness", check.sh stage 9): sweep every
+// Chaos suite (DESIGN.md "Robustness", check.sh stage 7): sweep every
 // cataloged fault site across the shrunk synth suites with a seeded
 // fault schedule and assert the flow's fault-tolerance contract — every
 // run either returns an audited-clean solution (possibly degraded) or a
 // structured StreakError. Never a crash, never a raw foreign exception.
+// Each armed fault must fire: the seeded hit is drawn below the number
+// of times the site executes on that suite.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
 
 #include "check/audit.hpp"
+#include "eco/checkpoint.hpp"
+#include "eco/delta.hpp"
 #include "flow/report.hpp"
 #include "flow/streak.hpp"
 #include "gen/generator.hpp"
@@ -17,6 +22,7 @@
 #include "obs/json.hpp"
 #include "robust/error.hpp"
 #include "robust/fault.hpp"
+#include "route/sequential.hpp"
 
 namespace streak {
 namespace {
@@ -32,10 +38,86 @@ gen::SuiteSpec chaosSpec(int suite) {
     return spec;
 }
 
-/// Sites that only execute under the ILP solver; everything else is
-/// reachable from the default primal-dual configuration.
+/// Sites that only execute under the ILP solver; every other flow site
+/// is reachable from the default primal-dual configuration.
 bool needsIlpSolver(const std::string& site) {
     return site == "ilp/solve" || site == "lp/solve" || site == "bnb/node";
+}
+
+/// Run `call`, a reader or router outside the flow, where nothing
+/// absorbs a fault: it must end in the injected fault exactly when it
+/// executes `site`'s armed `hit`, and succeed otherwise.
+template <typename Fn>
+void expectInjectedAtHit(const std::string& site, long hit, Fn&& call) {
+    const long before = robust::faultHits(site);
+    bool injected = false;
+    try {
+        call();
+    } catch (const robust::StreakException& e) {
+        EXPECT_EQ(e.error().kind, robust::ErrorKind::FaultInjected)
+            << e.error().describe();
+        injected = true;
+    }
+    EXPECT_EQ(injected, before <= hit && hit < robust::faultHits(site));
+}
+
+/// One pass over the code that executes `site` on design `d`, with the
+/// fault armed at `hit`, asserting the fault-tolerance contract on the
+/// outcome. `checkpoint` is a clean flow run's checkpoint of `d`, for
+/// the ECO reader.
+void exerciseSite(const std::string& site, long hit, const Design& d,
+                  const std::string& checkpoint) {
+    // The readers fire on the file-format paths, not inside the flow.
+    if (site == "io/read") {
+        std::stringstream ss;
+        io::writeDesign(d, ss);
+        expectInjectedAtHit(site, hit, [&] {
+            EXPECT_EQ(io::readDesign(ss).numNets(), d.numNets());
+        });
+        return;
+    }
+    if (site == "eco/read") {
+        expectInjectedAtHit(site, hit, [&] {
+            (void)eco::readCheckpointBuffer(checkpoint);
+        });
+        std::istringstream script("ADDBLOCKAGE 0 0 3 3 0 1\n");
+        expectInjectedAtHit(site, hit, [&] {
+            EXPECT_EQ(eco::parseDeltaScript(script).size(), 1u);
+        });
+        return;
+    }
+    // The maze router runs in the sequential baseline, never in the flow.
+    if (site == "maze/search") {
+        expectInjectedAtHit(site, hit, [&] {
+            (void)route::routeSequential(d, {}, /*mazeOnly=*/true);
+        });
+        return;
+    }
+
+    StreakOptions opts;
+    opts.postOptimize = true;
+    if (needsIlpSolver(site)) {
+        opts.solver = SolverKind::Ilp;
+        opts.ilpTimeLimitSeconds = 2.0;
+    }
+    const FlowResult res = runStreak(d, opts);
+    if (res.ok()) {
+        // Clean or degraded: the output must audit clean.
+        const StreakResult& r = res.value();
+        const check::AuditResult audit =
+            check::auditRoutedDesign(r.problem, r.routed);
+        EXPECT_TRUE(audit.ok()) << audit.summary();
+        for (const robust::Degradation& deg : r.degradations) {
+            EXPECT_FALSE(deg.rung.empty());
+            EXPECT_FALSE(deg.stage.empty());
+        }
+    } else {
+        // The only acceptable failure from an injected fault is the
+        // structured fault-injected error itself.
+        EXPECT_EQ(res.error().kind, robust::ErrorKind::FaultInjected)
+            << res.error().describe();
+        EXPECT_FALSE(res.error().stage.empty());
+    }
 }
 
 class ChaosSweep : public ::testing::Test {
@@ -45,57 +127,32 @@ protected:
 };
 
 TEST_F(ChaosSweep, EveryFaultSiteOnEverySuiteEndsInAuditedStateOrError) {
-    for (const std::string& site : robust::faultSiteCatalog()) {
-        for (int suite = 1; suite <= 7; ++suite) {
+    for (int suite = 1; suite <= 7; ++suite) {
+        const Design d = gen::generate(chaosSpec(suite));
+        StreakOptions cleanOpts;
+        cleanOpts.postOptimize = true;
+        std::ostringstream checkpoint;
+        eco::writeCheckpoint(
+            eco::makeCheckpoint(d, cleanOpts, runStreak(d, cleanOpts).value()),
+            checkpoint);
+        for (const std::string& site : robust::faultSiteCatalog()) {
             SCOPED_TRACE(site + " on synth" + std::to_string(suite));
+            // Count the site's executions: armed at a hit that never
+            // comes, the registry counts without firing.
+            constexpr long kNever = std::numeric_limits<long>::max();
+            robust::armFault(site, kNever);
+            exerciseSite(site, kNever, d, checkpoint.str());
+            const long executions = robust::faultHits(site);
+            ASSERT_GT(executions, 0) << "the site never executed";
+
             // Seeded, deterministic schedule: the hit index depends only
             // on (site, suite), so a failure here reproduces exactly.
-            robust::armFaultFromSeed(
-                site, static_cast<unsigned long>(suite) * 131 + 7);
-
-            const Design d = gen::generate(chaosSpec(suite));
-            // io/read fires on the file-format path, not inside the
-            // flow: exercise it via a write/read roundtrip.
-            if (site == "io/read") {
-                std::stringstream ss;
-                io::writeDesign(d, ss);
-                try {
-                    const Design loaded = io::readDesign(ss);
-                    EXPECT_EQ(loaded.numNets(), d.numNets());
-                } catch (const robust::StreakException& e) {
-                    EXPECT_EQ(e.error().kind,
-                              robust::ErrorKind::FaultInjected);
-                }
-                robust::disarmFaults();
-                continue;
-            }
-
-            StreakOptions opts;
-            opts.postOptimize = true;
-            if (needsIlpSolver(site)) {
-                opts.solver = SolverKind::Ilp;
-                opts.ilpTimeLimitSeconds = 2.0;
-            }
-            const FlowResult res = runStreak(d, opts);
-            if (res.ok()) {
-                // Clean or degraded: the output must audit clean.
-                const StreakResult& r = res.value();
-                const check::AuditResult audit =
-                    check::auditRoutedDesign(r.problem, r.routed);
-                EXPECT_TRUE(audit.ok()) << audit.summary();
-                if (r.degraded()) {
-                    for (const robust::Degradation& deg : r.degradations) {
-                        EXPECT_FALSE(deg.rung.empty());
-                        EXPECT_FALSE(deg.stage.empty());
-                    }
-                }
-            } else {
-                // The only acceptable failure from an injected fault is
-                // the structured fault-injected error itself.
-                EXPECT_EQ(res.error().kind, robust::ErrorKind::FaultInjected)
-                    << res.error().describe();
-                EXPECT_FALSE(res.error().stage.empty());
-            }
+            const long hit = robust::armFaultFromSeed(
+                site, static_cast<unsigned long>(suite) * 131 + 7,
+                executions);
+            exerciseSite(site, hit, d, checkpoint.str());
+            EXPECT_GT(robust::faultHits(site), hit)
+                << "the fault armed at hit " << hit << " never fired";
             robust::disarmFaults();
         }
     }

@@ -20,9 +20,9 @@
 
 #include "core/backbone.hpp"
 #include "core/candidate.hpp"
-#include "core/equiv.hpp"
 #include "core/pd_solver.hpp"
 #include "core/regularity.hpp"
+#include "equiv_reference.hpp"
 #include "gen/generator.hpp"
 #include "post/clustering.hpp"
 #include "post/layer_predict.hpp"
@@ -34,6 +34,8 @@ namespace {
 // ------------------------------------------------------- the reference
 
 namespace reference {
+
+using streak::reference::equivalentTopology;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 

@@ -27,14 +27,23 @@ Case makeCase(const std::vector<Point>& pattern, int width, int dx, int dy) {
     return c;
 }
 
+/// The object's backbone shapes as the candidate build makes them: one
+/// per backbone, in enumeration order. Members are read through
+/// BackboneShape::memberTopology, the production path.
+std::vector<BackboneShape> shapesOf(const SignalGroup& group,
+                                    const RoutingObject& object) {
+    const Design design = testutil::makeDesign({group}, 32, 32);
+    return generateCandidates(design, object, StreakOptions{}).shapes;
+}
+
 TEST(EquivalentTopology, TranslatedBitsGetTranslatedCopies) {
     Case c = makeCase({{0, 0}, {8, 0}, {8, 5}}, 4, 0, 1);
-    const auto backbones = generateBackbones(c.group, c.object);
-    ASSERT_FALSE(backbones.empty());
-    const steiner::Topology& bb = backbones.front();
+    const std::vector<BackboneShape> shapes = shapesOf(c.group, c.object);
+    ASSERT_FALSE(shapes.empty());
+    const BackboneShape& shape = shapes.front();
+    const steiner::Topology& bb = shape.backbone;
     for (int k = 0; k < c.object.width(); ++k) {
-        const steiner::Topology t =
-            equivalentTopology(bb, c.group, c.object, k);
+        const steiner::Topology t = shape.memberTopology(c.group, c.object, k);
         EXPECT_TRUE(t.connected()) << "bit " << k;
         EXPECT_EQ(t.wirelength(), bb.wirelength());
         EXPECT_EQ(t.bendCount(), bb.bendCount());
@@ -52,24 +61,25 @@ TEST(EquivalentTopology, StretchedBitKeepsStructure) {
     g.bits.push_back(testutil::makeBit({{0, 1}, {10, 1}, {10, 8}}));
     auto objects = identifyObjects(g, 0);
     ASSERT_EQ(objects.size(), 1u);
-    const auto backbones = generateBackbones(g, objects[0]);
-    ASSERT_FALSE(backbones.empty());
+    const std::vector<BackboneShape> shapes = shapesOf(g, objects[0]);
+    ASSERT_FALSE(shapes.empty());
     for (int k = 0; k < 2; ++k) {
         const steiner::Topology t =
-            equivalentTopology(backbones[0], g, objects[0], k);
+            shapes[0].memberTopology(g, objects[0], k);
         EXPECT_TRUE(t.connected());
         // Same number of bends: equivalent structure despite stretching.
-        EXPECT_EQ(t.bendCount(), backbones[0].bendCount());
+        EXPECT_EQ(t.bendCount(), shapes[0].backbone.bendCount());
         for (const int d : t.sourceToSinkDistances()) EXPECT_GE(d, 0);
     }
 }
 
 TEST(EquivalentTopology, RepresentativeGetsBackboneItself) {
     Case c = makeCase({{0, 0}, {7, 3}}, 5, 0, 1);
-    const auto backbones = generateBackbones(c.group, c.object);
-    const steiner::Topology t = equivalentTopology(
-        backbones[0], c.group, c.object, c.object.representativeBit);
-    EXPECT_EQ(t.wireHash(), backbones[0].wireHash());
+    const std::vector<BackboneShape> shapes = shapesOf(c.group, c.object);
+    ASSERT_FALSE(shapes.empty());
+    const steiner::Topology t = shapes[0].memberTopology(
+        c.group, c.object, c.object.representativeBit);
+    EXPECT_EQ(t.wireHash(), shapes[0].backbone.wireHash());
 }
 
 TEST(EquivalentTopologies, OneTopologyPerBit) {
@@ -101,11 +111,12 @@ TEST(EquivalentTopologies, OneTopologyPerBit) {
 
 TEST(EquivalentTopology, MultipinBackboneAllPinsReached) {
     Case c = makeCase({{0, 0}, {10, 0}, {10, 6}, {4, 6}, {0, 8}}, 3, 1, 0);
-    const auto backbones = generateBackbones(c.group, c.object);
-    for (const steiner::Topology& bb : backbones) {
+    const std::vector<BackboneShape> shapes = shapesOf(c.group, c.object);
+    ASSERT_FALSE(shapes.empty());
+    for (const BackboneShape& shape : shapes) {
         for (int k = 0; k < c.object.width(); ++k) {
             const steiner::Topology t =
-                equivalentTopology(bb, c.group, c.object, k);
+                shape.memberTopology(c.group, c.object, k);
             EXPECT_TRUE(t.connected());
             for (const int d : t.sourceToSinkDistances()) EXPECT_GE(d, 0);
         }

@@ -3,7 +3,7 @@
 // lp_kernel_equivalence_test. The engine below is the former
 // src/ilp/lp.cpp verbatim except for its entry point, which returns the
 // pivot and bound-flip counts instead of adding them to the session
-// counters.
+// counters, and for the run-deadline poll, which no oracle run arms.
 #include "lp_dense.hpp"
 
 #include <algorithm>
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "check/assert.hpp"
-#include "robust/control.hpp"
 
 namespace streak::ilp {
 
@@ -57,10 +56,6 @@ public:
 
     [[nodiscard]] long pivots() const { return pivots_; }
     [[nodiscard]] long boundFlips() const { return boundFlips_; }
-
-    /// Deadline/cancellation ticket polled every few pivots; a trip
-    /// throws out of the pivot loop.
-    void setControl(const robust::Ticket& control) { control_ = control; }
 
     /// Phase 1 (minimize the artificial sum, pricing *all* columns —
     /// restricting phase-1 pricing could misreport infeasibility) then
@@ -166,9 +161,6 @@ private:
         const long maxIter = 20L * (m_ + static_cast<long>(total_)) + 2000;
         for (long iterations = 0;; ++iterations) {
             if (iterations > maxIter) break;  // stall guard
-            // Tick point: a pivot sweeps O(m * total) entries, so a
-            // strided clock poll is invisible next to the work.
-            if ((iterations & 63) == 0) control_.checkpoint("lp/pivot");
             const bool useBland = iterations > maxIter / 2;
 
             // Entering: nonbasic at lower with negative reduced cost, or
@@ -315,7 +307,6 @@ private:
     std::vector<std::uint8_t> inBasis_;
     long pivots_ = 0;
     long boundFlips_ = 0;
-    robust::Ticket control_;  // idle unless the caller passed one
 };
 
 /// Shift-to-zero-lower-bound preprocessing. Rows keep their original

@@ -1,10 +1,9 @@
 // Unit tests for the fault-tolerance layer (src/robust): structured
-// errors, deadline/cancellation tickets, strided tick gates, and the
+// errors, the run deadline and the tick points that poll it, and the
 // deterministic fault-injection registry.
 #include <gtest/gtest.h>
 
 #include <limits>
-#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -14,9 +13,13 @@
 #include "core/validate.hpp"
 #include "flow/streak.hpp"
 #include "gen/generator.hpp"
+#include "ilp/branch_and_bound.hpp"
+#include "ilp/lp.hpp"
 #include "io/design_io.hpp"
+#include "parallel/thread_pool.hpp"
 #include "post/clustering.hpp"
-#include "robust/control.hpp"
+#include "post/refine.hpp"
+#include "robust/deadline.hpp"
 #include "robust/error.hpp"
 #include "robust/fault.hpp"
 #include "test_util.hpp"
@@ -43,8 +46,7 @@ TEST(StreakError, DescribeComposesKindStageSiteAndMessage) {
 TEST(StreakError, KindNamesAndExitCodesAreDistinct) {
     const ErrorKind kinds[] = {ErrorKind::InvalidInput,
                                ErrorKind::DeadlineExpired,
-                               ErrorKind::Cancelled, ErrorKind::FaultInjected,
-                               ErrorKind::Internal};
+                               ErrorKind::FaultInjected, ErrorKind::Internal};
     std::set<std::string> names;
     std::set<int> codes;
     for (const ErrorKind k : kinds) {
@@ -54,8 +56,8 @@ TEST(StreakError, KindNamesAndExitCodesAreDistinct) {
         // 0/1/2 keep their historical CLI meanings.
         EXPECT_GE(code, 3);
     }
-    EXPECT_EQ(names.size(), 5u);
-    EXPECT_EQ(codes.size(), 5u);
+    EXPECT_EQ(names.size(), 4u);
+    EXPECT_EQ(codes.size(), 4u);
 }
 
 TEST(StreakException, NoteStageKeepsTheInnermostStage) {
@@ -82,90 +84,47 @@ TEST(StreakException, IsARuntimeErrorForLegacyCatchSites) {
     }
 }
 
-// ----------------------------------------------- deadline and ticket
+// ------------------------------------------------------ the deadline
 
-TEST(Deadline, NonPositiveBudgetNeverExpires) {
-    const Deadline never(0.0);
-    EXPECT_FALSE(never.armed());
-    EXPECT_FALSE(never.expired());
-    const Deadline negative(-1.0);
-    EXPECT_FALSE(negative.armed());
-    EXPECT_FALSE(negative.expired());
-}
-
-TEST(Deadline, TinyBudgetExpires) {
+/// A deadline that has already expired: every poll of it trips.
+Deadline expiredDeadline() {
     const Deadline d(1e-9);
-    ASSERT_TRUE(d.armed());
     while (!d.expired()) {
     }  // terminates as soon as the stopwatch advances past 1ns
-    EXPECT_TRUE(d.expired());
+    return d;
 }
 
-TEST(Ticket, IdleTicketNeverTrips) {
-    const Ticket idle;
-    EXPECT_TRUE(idle.idle());
-    EXPECT_EQ(idle.trip(), Trip::None);
-    EXPECT_NO_THROW(idle.checkpoint("test/site"));
-}
-
-TEST(Ticket, CancellationTripsWithAStructuredError) {
-    auto cancel = std::make_shared<CancelToken>();
-    const Ticket ticket(nullptr, cancel);
-    EXPECT_FALSE(ticket.idle());
-    EXPECT_NO_THROW(ticket.checkpoint("test/site"));
-    cancel->requestCancel();
-    EXPECT_EQ(ticket.trip(), Trip::Cancelled);
+/// Runs `body`, which must poll an expired deadline at tick point `site`
+/// and unwind with the structured, recoverable deadline-expired error.
+template <typename Fn>
+void expectDeadlineTrip(const char* site, Fn&& body) {
+    SCOPED_TRACE(site);
     try {
-        ticket.checkpoint("test/site");
-        FAIL() << "expected a trip";
-    } catch (const StreakException& e) {
-        EXPECT_EQ(e.error().kind, ErrorKind::Cancelled);
-        EXPECT_EQ(e.error().site, "test/site");
-        EXPECT_FALSE(e.error().recoverable);
-    }
-}
-
-TEST(Ticket, ExpiredDeadlineTripsRecoverably) {
-    auto deadline = std::make_shared<Deadline>(1e-9);
-    const Ticket ticket(deadline, nullptr);
-    while (!deadline->expired()) {
-    }
-    try {
-        ticket.checkpoint("maze/pop");
-        FAIL() << "expected a trip";
+        body();
+        FAIL() << site << " ignored an expired deadline";
     } catch (const StreakException& e) {
         EXPECT_EQ(e.error().kind, ErrorKind::DeadlineExpired);
-        EXPECT_EQ(e.error().site, "maze/pop");
+        EXPECT_EQ(e.error().site, site);
         EXPECT_TRUE(e.error().recoverable);
     }
 }
 
-TEST(Ticket, CancellationWinsOverDeadline) {
-    auto deadline = std::make_shared<Deadline>(1e-9);
-    auto cancel = std::make_shared<CancelToken>();
-    cancel->requestCancel();
-    const Ticket ticket(deadline, cancel);
-    while (!deadline->expired()) {
+TEST(Deadline, NonPositiveBudgetNeverExpires) {
+    for (const Deadline never : {Deadline(), Deadline(0.0), Deadline(-1.0)}) {
+        EXPECT_FALSE(never.armed());
+        EXPECT_FALSE(never.expired());
+        EXPECT_NO_THROW(never.checkpoint("test/site"));
     }
-    EXPECT_EQ(ticket.trip(), Trip::Cancelled);
 }
 
-TEST(TickGate, PollsOnlyEveryStride) {
-    auto cancel = std::make_shared<CancelToken>();
-    cancel->requestCancel();
-    const Ticket ticket(nullptr, cancel);
-    TickGate gate(ticket, "test/site", /*stride=*/4);
-    // The first three ticks must not poll (hot-loop contract).
-    EXPECT_NO_THROW(gate.tick());
-    EXPECT_NO_THROW(gate.tick());
-    EXPECT_NO_THROW(gate.tick());
-    EXPECT_THROW(gate.tick(), StreakException);
-}
-
-TEST(TickGate, IdleTicketCostsNothingAndNeverThrows) {
-    const Ticket idle;
-    TickGate gate(idle, "test/site", /*stride=*/1);
-    for (int i = 0; i < 100; ++i) EXPECT_NO_THROW(gate.tick());
+TEST(Deadline, TinyBudgetExpires) {
+    const Deadline d = expiredDeadline();
+    ASSERT_TRUE(d.armed());
+    EXPECT_TRUE(d.expired());
+    // A copy shares the start, so it has expired too.
+    const Deadline copy = d;
+    EXPECT_TRUE(copy.expired());
+    expectDeadlineTrip("test/site", [&] { copy.checkpoint("test/site"); });
 }
 
 // ------------------------------------------------- fault injection
@@ -280,26 +239,9 @@ TEST_F(FaultRegistry, EverySiteSeenInAFullRunIsCataloged) {
 
 // -------------------------------------------------- flow integration
 
-TEST(FlowRobustness, CancelledRunReturnsAStructuredError) {
-    const Design d = gen::generate([] {
-        gen::SuiteSpec spec = gen::synthSpec(1);
-        spec.numGroups = 3;
-        spec.gridWidth = 32;
-        spec.gridHeight = 32;
-        return spec;
-    }());
-    StreakOptions opts;
-    opts.cancel = std::make_shared<CancelToken>();
-    opts.cancel->requestCancel();  // cancelled before the run starts
-    const FlowResult res = runStreak(d, opts);
-    ASSERT_FALSE(res.ok());
-    EXPECT_EQ(res.error().kind, ErrorKind::Cancelled);
-    EXPECT_FALSE(res.error().stage.empty());
-}
-
-TEST(FlowRobustness, UncancelledTicketedRunMatchesPlainRun) {
-    // Determinism contract: a generous deadline and an unfired cancel
-    // token must not change a single byte of the outcome.
+TEST(FlowRobustness, GenerousDeadlineRunMatchesPlainRun) {
+    // Determinism contract: a deadline that never expires must not
+    // change a single byte of the outcome.
     const Design d = gen::generate([] {
         gen::SuiteSpec spec = gen::synthSpec(2);
         spec.numGroups = 4;
@@ -312,7 +254,6 @@ TEST(FlowRobustness, UncancelledTicketedRunMatchesPlainRun) {
     const StreakResult a = runStreak(d, plain).value();
     StreakOptions guarded = plain;
     guarded.deadlineSeconds = 3600.0;
-    guarded.cancel = std::make_shared<CancelToken>();
     const StreakResult b = runStreak(d, guarded).value();
     EXPECT_EQ(a.metrics.routedBits, b.metrics.routedBits);
     EXPECT_EQ(a.metrics.wirelength, b.metrics.wirelength);
@@ -321,22 +262,75 @@ TEST(FlowRobustness, UncancelledTicketedRunMatchesPlainRun) {
     EXPECT_FALSE(b.degraded());
 }
 
+// Each tick point polls on its first iteration, so an already-expired
+// deadline trips it before any work is done.
+
 TEST(FlowRobustness, ClusteringPollsTheTicketEveryRound) {
     const Design d = gen::generate(testutil::congestedMultipinSpec());
     RoutingProblem prob = buildProblem(d, StreakOptions{});
     RoutedDesign routed = materialize(prob, solvePrimalDual(prob).solution);
     ASSERT_GE(routed.unroutedMembers.size(), 2u);
 
-    auto cancel = std::make_shared<CancelToken>();
-    cancel->requestCancel();
-    prob.opts.control = Ticket(nullptr, cancel);
-    try {
-        (void)post::clusterAndRoute(prob, &routed);
-        FAIL() << "clustering ignored a cancelled ticket";
-    } catch (const StreakException& e) {
-        EXPECT_EQ(e.error().kind, ErrorKind::Cancelled);
-        EXPECT_EQ(e.error().site, "cluster/round");
+    prob.opts.control = expiredDeadline();
+    expectDeadlineTrip("cluster/round",
+                       [&] { (void)post::clusterAndRoute(prob, &routed); });
+}
+
+TEST(FlowRobustness, RefinementPollsTheDeadlineEveryWave) {
+    const Design d = gen::generate(testutil::congestedMultipinSpec());
+    RoutingProblem prob = buildProblem(d, StreakOptions{});
+    RoutedDesign routed = materialize(prob, solvePrimalDual(prob).solution);
+    const std::vector<GroupDistanceReport> baseline = analyzeDistances(
+        prob, routed, prob.opts.distanceThresholdFraction);
+    ASSERT_GT(countViolatingGroups(baseline), 0);
+
+    // Refinement re-analyzes only the changed groups, none here, so its
+    // first poll is the wave loop's.
+    prob.opts.control = expiredDeadline();
+    const std::vector<char> unchanged(baseline.size(), 0);
+    expectDeadlineTrip("refine/wave", [&] {
+        (void)post::refineDistances(prob, &routed, &baseline, &unchanged);
+    });
+}
+
+TEST(FlowRobustness, PoolAndPrimalDualPollTheDeadline) {
+    for (const int threads : {1, 3}) {
+        parallel::ThreadPool pool(threads);
+        pool.setControl(expiredDeadline());
+        int ran = 0;
+        expectDeadlineTrip("parallel/task", [&] {
+            pool.parallelFor(4, [&](int) { ++ran; });
+        });
+        EXPECT_EQ(ran, 0) << threads << " threads";
     }
+    // The flow's first stage fails the same way: building the problem
+    // dispatches its per-object tasks through a pool.
+    const Design d = gen::generate(gen::shrunkSynthSpec(1));
+    StreakOptions expired;
+    expired.control = expiredDeadline();
+    expectDeadlineTrip("parallel/task",
+                       [&] { (void)buildProblem(d, expired); });
+
+    RoutingProblem prob = buildProblem(d, StreakOptions{});
+    prob.opts.control = expiredDeadline();
+    expectDeadlineTrip("pd/iteration",
+                       [&] { (void)solvePrimalDual(prob); });
+}
+
+TEST(FlowRobustness, BranchAndBoundAndSimplexPollTheDeadline) {
+    // max x + y  s.t.  x + y <= 1.5, x and y binary.
+    ilp::Model model;
+    const int x = model.addVariable(-1.0, true, 0.0, 1.0);
+    const int y = model.addVariable(-1.0, true, 0.0, 1.0);
+    model.addRow({{x, 1.0}, {y, 1.0}}, ilp::Sense::LessEqual, 1.5);
+    ASSERT_EQ(ilp::solveIlp(model).status, ilp::SolveStatus::Optimal);
+
+    ilp::BnbOptions bopts;
+    bopts.control = expiredDeadline();
+    expectDeadlineTrip("bnb/node", [&] { (void)ilp::solveIlp(model, bopts); });
+    expectDeadlineTrip("lp/pivot", [&] {
+        (void)ilp::solveLp(model, expiredDeadline());
+    });
 }
 
 TEST(FlowRobustness, OutOfRangeOptionsAreInvalidInput) {
@@ -361,6 +355,14 @@ TEST(FlowRobustness, OutOfRangeOptionsAreInvalidInput) {
     StreakOptions nanWeight;
     nanWeight.viaWeight = std::numeric_limits<double>::quiet_NaN();
     expectInvalid(nanWeight, "viaWeight");
+    // A non-finite budget is not "no deadline": only <= 0 means that.
+    for (const double budget : {std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity()}) {
+        StreakOptions opts;
+        opts.deadlineSeconds = budget;
+        expectInvalid(opts, "deadlineSeconds");
+    }
     // A negative pair weight can make a pair cost negative, which the
     // ILP's pair linearization does not model.
     StreakOptions negativeIrregularity;

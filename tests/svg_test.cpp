@@ -54,20 +54,6 @@ TEST(Svg, OneLinePerUnitEdgePlusPins) {
     EXPECT_EQ(circles, pins);
 }
 
-TEST(Svg, GridLinesOptional) {
-    const Design d = testutil::makeDesign(
-        {testutil::makeBusGroup({{2, 4}, {10, 4}}, 2, 0, 1)});
-    const RoutingProblem prob = buildProblem(d, StreakOptions{});
-    const RoutedDesign routed = routedFixture(d, prob);
-    SvgOptions opts;
-    opts.drawGridLines = true;
-    std::stringstream withLines, withoutLines;
-    writeSvg(routed, withLines, opts);
-    opts.drawGridLines = false;
-    writeSvg(routed, withoutLines, opts);
-    EXPECT_GT(withLines.str().size(), withoutLines.str().size());
-}
-
 TEST(Svg, BlockagesShaded) {
     Design d = testutil::makeDesign(
         {testutil::makeBusGroup({{2, 4}, {10, 4}}, 2, 0, 1)});

@@ -343,7 +343,7 @@ private:
             isPunct(toks[i + 2], "...")) {
             add(tok.line, "catch-all",
                 "catch (...) outside src/parallel and src/robust swallows "
-                "cancellation and fault trips; catch robust::StreakException "
+                "deadline and fault trips; catch robust::StreakException "
                 "or a concrete type");
         }
 

@@ -25,7 +25,8 @@
 #   7. chaos + deadline drill       (fault-injection sweep under
 #                                    ASan/UBSan, then a --deadline= CLI
 #                                    run whose report must validate with
-#                                    the robust section present)
+#                                    the robust section present, and a
+#                                    --deadline=nan run that must exit 3)
 #   8. incremental ECO drill        (eco_test differential equivalence
 #                                    suite, checkpoint-reader fuzz under
 #                                    ASan/UBSan, then a checkpoint ->
@@ -146,8 +147,9 @@ cmake --build --preset dev --target streak_analyze -j "$JOBS" >/dev/null
 echo "== [7/9] chaos + deadline drill =="
 # Fault-tolerance contract (DESIGN.md "Robustness"): sweep every
 # cataloged fault site across the shrunk synth suites under ASan/UBSan —
-# every run must end in an audited solution or a structured StreakError,
-# never a crash. robust_test covers the deadline/cancellation plumbing.
+# every armed fault must fire, and every run must end in an audited
+# solution or a structured StreakError, never a crash. robust_test trips
+# every deadline tick point on an expired deadline.
 cmake --build --preset asan-ubsan -j "$JOBS" \
     --target chaos_test robust_test >/dev/null
 ./build-asan/tests/chaos_test
@@ -158,6 +160,15 @@ cmake --build --preset asan-ubsan -j "$JOBS" \
 ./build/tools/streak route "$OBS_TMP/synth1.streak" \
     --deadline=60 --report="$OBS_TMP/deadline.json" --quiet
 ./build/tools/report_check "$OBS_TMP/deadline.json"
+# A non-finite budget is invalid input (exit 3), never a silent "no
+# deadline" whose report would carry a non-JSON number.
+NAN_RC=0
+./build/tools/streak route "$OBS_TMP/synth1.streak" --deadline=nan \
+    --report="$OBS_TMP/nan.json" --quiet 2>/dev/null || NAN_RC=$?
+if [[ "$NAN_RC" -ne 3 ]]; then
+    echo "check.sh: --deadline=nan exited $NAN_RC, expected 3" >&2
+    exit 1
+fi
 
 echo "== [8/9] incremental ECO drill =="
 # Differential equivalence contract (DESIGN.md "Incremental ECO"): an

@@ -24,9 +24,10 @@
 //                          instrumentation for the run
 //   --trace=<file.json>    write a chrome://tracing / Perfetto trace of
 //                          the run's span tree; also turns on detail
-//   --deadline=<sec>       wall-clock budget for the whole run; on expiry
-//                          the flow degrades (cheaper engine / partial
-//                          solution) or fails with exit code 4
+//   --deadline=<sec>       wall-clock budget for the whole run (<= 0:
+//                          none; nan or inf exits 3); on expiry the flow
+//                          degrades (cheaper engine / partial solution)
+//                          or fails with exit code 4
 //   --checkpoint=<file>    freeze the routed state (design, options,
 //                          topologies, usage) for later `streak eco`
 //   --quiet                only the summary line
@@ -79,8 +80,8 @@
 //
 // Exit codes: 0 success (possibly degraded), 1 unexpected error, 2 bad
 // usage (including a malformed numeric value), 3 invalid input (including
-// an option out of range, e.g. --backbones=0), 4 deadline expired, 5
-// cancelled, 6 injected fault, 7 internal error, 8 campaign regression.
+// an option out of range, e.g. --backbones=0), 4 deadline expired, 6
+// injected fault, 7 internal error, 8 campaign regression. 5 is unused.
 // Every command honors the STREAK_FAULT environment variable ("site" or
 // "site:hit", see robust/fault.hpp).
 #include <cstring>
@@ -172,7 +173,7 @@ int usage() {
                  " (task seconds / wall seconds) appears only for"
                  " multi-threaded runs.\n"
                  "exit codes: 0 ok, 1 unexpected, 2 usage, 3 invalid input,"
-                 " 4 deadline, 5 cancelled, 6 injected fault, 7 internal,"
+                 " 4 deadline, 6 injected fault, 7 internal,"
                  " 8 campaign regression.\n";
     return 2;
 }
